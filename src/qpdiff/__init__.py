@@ -59,7 +59,7 @@ from .kkt import (
     assemble_reduced_kkt,
     condition_estimate,
     factorize,
-    solve_with,
+    solve_equality_qp,
 )
 from .metrics import Residuals, residuals
 from .oracles import (
@@ -91,7 +91,6 @@ from .solvers import (
     register_backend,
     solve_active_set,
     solve_admm,
-    solve_equality_qp,
 )
 
 import types as _types

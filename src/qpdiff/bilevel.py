@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .differentiation import backward, differentiable_solve
+from .differentiation import ParamDirection, backward, differentiable_solve
 from .errors import QpdiffError
 from .problem import QpProblem
 from .solvers import SolveSettings
@@ -63,14 +63,6 @@ class BilevelResult:
     final_mu: np.ndarray | None = None
 
 
-def _at_theta(problem, theta):
-    return QpProblem(
-        problem.P, problem.q,
-        problem.A if problem.p else None, problem.b if problem.p else None,
-        problem.C, problem.d + theta,
-    )
-
-
 def run_bilevel(config: BilevelConfig, log_fn=None) -> BilevelResult:
     """Gradient descent on ||mu*||^2 over the inequality offsets.
 
@@ -90,7 +82,7 @@ def run_bilevel(config: BilevelConfig, log_fn=None) -> BilevelResult:
     for it in range(config.max_iterations + 1):
         try:
             sol = differentiable_solve(
-                _at_theta(config.problem, theta),
+                ParamDirection(dd=theta).apply(config.problem, 1.0),
                 config.backend,
                 settings,
                 eps_active=config.eps_active,

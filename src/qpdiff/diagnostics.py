@@ -20,7 +20,6 @@ from .generators import TWO_PARAM_BOX, gen_two_param_family
 from .kkt import condition_estimate
 from .metrics import residuals
 from .oracles import finite_difference_jacobian, full_implicit_jacobian, full_implicit_matrix
-from .problem import QpProblem
 from .solvers import SOLVED, SolveSettings, get_backend
 
 __all__ = [
@@ -87,30 +86,26 @@ def random_direction(problem, rng, blocks=("P", "q", "A", "b", "C", "d")
     The P-block direction is symmetrized so it stays a valid curvature
     perturbation.
     """
+
+    def on_pattern(mat):
+        coo = sp.coo_array(mat)
+        return sp.coo_array(
+            (rng.standard_normal(coo.nnz), (coo.row.copy(), coo.col.copy())),
+            shape=mat.shape,
+        )
+
     dP = dq = dA = db = dC = dd = None
     if "P" in blocks and problem.P.nnz:
-        coo = sp.coo_array(problem.P)
-        raw = sp.coo_array(
-            (rng.standard_normal(coo.nnz), (coo.row.copy(), coo.col.copy())),
-            shape=problem.P.shape,
-        )
+        raw = on_pattern(problem.P)
         dP = sp.csc_array((raw + raw.T) * 0.5)
     if "q" in blocks:
         dq = rng.standard_normal(problem.n)
     if "A" in blocks and problem.A.nnz:
-        coo = sp.coo_array(problem.A)
-        dA = sp.csc_array(sp.coo_array(
-            (rng.standard_normal(coo.nnz), (coo.row.copy(), coo.col.copy())),
-            shape=problem.A.shape,
-        ))
+        dA = sp.csc_array(on_pattern(problem.A))
     if "b" in blocks and problem.p:
         db = rng.standard_normal(problem.p)
     if "C" in blocks and problem.C.nnz:
-        coo = sp.coo_array(problem.C)
-        dC = sp.csc_array(sp.coo_array(
-            (rng.standard_normal(coo.nnz), (coo.row.copy(), coo.col.copy())),
-            shape=problem.C.shape,
-        ))
+        dC = sp.csc_array(on_pattern(problem.C))
     if "d" in blocks and problem.m:
         dd = rng.standard_normal(problem.m)
     return ParamDirection(dP=dP, dq=dq, dA=dA, db=db, dC=dC, dd=dd)
@@ -158,16 +153,12 @@ def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
     flagged = []
 
     # dense parameters (q, b, d) against a full finite-difference Jacobian
-    def vector_map(theta):
-        return QpProblem(
-            problem.P, problem.q + theta[:n],
-            problem.A if p else None,
-            problem.b + theta[n : n + p] if p else None,
-            problem.C if m else None,
-            problem.d + theta[n + p :] if m else None,
-        )
-
-    fd = finite_difference_jacobian(vector_map, np.zeros(n + p + m), h, backend)
+    fd = finite_difference_jacobian(
+        lambda th: ParamDirection(
+            dq=th[:n], db=th[n : n + p], dd=th[n + p :]
+        ).apply(problem, 1.0),
+        np.zeros(n + p + m), h, backend,
+    )
     fd_loss_grad = fd.matrix[:n].T @ g_z
     analytic = np.concatenate([bundle.grad_q, bundle.grad_b, bundle.grad_d])
     keep = np.setdiff1d(np.arange(n + p + m), fd.flagged_columns)

@@ -25,7 +25,7 @@ from .identification import (
     identify,
     refine,
 )
-from .kkt import DIRECT, KktFactorization, assemble_reduced_kkt, factorize
+from .kkt import DIRECT, DualLeastSquares, KktFactorization, assemble_reduced_kkt, factorize
 from .metrics import residuals
 from .problem import QpProblem, RowScaling, normalize_constraints
 from .solvers import SOLVED, PrimalDualPoint, SolveSettings, SolverBackend, get_backend
@@ -133,9 +133,7 @@ def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
         lam = sol[n : n + p]
         mu_j = sol[n + p :]
     else:
-        from .identification import _DualLeastSquares
-
-        duals, _ = _DualLeastSquares(problem, idx).solve(-(problem.P @ z + problem.q))
+        duals, _ = DualLeastSquares(problem, idx).solve(-(problem.P @ z + problem.q))
         lam = duals[:p]
         mu_j = duals[p:]
     mu = np.zeros(problem.m)

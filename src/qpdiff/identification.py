@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kkt import DIRECT, LEAST_SQUARES
+from .kkt import DIRECT, LEAST_SQUARES, DualLeastSquares
 
 __all__ = [
     "ActiveSet",
@@ -86,29 +86,7 @@ def diagnose(problem, point, active: ActiveSet, eps_active: float | None = None,
     )
 
 
-class _DualLeastSquares:
-    """Minimum-residual duals for a fixed primal point.
-
-    Solves min over (lam, mu_J) of || P z + q + A' lam + C_J' mu_J ||_2 by a
-    dense least-squares fit of the constraint gradients.
-    """
-
-    def __init__(self, problem, indices):
-        blocks = []
-        if problem.p:
-            blocks.append(problem.A.toarray().T)
-        if len(indices):
-            blocks.append(sp.csr_array(problem.C)[np.asarray(indices)].toarray().T)
-        self._M = np.hstack(blocks) if blocks else np.zeros((problem.n, 0))
-
-    def solve(self, target):
-        if self._M.shape[1] == 0:
-            return np.zeros(0), target.copy()
-        duals, *_ = np.linalg.lstsq(self._M, target, rcond=None)
-        return duals, target - self._M @ duals
-
-
-def refine(problem, z, initial: ActiveSet, fact_builder=None) -> ActiveSet:
+def refine(problem, z, initial: ActiveSet) -> ActiveSet:
     """Greedy superset refinement of an identified active set.
 
     Remaining rows are tried in order of increasing slack; a row is accepted
@@ -117,7 +95,6 @@ def refine(problem, z, initial: ActiveSet, fact_builder=None) -> ActiveSet:
     non-improvement.  Never raises: numerical failures end the refinement
     with the current set.
     """
-    builder = fact_builder or _DualLeastSquares
     z = np.asarray(z, dtype=float).ravel()
     res = initial.residuals
     current = list(initial.indices)
@@ -128,7 +105,7 @@ def refine(problem, z, initial: ActiveSet, fact_builder=None) -> ActiveSet:
     remaining.sort(key=lambda j: (-res[j], j))
 
     try:
-        best = _system_residual(problem, z, current, builder)
+        best = _system_residual(problem, z, current)
     except np.linalg.LinAlgError:
         return initial
 
@@ -136,7 +113,7 @@ def refine(problem, z, initial: ActiveSet, fact_builder=None) -> ActiveSet:
     for j in remaining:
         candidate = sorted(current + [j])
         try:
-            metric = _system_residual(problem, z, candidate, builder)
+            metric = _system_residual(problem, z, candidate)
         except np.linalg.LinAlgError:
             break
         if metric < best * (1.0 - 1e-12):
@@ -153,10 +130,10 @@ def refine(problem, z, initial: ActiveSet, fact_builder=None) -> ActiveSet:
     )
 
 
-def _system_residual(problem, z, indices, builder):
+def _system_residual(problem, z, indices):
     """|| K_J zeta - v_J ||_2 with the primal block frozen at z."""
     target = -(problem.P @ z + problem.q)
-    _, stat_resid = builder(problem, indices).solve(target)
+    _, stat_resid = DualLeastSquares(problem, indices).solve(target)
     parts = [stat_resid]
     if problem.p:
         parts.append(problem.A @ z - problem.b)

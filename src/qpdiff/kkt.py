@@ -1,4 +1,4 @@
-"""Reduced KKT assembly, factorization with reuse, and conditioning estimates.
+"""The saddle-point layer: reduced KKT assembly, factorization, and solves.
 
 The reduced KKT matrix for an active set J is the symmetric saddle matrix
 
@@ -6,10 +6,15 @@ The reduced KKT matrix for an active set J is the symmetric saddle matrix
           [ A    0    0    ]
           [ C_J  0    0    ]
 
-One factorization of K_J serves dual recovery and every derivative solve for
-the same (problem, J) pair.  When the factorization is singular or unreliable
-the object degrades to a minimum-norm least-squares solver instead of
-raising.
+Apart from the independent oracles, this module is the only place such
+systems are built and solved.  Its consumers are the backend steps (the
+active-set subproblem and the equality-constrained solve), the ADMM
+iteration matrix (K_J on every row plus a diagonal shift) and the ADMM
+polish, dual recovery, and the forward and backward derivatives.  One
+factorization of K_J serves dual recovery and every derivative solve for
+the same (problem, J) pair.  When the factorization is singular or
+unreliable the object degrades to a minimum-norm least-squares solver
+instead of raising.
 """
 
 from __future__ import annotations
@@ -20,14 +25,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
+from .errors import RankDeficiencyError
+
 __all__ = [
     "ReducedKkt",
     "KktFactorization",
+    "DualLeastSquares",
     "assemble_reduced_kkt",
     "factorize",
-    "solve_with",
+    "solve_equality_qp",
     "condition_estimate",
-    "factorization_count",
 ]
 
 DIRECT = "direct"
@@ -36,13 +43,6 @@ LEAST_SQUARES = "least_squares"
 _PIVOT_RTOL = 1e-12
 _DENSE_LSTSQ_LIMIT = 2000
 _TIKHONOV = 1e-10
-
-_n_factorizations = 0
-
-
-def factorization_count() -> int:
-    """Number of factorizations performed since import (test instrumentation)."""
-    return _n_factorizations
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class KktFactorization:
             )
         if self.mode == DIRECT:
             x = self._lu.solve(rhs)
-            # up to two steps of iterative refinement against the exact matrix
-            for _ in range(2):
+            # up to three steps of iterative refinement against the exact matrix
+            for _ in range(3):
                 resid = rhs - self.matrix @ x
                 if np.abs(resid).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(rhs).max(initial=0.0)):
                     break
@@ -159,9 +159,6 @@ def factorize(kkt: ReducedKkt, regularization: float = 0.0) -> KktFactorization:
     blocks before factoring (0 disables); solves still target the exact
     matrix through iterative refinement.
     """
-    global _n_factorizations
-    _n_factorizations += 1
-
     mat = kkt.matrix
     work = mat
     if regularization:
@@ -190,9 +187,66 @@ def factorize(kkt: ReducedKkt, regularization: float = 0.0) -> KktFactorization:
     return KktFactorization(mat, LEAST_SQUARES, normal_lu=splu(normal))
 
 
-def solve_with(fact: KktFactorization, rhs) -> np.ndarray:
-    """Solve K_J x = rhs with a prepared factorization."""
-    return fact.solve(rhs)
+def solve_equality_qp(P, q, A=None, b=None):
+    """Solve min 0.5 z'Pz + q'z s.t. Az = b via the dense saddle-point system.
+
+    Requires P positive definite and A full row rank; raises
+    :class:`RankDeficiencyError` otherwise.  Returns ``(z, lam)`` with
+    ``lam`` empty when there are no equality constraints.  Dense on purpose:
+    the active-set backend calls it once per iteration on small dense blocks,
+    where a sparse factorization costs several times more.
+    """
+    Pd = P.toarray() if sp.issparse(P) else np.asarray(P, dtype=float)
+    q = np.asarray(q, dtype=float).ravel()
+    n = q.shape[0]
+    if A is None or (hasattr(A, "shape") and A.shape[0] == 0):
+        p = 0
+        K = Pd
+        rhs = -q
+    else:
+        Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float).ravel()
+        p = Ad.shape[0]
+        K = np.zeros((n + p, n + p))
+        K[:n, :n] = Pd
+        K[:n, n:] = Ad.T
+        K[n:, :n] = Ad
+        rhs = np.concatenate([-q, b])
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("equality KKT matrix is singular") from exc
+    if not np.all(np.isfinite(sol)):
+        raise RankDeficiencyError("equality KKT solve produced non-finite values")
+    resid = np.abs(K @ sol - rhs).max(initial=0.0)
+    if resid > 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0)):
+        raise RankDeficiencyError(
+            f"equality KKT solve is unreliable (residual {resid:.2e})"
+        )
+    return sol[:n], sol[n : n + p]
+
+
+class DualLeastSquares:
+    """Minimum-residual duals for a fixed primal point.
+
+    Solves min over (lam, mu_J) of || P z + q + A' lam + C_J' mu_J ||_2 by a
+    dense least-squares fit of the constraint gradients.
+    """
+
+    def __init__(self, problem, indices):
+        blocks = []
+        if problem.p:
+            blocks.append(problem.A.toarray().T)
+        if len(indices):
+            blocks.append(sp.csr_array(problem.C)[np.asarray(indices)].toarray().T)
+        self._M = np.hstack(blocks) if blocks else np.zeros((problem.n, 0))
+
+    def solve(self, target):
+        """Return ``(duals, residual)`` for the stationarity target."""
+        if self._M.shape[1] == 0:
+            return np.zeros(0), target.copy()
+        duals, *_ = np.linalg.lstsq(self._M, target, rcond=None)
+        return duals, target - self._M @ duals
 
 
 def condition_estimate(matrix) -> float:

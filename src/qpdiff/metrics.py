@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Residuals", "residuals"]
+__all__ = ["Residuals", "residuals", "primal_dual_residuals"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,20 @@ def residuals(problem, point) -> Residuals:
     lam = _require_dual(point.lam, problem.p, "lambda")
     mu = _require_dual(point.mu, problem.m, "mu")
 
+    r_p, r_d = primal_dual_residuals(problem, z, lam, mu)
+
+    gap = float(z @ (problem.P @ z)) + float(problem.q @ z)
+    if problem.p:
+        gap += float(problem.b @ lam)
+    if problem.m:
+        gap += float(problem.d @ mu)
+    r_g = abs(gap)
+
+    return Residuals(r_p, r_d, r_g)
+
+
+def primal_dual_residuals(problem, z, lam, mu) -> tuple[float, float]:
+    """``(r_p, r_d)`` alone, for callers that do not need the duality gap."""
     r_p = 0.0
     if problem.p:
         r_p = float(np.abs(problem.A @ z - problem.b).max())
@@ -47,16 +61,7 @@ def residuals(problem, point) -> Residuals:
         stat = stat + problem.A.T @ lam
     if problem.m:
         stat = stat + problem.C.T @ mu
-    r_d = float(np.abs(stat).max())
-
-    gap = float(z @ (problem.P @ z)) + float(problem.q @ z)
-    if problem.p:
-        gap += float(problem.b @ lam)
-    if problem.m:
-        gap += float(problem.d @ mu)
-    r_g = abs(gap)
-
-    return Residuals(r_p, r_d, r_g)
+    return r_p, float(np.abs(stat).max())
 
 
 def _require_dual(val, length, name):

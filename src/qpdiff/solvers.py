@@ -19,7 +19,8 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
-from .metrics import residuals
+from .kkt import assemble_reduced_kkt, factorize, solve_equality_qp
+from .metrics import primal_dual_residuals, residuals
 from .problem import QpProblem
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "ActiveSetBackend",
     "AdmmBackend",
     "PrimalOnlyBackend",
-    "solve_equality_qp",
     "solve_active_set",
     "solve_admm",
     "register_backend",
@@ -99,44 +99,7 @@ class SolverBackend:
         raise NotImplementedError
 
 
-# --- equality-constrained solve ---------------------------------------------
-
-
-def solve_equality_qp(P, q, A=None, b=None):
-    """Solve min 0.5 z'Pz + q'z s.t. Az = b via the saddle-point system.
-
-    Requires P positive definite and A full row rank; raises
-    :class:`RankDeficiencyError` otherwise.  Returns ``(z, lam)`` with
-    ``lam`` empty when there are no equality constraints.
-    """
-    Pd = P.toarray() if sp.issparse(P) else np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    n = q.shape[0]
-    if A is None or (hasattr(A, "shape") and A.shape[0] == 0):
-        p = 0
-        K = Pd
-        rhs = -q
-    else:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float).ravel()
-        p = Ad.shape[0]
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = Pd
-        K[:n, n:] = Ad.T
-        K[n:, :n] = Ad
-        rhs = np.concatenate([-q, b])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("equality KKT matrix is singular") from exc
-    if not np.all(np.isfinite(sol)):
-        raise RankDeficiencyError("equality KKT solve produced non-finite values")
-    resid = np.abs(K @ sol - rhs).max(initial=0.0)
-    if resid > 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0)):
-        raise RankDeficiencyError(
-            f"equality KKT solve is unreliable (residual {resid:.2e})"
-        )
-    return sol[:n], sol[n : n + p]
+# --- equality-only backend -----------------------------------------------------
 
 
 class EqualityBackend(SolverBackend):
@@ -194,7 +157,7 @@ class ActiveSetBackend(SolverBackend):
         n, p, m = problem.n, problem.p, problem.m
 
         try:
-            x, lam0 = solve_equality_qp(P, q, A if p else None, b if p else None)
+            x, lam0 = solve_equality_qp(P, q, A, b)
         except RankDeficiencyError:
             return PrimalDualPoint(
                 z=np.full(n, np.nan), lam=np.zeros(p), mu=np.zeros(m), status=FAILED
@@ -232,8 +195,14 @@ class ActiveSetBackend(SolverBackend):
                 and time.perf_counter() - t_start > settings.time_limit
             ):
                 break
-            g = P @ x + q
-            step, lam, mu_w = self._subproblem(P, A, C, work, g, n, p)
+            try:
+                step, duals = solve_equality_qp(
+                    P, P @ x + q, np.vstack([A, C[work]]), np.zeros(p + len(work))
+                )
+            except RankDeficiencyError:
+                status = FAILED
+                break
+            lam, mu_w = duals[:p], duals[p:]
             duals_for = list(work)
             if np.abs(step).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max()):
                 if mu_w.size == 0 or mu_w.min() >= -1e-11:
@@ -286,26 +255,6 @@ class ActiveSetBackend(SolverBackend):
         return res.x[:n]
 
     @staticmethod
-    def _subproblem(P, A, C, work, g, n, p):
-        """Direction and multipliers for the current working set."""
-        Cw = C[work] if work else np.zeros((0, n))
-        k = len(work)
-        K = np.zeros((n + p + k, n + p + k))
-        K[:n, :n] = P
-        if p:
-            K[:n, n : n + p] = A.T
-            K[n : n + p, :n] = A
-        if k:
-            K[:n, n + p :] = Cw.T
-            K[n + p :, :n] = Cw
-        rhs = np.concatenate([-g, np.zeros(p + k)])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        return sol[:n], sol[n : n + p], sol[n + p :]
-
-    @staticmethod
     def _step_length(C, d, x, step, work):
         """Largest step <= 1 staying feasible; lowest-index blocking row wins."""
         alpha = 1.0
@@ -334,12 +283,14 @@ class AdmmBackend(SolverBackend):
     """Operator-splitting (ADMM) solver on the stacked constraint form.
 
     The iteration follows the standard splitting for l <= Gz <= u with a
-    single sparse factorization of the regularized KKT matrix.  The penalty
-    is fixed (with a stiffer value on equality rows) and diagonal data
-    rescaling is off, so runs are deterministic given the settings.  After
-    convergence the solution is polished by an exact solve on the rows the
-    final iterate marks as active; the polished point is kept only when it
-    improves both residuals.
+    single sparse factorization of the regularized KKT matrix: the reduced
+    KKT matrix on every row plus a diagonal shift.  The penalty is fixed
+    (with a stiffer value on equality rows) and diagonal data rescaling is
+    off, so runs are deterministic given the settings.  After convergence
+    the solution is polished by a reduced-KKT solve on the rows the final
+    iterate marks as active, through the same layer differentiation uses;
+    the polished point is kept only when it lowers the larger of the two
+    residuals.
     """
 
     name = "admm"
@@ -356,29 +307,25 @@ class AdmmBackend(SolverBackend):
     check_interval = 10
     polish = True
     polish_reg = 1e-9
-    polish_refine_steps = 3
 
     def solve(self, problem, settings):
         n, p, m = problem.n, problem.p, problem.m
         t_start = time.perf_counter()
 
-        G = sp.vstack([problem.A, problem.C], format="csc") if p + m else None
+        G = sp.vstack([problem.A, problem.C], format="csc")
         lower = np.concatenate([problem.b, np.full(m, -np.inf)])
         upper = np.concatenate([problem.b, problem.d])
 
         rho = np.full(p + m, self.rho)
         rho[:p] *= self.rho_eq_scale
-        rho_inv = 1.0 / rho if p + m else rho
+        rho_inv = 1.0 / rho
 
-        eye = sp.identity(n, format="csc")
-        if p + m:
-            kkt = sp.bmat(
-                [[problem.P + self.sigma * eye, G.T], [G, sp.diags_array(-rho_inv)]],
-                format="csc",
-            )
-        else:
-            kkt = sp.csc_matrix(problem.P + self.sigma * eye)
-        lu = splu(kkt)
+        kkt = assemble_reduced_kkt(problem, np.arange(m)).matrix + sp.diags_array(
+            np.concatenate([np.full(n, self.sigma), -rho_inv])
+        )
+        # factored raw, not through factorize: the loop needs neither
+        # refinement nor a fallback, and each solve must stay cheap
+        lu = splu(sp.csc_matrix(kkt))
 
         ws = settings.warm_start
         if ws is not None and ws.z is not None:
@@ -389,7 +336,7 @@ class AdmmBackend(SolverBackend):
                     np.asarray(ws.mu) if ws.mu is not None else np.zeros(m),
                 ]
             )
-            zs = np.clip(G @ x, lower, upper) if p + m else np.zeros(0)
+            zs = np.clip(G @ x, lower, upper)
         else:
             x = np.zeros(n)
             zs = np.clip(np.zeros(p + m), lower, upper)
@@ -412,7 +359,7 @@ class AdmmBackend(SolverBackend):
             # never terminate before an iteration has refreshed the duals;
             # early checks let warm starts exit almost immediately
             if it <= 5 or it % self.check_interval == 0:
-                r_p, r_d = self._residuals(problem, x, y, p)
+                r_p, r_d = primal_dual_residuals(problem, x, y[:p], y[p:])
                 if r_p <= settings.eps_abs and r_d <= settings.eps_abs:
                     status = SOLVED
                     break
@@ -422,10 +369,10 @@ class AdmmBackend(SolverBackend):
                 ):
                     break
         if status != SOLVED:
-            r_p, r_d = self._residuals(problem, x, y, p)
+            r_p, r_d = primal_dual_residuals(problem, x, y[:p], y[p:])
 
-        if self.polish and status == SOLVED and p + m:
-            x, y, r_p, r_d = self._polish(problem, G, upper, x, y, r_p, r_d)
+        if self.polish and status == SOLVED:
+            x, y, r_p, r_d = self._polish(problem, x, y, r_p, r_d)
 
         point = PrimalDualPoint(
             z=x,
@@ -438,63 +385,22 @@ class AdmmBackend(SolverBackend):
         )
         return point
 
-    def _polish(self, problem, G, upper, x, y, r_p, r_d):
-        """Exact solve on the rows the iterate marks as active."""
+    def _polish(self, problem, x, y, r_p, r_d):
+        """Reduced-KKT solve on the rows the iterate marks as active."""
         n, p = problem.n, problem.p
-        slack = upper - G @ x
-        active = np.flatnonzero(
-            np.concatenate([np.ones(p, dtype=bool), (y[p:] > 0) | (slack[p:] <= 0)])
-        )
-        k = active.size
-        if k == 0:
-            return x, y, r_p, r_d
-        Gact = sp.csc_array(sp.csr_array(G)[active])
-        reg = self.polish_reg
-        K_reg = sp.bmat(
-            [
-                [problem.P + reg * sp.identity(n), Gact.T],
-                [Gact, -reg * sp.identity(k)],
-            ],
-            format="csc",
-        )
-        rhs = np.concatenate([-problem.q, upper[active]])
-        try:
-            lu = splu(K_reg)
-        except RuntimeError:
-            return x, y, r_p, r_d
-        sol = lu.solve(rhs)
-        for _ in range(self.polish_refine_steps):
-            resid = rhs - np.concatenate(
-                [
-                    problem.P @ sol[:n] + Gact.T @ sol[n:],
-                    Gact @ sol[:n],
-                ]
-            )
-            sol = sol + lu.solve(resid)
+        J = np.flatnonzero((y[p:] > 0) | (problem.C @ x >= problem.d))
+        fact = factorize(assemble_reduced_kkt(problem, J), regularization=self.polish_reg)
+        sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
         x_pol = sol[:n]
-        y_pol = np.zeros(G.shape[0])
-        y_pol[active] = sol[n:]
+        y_pol = np.zeros(y.shape[0])
+        y_pol[:p] = sol[n : n + p]
+        y_pol[p + J] = sol[n + p :]
         if np.any(y_pol[p:] < -1e-9) or not np.all(np.isfinite(sol)):
             return x, y, r_p, r_d
-        r_p_pol, r_d_pol = self._residuals(problem, x_pol, y_pol, p)
+        r_p_pol, r_d_pol = primal_dual_residuals(problem, x_pol, y_pol[:p], y_pol[p:])
         if max(r_p_pol, r_d_pol) < max(r_p, r_d):
             return x_pol, y_pol, r_p_pol, r_d_pol
         return x, y, r_p, r_d
-
-    @staticmethod
-    def _residuals(problem, x, y, p):
-        lam, mu = y[:p], y[p:]
-        r_p = 0.0
-        if problem.p:
-            r_p = float(np.abs(problem.A @ x - problem.b).max())
-        if problem.m:
-            r_p = max(r_p, float((problem.C @ x - problem.d).max()), 0.0)
-        stat = problem.P @ x + problem.q
-        if problem.p:
-            stat = stat + problem.A.T @ lam
-        if problem.m:
-            stat = stat + problem.C.T @ mu
-        return r_p, float(np.abs(stat).max())
 
 
 def solve_admm(problem, settings=None):

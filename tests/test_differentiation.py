@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -363,3 +366,49 @@ class TestDifferentiableSolve:
         assert sol.point.status == "solved"
         plain = differentiable_solve(prob, "active_set")
         np.testing.assert_array_equal(sol.active.indices, plain.active.indices)
+
+
+def _flat(bundle, step):
+    """Every number in a gradient bundle and a forward step, in one vector."""
+    parts = [bundle.grad_q, bundle.grad_b, bundle.grad_d, *step]
+    parts += [g.toarray().ravel() for g in (bundle.grad_P, bundle.grad_A, bundle.grad_C)]
+    return np.concatenate(parts)
+
+
+class TestThreadSafety:
+    @pytest.mark.parametrize("backend", ["active_set", "admm"])
+    def test_shared_solution_matches_serial(self, backend):
+        n_threads, repeats = 8, 20
+        prob = random_mixed_qp(12, 10, 2, seed=77)
+        sol = differentiable_solve(prob, backend)
+        rng = np.random.Generator(np.random.PCG64(78))
+        grads = [rng.standard_normal(prob.n) for _ in range(n_threads)]
+        dirs = [random_direction(prob, rng) for _ in range(n_threads)]
+
+        def run(k):
+            return _flat(sol.backward(grads[k]), sol.forward(dirs[k]))
+
+        serial = [run(k) for k in range(n_threads)]
+        mismatches, errors = [], []
+
+        def worker(k):
+            try:
+                for _ in range(repeats):
+                    if not np.array_equal(run(k), serial[k]):
+                        mismatches.append(k)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert mismatches == []

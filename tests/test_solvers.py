@@ -139,6 +139,13 @@ class TestAdmmSolver:
         assert res.r_p <= 1e-6
         assert res.r_d <= 1e-6
 
+    def test_polish_reaches_working_precision_on_sparse(self):
+        # the polish solve needs three refinement steps to get here
+        prob = gen_random_sparse(1000, seed=1)
+        point = solve_admm(prob, SolveSettings(eps_abs=1e-6))
+        assert point.status == SOLVED
+        assert point.r_p <= 1e-12
+
     def test_deterministic(self):
         prob = gen_random_dense(12, seed=3)
         a = solve_admm(prob, SolveSettings(eps_abs=1e-7))
