@@ -25,7 +25,7 @@ from .identification import (
     identify,
     refine,
 )
-from .kkt import DIRECT, DualLeastSquares, KktFactorization, assemble_reduced_kkt, factorize
+from .kkt import KktFactorization, assemble_reduced_kkt, factorize
 from .metrics import residuals
 from .problem import QpProblem, RowScaling, normalize_constraints
 from .solvers import SOLVED, PrimalDualPoint, SolveSettings, SolverBackend, get_backend
@@ -94,9 +94,9 @@ class DifferentiableSolution:
     """Solved QP bundled with everything needed to differentiate it.
 
     ``point`` always carries duals.  ``fact`` is the single reduced-KKT
-    factorization shared by dual recovery and all derivative solves; in
-    direct mode the solver's primal z is kept as-is rather than overwritten
-    by the KKT solve, so backend inaccuracy stays visible to diagnostics.
+    factorization shared by dual recovery and all derivative solves; the
+    solver's primal z is kept as-is rather than overwritten by the KKT
+    solve, so backend inaccuracy stays visible to diagnostics.
     Treated as immutable once built: concurrent forward/backward calls on
     one solution are safe.
     """
@@ -120,26 +120,18 @@ class DifferentiableSolution:
 def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
     """Dual variables implied by the reduced KKT system at the active set.
 
-    In direct mode this solves K_J zeta = (-q, b, d_J) and discards the
-    primal block of the result in favor of the caller's z.  In least-squares
-    mode the duals minimize the stationarity residual with z held fixed.
+    Solves K_J zeta = (-q, b, d_J) and keeps the dual blocks of the result;
+    ``z`` is not read, because the caller keeps its own primal point.  When
+    K_J is singular the duals are not unique and these are the minimum-norm
+    ones.
     Returns ``(lam, mu)`` with mu scattered to full length (zero off J).
     """
     n, p = problem.n, problem.p
     idx = active.indices
-    if fact.mode == DIRECT:
-        rhs = np.concatenate([-problem.q, problem.b, problem.d[idx]])
-        sol = fact.solve(rhs)
-        lam = sol[n : n + p]
-        mu_j = sol[n + p :]
-    else:
-        duals, _ = DualLeastSquares(problem, idx).solve(-(problem.P @ z + problem.q))
-        lam = duals[:p]
-        mu_j = duals[p:]
+    sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[idx]]))
     mu = np.zeros(problem.m)
-    if idx.size:
-        mu[idx] = mu_j
-    return lam, mu
+    mu[idx] = sol[n + p :]
+    return sol[n : n + p], mu
 
 
 def forward_directional(sol: DifferentiableSolution, direction: ParamDirection):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kkt import DIRECT, LEAST_SQUARES, DualLeastSquares
+from .kkt import DIRECT, LEAST_SQUARES
 
 __all__ = [
     "ActiveSet",
@@ -131,13 +131,12 @@ def refine(problem, z, initial: ActiveSet) -> ActiveSet:
 
 
 def _system_residual(problem, z, indices):
-    """|| K_J zeta - v_J ||_2 with the primal block frozen at z."""
+    """|| K_J zeta - v_J ||_2 with z frozen and the duals fitted by dense lstsq."""
+    idx = np.asarray(indices, dtype=int)
+    CJ = sp.csr_array(problem.C)[idx]
+    blocks = [block.toarray().T for block in (problem.A, CJ) if block.shape[0]]
+    M = np.hstack(blocks) if blocks else np.zeros((problem.n, 0))
     target = -(problem.P @ z + problem.q)
-    _, stat_resid = DualLeastSquares(problem, indices).solve(target)
-    parts = [stat_resid]
-    if problem.p:
-        parts.append(problem.A @ z - problem.b)
-    if indices:
-        idx = np.asarray(indices)
-        parts.append(sp.csr_array(problem.C)[idx] @ z - problem.d[idx])
+    duals, *_ = np.linalg.lstsq(M, target, rcond=None)
+    parts = [target - M @ duals, problem.A @ z - problem.b, CJ @ z - problem.d[idx]]
     return float(np.linalg.norm(np.concatenate(parts)))

@@ -12,9 +12,9 @@ active-set subproblem and the equality-constrained solve), the ADMM
 iteration matrix (K_J on every row plus a diagonal shift) and the ADMM
 polish, dual recovery, and the forward and backward derivatives.  One
 factorization of K_J serves dual recovery and every derivative solve for
-the same (problem, J) pair.  When the factorization is singular or
-unreliable the object degrades to a minimum-norm least-squares solver
-instead of raising.
+the same (problem, J) pair.  A singular K_J is bordered with a basis of
+its null space and factored by the same sparse LU, so its solves return the
+minimum-norm least-squares solution.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
@@ -30,7 +31,6 @@ from .errors import RankDeficiencyError
 __all__ = [
     "ReducedKkt",
     "KktFactorization",
-    "DualLeastSquares",
     "assemble_reduced_kkt",
     "factorize",
     "solve_equality_qp",
@@ -41,8 +41,6 @@ DIRECT = "direct"
 LEAST_SQUARES = "least_squares"
 
 _PIVOT_RTOL = 1e-12
-_DENSE_LSTSQ_LIMIT = 2000
-_TIKHONOV = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,19 +111,19 @@ def assemble_reduced_kkt(problem, active) -> ReducedKkt:
 class KktFactorization:
     """Reusable solver for K_J systems.
 
-    ``mode`` is ``"direct"`` when a sparse LU factorization succeeded with
-    acceptable pivots, else ``"least_squares"`` in which case solves return
-    the minimum-norm least-squares solution.  Because K_J is symmetric, the
-    same code path serves forward and adjoint solves.  Instances are
-    immutable after construction; concurrent solves are safe.
+    ``mode`` is ``"direct"`` when K_J itself was factored, else
+    ``"least_squares"``: K_J was bordered and solves return the minimum-norm
+    least-squares solution.  ``rank`` is the rank of K_J.  Because K_J is
+    symmetric, the same code path serves forward and adjoint solves.
+    Instances are immutable after construction; concurrent solves are safe.
     """
 
-    def __init__(self, matrix, mode, lu=None, svd=None, normal_lu=None, rank=None):
+    def __init__(self, matrix, mode, lu, factored, rank):
         self.matrix = matrix
         self.mode = mode
         self._lu = lu
-        self._svd = svd
-        self._normal_lu = normal_lu
+        # the exact matrix ``lu`` factors: K_J, or K_J bordered by its null basis
+        self._factored = factored
         self.rank = rank
         self.order = matrix.shape[0]
 
@@ -135,25 +133,25 @@ class KktFactorization:
             raise ValueError(
                 f"rhs has length {rhs.shape[0]}, expected {self.order}"
             )
-        if self.mode == DIRECT:
-            x = self._lu.solve(rhs)
-            # up to three steps of iterative refinement against the exact matrix
-            for _ in range(3):
-                resid = rhs - self.matrix @ x
-                if np.abs(resid).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(rhs).max(initial=0.0)):
-                    break
-                x = x + self._lu.solve(resid)
-            return x
-        if self._svd is not None:
-            u, s, vt = self._svd
-            cut = s[0] * max(self.order, 1) * np.finfo(float).eps if s.size else 0.0
-            inv = np.where(s > cut, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-            return vt.T @ (inv * (u.T @ rhs))
-        return self._normal_lu.solve(self.matrix.T @ rhs)
+        rhs = np.concatenate([rhs, np.zeros(self._factored.shape[0] - self.order)])
+        x = self._lu.solve(rhs)
+        # up to three steps of iterative refinement against the exact matrix
+        for _ in range(3):
+            resid = rhs - self._factored @ x
+            if np.abs(resid).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(rhs).max(initial=0.0)):
+                break
+            x = x + self._lu.solve(resid)
+        return x[: self.order]
 
 
 def factorize(kkt: ReducedKkt, regularization: float = 0.0) -> KktFactorization:
-    """Factor K_J once for reuse; singularity degrades to least squares.
+    """Factor K_J once for reuse, by sparse LU.
+
+    A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]`` is
+    factored, with Z a null-space basis of K_J, and the leading block of its
+    solution is the minimum-norm least-squares solution.  Raises
+    :class:`RankDeficiencyError` if that is singular too, which means P is
+    not positive definite on the null space of ``[A; C_J]``.
 
     ``regularization`` subtracts r from the diagonal of the zero constraint
     blocks before factoring (0 disables); solves still target the exact
@@ -167,24 +165,52 @@ def factorize(kkt: ReducedKkt, regularization: float = 0.0) -> KktFactorization:
         )
         work = sp.csc_array(mat + sp.diags_array(shift))
 
+    lu = _checked_lu(work)
+    if lu is not None:
+        return KktFactorization(mat, DIRECT, lu, mat, kkt.order)
+
+    Z = _null_basis(kkt)
+    lu = _checked_lu(sp.block_array([[work, Z], [Z.T, None]], format="csc"))
+    if lu is None:
+        raise RankDeficiencyError(
+            "reduced KKT matrix is singular: P is not positive definite on null([A; C_J])"
+        )
+    exact = sp.block_array([[mat, Z], [Z.T, None]], format="csc")
+    return KktFactorization(mat, LEAST_SQUARES, lu, exact, kkt.order - Z.shape[1])
+
+
+def _checked_lu(matrix):
+    """Sparse LU of ``matrix``, or None when it fails the pivot check."""
     try:
-        lu = splu(sp.csc_matrix(work))
-        diag = np.abs(lu.U.diagonal())
-        if diag.size and np.all(np.isfinite(diag)):
-            if diag.min() > _PIVOT_RTOL * diag.max():
-                return KktFactorization(mat, DIRECT, lu=lu)
+        lu = splu(sp.csc_matrix(matrix))
     except RuntimeError:
-        pass
+        return None
+    diag = np.abs(lu.U.diagonal())
+    ok = diag.size and np.all(np.isfinite(diag)) and diag.min() > _PIVOT_RTOL * diag.max()
+    return lu if ok else None
 
-    order = kkt.order
-    if order <= _DENSE_LSTSQ_LIMIT:
-        u, s, vt = np.linalg.svd(mat.toarray())
-        cut = s[0] * order * np.finfo(float).eps if s.size else 0.0
-        rank = int((s > cut).sum())
-        return KktFactorization(mat, LEAST_SQUARES, svd=(u, s, vt), rank=rank)
 
-    normal = sp.csc_matrix(mat.T @ mat + _TIKHONOV * sp.identity(order))
-    return KktFactorization(mat, LEAST_SQUARES, normal_lu=splu(normal))
+def _null_basis(kkt: ReducedKkt):
+    """Sparse basis of {(0, y) : [A; C_J]' y = 0}: with P positive definite,
+    the null space of K_J, one column per null vector.
+
+    Pivoted QR of M = [A' C_J'] gives M[:, perm] = Q R; the columns of
+    [-R11^-1 R12; I], scattered by perm into the dual rows, span null(M).
+    Entries of R11^-1 R12 at or below the rank cut are rounding noise;
+    dropping them keeps the bordered matrix as sparse as the dependencies.
+    """
+    n = kkt.n
+    M = kkt.matrix[:n, n:].toarray()
+    R, perm = scipy.linalg.qr(M, mode="r", pivoting=True)
+    diag = np.abs(np.diagonal(R))
+    cut = diag[0] * max(M.shape) * np.finfo(float).eps if diag.size else 0.0
+    rank = int((diag > cut).sum())
+    W = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+    W[np.abs(W) <= cut] = 0.0
+    W = sp.coo_array(np.vstack([-W, np.eye(M.shape[1] - rank)]))
+    return sp.csc_array(
+        (W.data, (n + perm[W.row], W.col)), shape=(kkt.order, W.shape[1])
+    )
 
 
 def solve_equality_qp(P, q, A=None, b=None):
@@ -224,29 +250,6 @@ def solve_equality_qp(P, q, A=None, b=None):
             f"equality KKT solve is unreliable (residual {resid:.2e})"
         )
     return sol[:n], sol[n : n + p]
-
-
-class DualLeastSquares:
-    """Minimum-residual duals for a fixed primal point.
-
-    Solves min over (lam, mu_J) of || P z + q + A' lam + C_J' mu_J ||_2 by a
-    dense least-squares fit of the constraint gradients.
-    """
-
-    def __init__(self, problem, indices):
-        blocks = []
-        if problem.p:
-            blocks.append(problem.A.toarray().T)
-        if len(indices):
-            blocks.append(sp.csr_array(problem.C)[np.asarray(indices)].toarray().T)
-        self._M = np.hstack(blocks) if blocks else np.zeros((problem.n, 0))
-
-    def solve(self, target):
-        """Return ``(duals, residual)`` for the stationarity target."""
-        if self._M.shape[1] == 0:
-            return np.zeros(0), target.copy()
-        duals, *_ = np.linalg.lstsq(self._M, target, rcond=None)
-        return duals, target - self._M @ duals
 
 
 def condition_estimate(matrix) -> float:

@@ -389,7 +389,10 @@ class AdmmBackend(SolverBackend):
         """Reduced-KKT solve on the rows the iterate marks as active."""
         n, p = problem.n, problem.p
         J = np.flatnonzero((y[p:] > 0) | (problem.C @ x >= problem.d))
-        fact = factorize(assemble_reduced_kkt(problem, J), regularization=self.polish_reg)
+        try:
+            fact = factorize(assemble_reduced_kkt(problem, J), regularization=self.polish_reg)
+        except RankDeficiencyError:  # P singular on the rows' null space
+            return x, y, r_p, r_d
         sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
         x_pol = sol[:n]
         y_pol = np.zeros(y.shape[0])

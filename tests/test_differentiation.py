@@ -354,9 +354,27 @@ class TestDifferentiableSolve:
         sol = differentiable_solve(prob)
         assert not sol.diagnosis.dimension_ok
         assert sol.fact.mode == LEAST_SQUARES
-        bundle = backward(sol, np.array([1.0, -1.0]))
+        g = np.array([1.0, -1.0])
+        bundle = backward(sol, g)
         assert np.all(np.isfinite(bundle.grad_q))
         assert np.all(np.isfinite(bundle.grad_d))
+        # forward and backward read the same minimum-norm solve, so the
+        # adjoint identity <g, dz> = <backward(g), direction> still holds
+        direction = random_direction(prob, np.random.Generator(np.random.PCG64(37)))
+        dz, _, _ = sol.forward(direction)
+        pairing = (
+            bundle.grad_q @ direction.dq + bundle.grad_b @ direction.db
+            + bundle.grad_d @ direction.dd
+            + sum(
+                grad.multiply(step).sum()
+                for grad, step in (
+                    (bundle.grad_P, direction.dP),
+                    (bundle.grad_A, direction.dA),
+                    (bundle.grad_C, direction.dC),
+                )
+            )
+        )
+        assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
     def test_normalize_and_refine_compose(self):
         prob = random_mixed_qp(5, 6, 1, seed=36)
@@ -376,11 +394,25 @@ def _flat(bundle, step):
 
 
 class TestThreadSafety:
-    @pytest.mark.parametrize("backend", ["active_set", "admm"])
-    def test_shared_solution_matches_serial(self, backend):
+    @pytest.mark.parametrize(
+        "backend, duplicated",
+        [
+            pytest.param("active_set", False, id="active_set"),
+            pytest.param("admm", False, id="admm"),
+            # K_J singular: the shared factorization is the bordered one
+            pytest.param("admm", True, id="admm-duplicated-rows"),
+        ],
+    )
+    def test_shared_solution_matches_serial(self, backend, duplicated):
         n_threads, repeats = 8, 20
         prob = random_mixed_qp(12, 10, 2, seed=77)
+        if duplicated:  # every equality row stated twice
+            prob = QpProblem(
+                prob.P, prob.q, sp.vstack([prob.A, prob.A]),
+                np.concatenate([prob.b, prob.b]), prob.C, prob.d,
+            )
         sol = differentiable_solve(prob, backend)
+        assert (sol.fact.mode == LEAST_SQUARES) == duplicated
         rng = np.random.Generator(np.random.PCG64(78))
         grads = [rng.standard_normal(prob.n) for _ in range(n_threads)]
         dirs = [random_direction(prob, rng) for _ in range(n_threads)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from qpdiff import (
     QpProblem,
@@ -11,6 +12,7 @@ from qpdiff import (
     identify,
     solve_active_set,
 )
+from qpdiff.errors import RankDeficiencyError
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
 
 from helpers import random_mixed_qp
@@ -93,6 +95,37 @@ class TestFactorize:
         # oracle: LAPACK gelsd minimum-norm least squares
         expected, *_ = np.linalg.lstsq(kkt.matrix.toarray(), rhs, rcond=None)
         np.testing.assert_allclose(x, expected, atol=1e-10)
+
+    def test_minimum_norm_above_order_2000(self):
+        # A = [B; B] states every equality row twice, so K_J (order 2100)
+        # has a 500-dimensional null space in its dual rows
+        rng = np.random.Generator(np.random.PCG64(7))
+        n, p = 1100, 500
+        B = sp.random_array((p, n), density=0.01, rng=rng) + sp.eye_array(p, n)
+        P = 2.0 * sp.eye_array(n)
+        prob = QpProblem(P, np.zeros(n), A=sp.vstack([B, B]), b=np.zeros(2 * p))
+        kkt = assemble_reduced_kkt(prob, np.array([], dtype=int))
+        fact = factorize(kkt)
+        assert fact.mode == LEAST_SQUARES
+        assert fact.rank == kkt.order - p
+        # oracle: the nonsingular [[P, B'], [B, 0]] solved with the averaged
+        # dual right-hand side; minimum norm splits each dual evenly between
+        # the two copies of its row
+        reduced = sp.csc_array(sp.block_array([[P, B.T], [B, None]]))
+        for _ in range(2):
+            rhs = rng.standard_normal(kkt.order)
+            top, first, second = rhs[:n], rhs[n : n + p], rhs[n + p :]
+            xy = spsolve(reduced, np.concatenate([top, 0.5 * (first + second)]))
+            expected = np.concatenate([xy[:n], 0.5 * xy[n:], 0.5 * xy[n:]])
+            err = np.linalg.norm(fact.solve(rhs) - expected)
+            assert err <= 1e-10 * np.linalg.norm(expected)
+
+    def test_singular_beyond_constraint_rows_raises(self):
+        # [A; C_J] has full rank, yet K_J is singular: P is only
+        # semidefinite on the null space of the active row
+        prob = QpProblem([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], C=[[1.0, 0.0]], d=[0.0])
+        with pytest.raises(RankDeficiencyError):
+            factorize(assemble_reduced_kkt(prob, np.array([0])))
 
     def test_regularization_keeps_solution_close(self):
         prob = random_mixed_qp(8, 5, 2, seed=3)

@@ -146,6 +146,17 @@ class TestAdmmSolver:
         assert point.status == SOLVED
         assert point.r_p <= 1e-12
 
+    def test_polish_skipped_when_reduced_kkt_is_singular(self):
+        # P is only semidefinite and no row binds x2, so the polish K_J = P
+        # is singular even after bordering; the unpolished point stands
+        prob = QpProblem(
+            np.diag([1.0, 0.0]), [1.0, 0.0], C=[[0.0, 1.0], [0.0, -1.0]], d=[1.0, 1.0]
+        )
+        point = solve_admm(prob, SolveSettings(eps_abs=1e-8))
+        assert point.status == SOLVED
+        np.testing.assert_allclose(point.z[0], -1.0, atol=1e-6)
+        assert abs(point.z[1]) <= 1.0 + 1e-6
+
     def test_deterministic(self):
         prob = gen_random_dense(12, seed=3)
         a = solve_admm(prob, SolveSettings(eps_abs=1e-7))
