@@ -266,16 +266,17 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
 
 
 def _pattern_outer(mat, left, right, left2, right2, half=False):
-    """(left right' + left2 right2') restricted to the sparsity pattern of mat."""
-    coo = sp.coo_array(mat)
-    vals = left[coo.row] * right[coo.col] + left2[coo.row] * right2[coo.col]
+    """(left right' + left2 right2') restricted to the sparsity pattern of mat.
+
+    ``mat`` is a problem block, so its CSC arrays are canonical (sorted,
+    duplicate-free) and the result reuses its pattern as is.
+    """
+    rows = mat.indices
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    vals = left[rows] * right[cols] + left2[rows] * right2[cols]
     if half:
         vals = 0.5 * vals
-    out = sp.csc_array(
-        sp.coo_array((vals, (coo.row.copy(), coo.col.copy())), shape=mat.shape)
-    )
-    out.sort_indices()
-    return out
+    return sp.csc_array((vals, rows.copy(), mat.indptr.copy()), shape=mat.shape)
 
 
 def _check_len(vec, length, name):

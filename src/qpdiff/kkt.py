@@ -45,10 +45,9 @@ _PIVOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ReducedKkt:
-    """Assembled reduced KKT matrix together with the active set it came from."""
+    """Assembled reduced KKT matrix with its block sizes."""
 
     matrix: sp.csc_array
-    active: object
     n: int
     p: int
     k: int
@@ -105,7 +104,7 @@ def assemble_reduced_kkt(problem, active) -> ReducedKkt:
     else:
         mat = sp.csc_array((order, order))
     mat.sort_indices()
-    return ReducedKkt(matrix=mat, active=active, n=n, p=p, k=k)
+    return ReducedKkt(matrix=mat, n=n, p=p, k=k)
 
 
 class KktFactorization:

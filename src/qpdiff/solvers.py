@@ -1,7 +1,7 @@
 """Reference QP solver backends and the backend registry.
 
 Three built-in backends cover the spectrum a differentiation layer has to
-tolerate: an exact dense primal active-set method, a first-order sparse
+tolerate: an exact dense dual active-set method, a first-order sparse
 operator-splitting (ADMM) method, and an equality-only direct solve.  All
 backends are stateless per call; the registry guards concurrent registration
 with a lock.
@@ -9,13 +9,13 @@ with a lock.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
@@ -89,11 +89,6 @@ class SolverBackend:
     """Interface for pluggable QP solvers (the black box of the forward pass)."""
 
     name = "abstract"
-    capabilities = {
-        "returns_duals": False,
-        "supports_sparse": False,
-        "supports_warm_start": False,
-    }
 
     def solve(self, problem: QpProblem, settings: SolveSettings) -> PrimalDualPoint:
         raise NotImplementedError
@@ -110,11 +105,6 @@ class EqualityBackend(SolverBackend):
     """
 
     name = "equality"
-    capabilities = {
-        "returns_duals": True,
-        "supports_sparse": True,
-        "supports_warm_start": False,
-    }
 
     def solve(self, problem, settings):
         z, lam = solve_equality_qp(problem.P, problem.q, problem.A, problem.b)
@@ -128,23 +118,26 @@ class EqualityBackend(SolverBackend):
         return point
 
 
-# --- dense primal active-set method ------------------------------------------
+# --- dense dual active-set method --------------------------------------------
 
 
 class ActiveSetBackend(SolverBackend):
-    """Textbook primal active-set method for strictly convex dense QPs.
+    """Dual active-set method (Goldfarb & Idnani, 1983) for strictly convex
+    dense QPs.
 
-    Starts from the equality-constrained minimizer; if that point violates
-    inequalities, a phase-one LP restores feasibility.  Blocking-constraint
-    ties are broken by lowest index, making the method deterministic.
+    Starts at the equality-constrained minimizer, which is dual feasible, and
+    never needs a primal feasible point.  Each outer step takes the most
+    violated inequality j (lowest index on ties) and raises its multiplier
+    along the direction of one equality-constrained solve on the working
+    rows, until row j is tight and joins them; a working multiplier that
+    reaches zero first drops its row.  If c_j lies in the span of the working
+    rows the step is purely dual, and when nothing bounds it the inequalities
+    are infeasible.  The working rows stay linearly independent by
+    construction.  The answer is one equality-constrained solve on the final
+    working rows.
     """
 
     name = "active_set"
-    capabilities = {
-        "returns_duals": True,
-        "supports_sparse": False,
-        "supports_warm_start": False,
-    }
 
     def solve(self, problem, settings):
         t_start = time.perf_counter()
@@ -155,121 +148,91 @@ class ActiveSetBackend(SolverBackend):
         C = problem.C.toarray()
         d = problem.d
         n, p, m = problem.n, problem.p, problem.m
+        failed = PrimalDualPoint(
+            z=np.full(n, np.nan), lam=np.zeros(p), mu=np.zeros(m), status=FAILED
+        )
 
         try:
-            x, lam0 = solve_equality_qp(P, q, A, b)
+            x, _ = solve_equality_qp(P, q, A, b)
         except RankDeficiencyError:
-            return PrimalDualPoint(
-                z=np.full(n, np.nan), lam=np.zeros(p), mu=np.zeros(m), status=FAILED
-            )
-
-        if m == 0:
-            point = PrimalDualPoint(
-                z=x, lam=lam0, mu=np.zeros(0), working_set=np.zeros(0, dtype=int)
-            )
-            res = residuals(problem, point)
-            point.r_p, point.r_d = res.r_p, res.r_d
-            return point
+            return failed
 
         feas_tol = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
-        if (C @ x - d).max() > feas_tol:
-            x = self._phase_one(A, b, C, d, n, p)
-            if x is None:
-                return PrimalDualPoint(
-                    z=np.full(n, np.nan),
-                    lam=np.zeros(p),
-                    mu=np.zeros(m),
-                    status=FAILED,
-                )
-
-        work: list[int] = []
-        duals_for = []  # snapshot of the working set mu_w belongs to
-        lam = np.zeros(p)
-        mu_w = np.zeros(0)
+        work: list[int] = []  # working inequality rows, ascending
+        y = np.zeros(m)  # multipliers of the working rows and of row j
+        j = None  # the violated row being added
         max_iters = min(settings.max_iterations, 10 * (n + m) + 50)
         status = MAX_ITER
         it = 0
-        for it in range(1, max_iters + 1):
-            if (
+        while True:
+            if j is None:
+                viol = C @ x - d
+                viol[work] = -np.inf
+                if viol.max(initial=-np.inf) <= feas_tol:
+                    status = SOLVED
+                    break
+                j = int(np.argmax(viol))
+                y[j] = 0.0
+            if it >= max_iters or (
                 settings.time_limit is not None
                 and time.perf_counter() - t_start > settings.time_limit
             ):
                 break
+            it += 1
             try:
-                step, duals = solve_equality_qp(
-                    P, P @ x + q, np.vstack([A, C[work]]), np.zeros(p + len(work))
+                dx, r = solve_equality_qp(
+                    P, C[j], np.vstack([A, C[work]]), np.zeros(p + len(work))
                 )
             except RankDeficiencyError:
                 status = FAILED
                 break
-            lam, mu_w = duals[:p], duals[p:]
-            duals_for = list(work)
-            if np.abs(step).max(initial=0.0) <= 1e-11 * (1.0 + np.abs(x).max()):
-                if mu_w.size == 0 or mu_w.min() >= -1e-11:
-                    status = SOLVED
+            r = r[p:]
+            # dual step length: the first working multiplier to reach zero
+            ratios = np.full(len(work), np.inf)
+            shrinking = r < 0
+            ratios[shrinking] = np.maximum(-y[work][shrinking] / r[shrinking], 0.0)
+            t = ratios.min(initial=np.inf)
+            cdx = C[j] @ dx  # = -dx' P dx <= 0
+            if -cdx <= 1e-12 * np.abs(C[j]).max() * np.abs(dx).max(initial=0.0):
+                # c_j is in the span of the working rows: a pure dual step
+                if not np.isfinite(t):
+                    status = FAILED  # infeasible: the dual ray is unbounded
                     break
-                # drop the constraint with the most negative multiplier
-                work.pop(int(np.argmin(mu_w)))
-                continue
-            alpha, blocking = self._step_length(C, d, x, step, work)
-            x = x + alpha * step
-            if blocking is not None:
-                work.append(blocking)
-                work.sort()
+                add = False
+            else:
+                t_full = (C[j] @ x - d[j]) / -cdx
+                add = t_full <= t
+                t = min(t, t_full)
+                x = x + t * dx
+            y[work] += t * r
+            y[j] += t
+            if add:
+                bisect.insort(work, j)
+                j = None
+            else:  # lowest index on ties
+                del work[int(np.argmin(ratios))]
 
+        try:
+            z, duals = solve_equality_qp(
+                P, q, np.vstack([A, C[work]]), np.concatenate([b, d[work]])
+            )
+        except RankDeficiencyError:
+            return failed
         mu = np.zeros(m)
-        if duals_for:
-            mu[np.asarray(duals_for)] = np.maximum(mu_w, 0.0)
+        mu[work] = np.maximum(duals[p:], 0.0)
         point = PrimalDualPoint(
-            z=x,
-            lam=lam,
+            z=z,
+            lam=duals[:p],
             mu=mu,
             status=status,
             iterations=it,
-            working_set=np.asarray(duals_for, dtype=int),
+            working_set=np.asarray(work, dtype=int),
         )
         res = residuals(problem, point)
         point.r_p, point.r_d = res.r_p, res.r_d
         if status == SOLVED and (res.r_p > settings.eps_abs or res.r_d > settings.eps_abs):
             point.status = FAILED
         return point
-
-    @staticmethod
-    def _phase_one(A, b, C, d, n, p):
-        """Feasible point via an LP minimizing the worst inequality violation."""
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        A_ub = np.hstack([C, -np.ones((C.shape[0], 1))])
-        A_eq = np.hstack([A, np.zeros((p, 1))]) if p else None
-        res = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=d,
-            A_eq=A_eq,
-            b_eq=b if p else None,
-            bounds=[(None, None)] * n + [(-1.0, None)],
-            method="highs",
-        )
-        if not res.success or res.x[-1] > 1e-7:
-            return None
-        return res.x[:n]
-
-    @staticmethod
-    def _step_length(C, d, x, step, work):
-        """Largest step <= 1 staying feasible; lowest-index blocking row wins."""
-        alpha = 1.0
-        blocking = None
-        in_work = set(work)
-        Cs = C @ step
-        Cx = C @ x
-        for j in range(C.shape[0]):
-            if j in in_work or Cs[j] <= 1e-13:
-                continue
-            ratio = max((d[j] - Cx[j]) / Cs[j], 0.0)
-            if ratio < alpha - 1e-15:
-                alpha = ratio
-                blocking = j
-        return alpha, blocking
 
 
 def solve_active_set(problem, settings=None):
@@ -294,11 +257,6 @@ class AdmmBackend(SolverBackend):
     """
 
     name = "admm"
-    capabilities = {
-        "returns_duals": True,
-        "supports_sparse": True,
-        "supports_warm_start": True,
-    }
 
     sigma = 1e-6
     relaxation = 1.6
@@ -423,7 +381,6 @@ class PrimalOnlyBackend(SolverBackend):
     def __init__(self, inner: SolverBackend):
         self.inner = inner
         self.name = f"{inner.name}_primal_only"
-        self.capabilities = dict(inner.capabilities, returns_duals=False)
 
     def solve(self, problem, settings):
         point = self.inner.solve(problem, settings)

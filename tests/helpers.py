@@ -1,8 +1,20 @@
 """Shared test utilities: small random problems and independent oracles."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import qpdiff
 from qpdiff import QpProblem
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports this same qpdiff,
+    installed or not, with ``extra`` variables set."""
+    src = str(Path(qpdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def random_mixed_qp(n, m, p, seed, margin_lo=0.05, margin_hi=1.0):

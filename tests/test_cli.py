@@ -1,16 +1,15 @@
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qpdiff
 from qpdiff import QpProblem, store_problem
 from qpdiff.cli import main
+
+from helpers import child_env
 
 
 @pytest.fixture
@@ -244,11 +243,8 @@ class TestBilevelCommand:
 
 
 def test_console_entry_point_runs():
-    # the child imports the same qpdiff as this process, installed or not
-    src = str(Path(qpdiff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qpdiff.cli", "--version"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0

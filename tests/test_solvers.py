@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,17 @@ from qpdiff import (
 from qpdiff.errors import RankDeficiencyError
 from qpdiff.solvers import SOLVED, EqualityBackend, SolverBackend
 
-from helpers import random_mixed_qp
+from helpers import child_env, random_mixed_qp
+
+
+def run_fresh_python(code, **env):
+    """Run ``code`` in a new interpreter; returns its stripped stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=child_env(**env),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestEqualitySolve:
@@ -81,12 +94,16 @@ class TestActiveSetSolver:
         np.testing.assert_allclose(point.mu, [0.5], atol=1e-12)
 
     def test_matches_brute_force_on_random_problems(self):
+        drop_steps = 0
         for seed in range(30):
             prob = random_mixed_qp(6, 8, 0, seed=seed)
             point = solve_active_set(prob)
             assert point.status == SOLVED
             oracle = brute_force_solve(prob)
             np.testing.assert_allclose(point.z, oracle.z, atol=1e-6)
+            # every step adds a row unless a working multiplier hits zero
+            drop_steps += point.iterations > point.working_set.size
+        assert drop_steps >= 1
 
     def test_phase_one_handles_infeasible_equality_start(self):
         # equality-relaxed optimum violates the inequalities
@@ -95,6 +112,39 @@ class TestActiveSetSolver:
         point = solve_active_set(prob)
         assert point.status == SOLVED
         np.testing.assert_allclose(point.z, [2.0, -1.0], atol=1e-9)
+
+    def test_parallel_tighter_row_replaces_working_row(self):
+        # z1 <= -1 is most violated at the start and joins the working rows;
+        # 0.1 z1 <= -0.2 is parallel to it, so the next step is purely dual
+        # and drops row 0 before row 1 joins
+        prob = QpProblem(np.eye(2), np.zeros(2),
+                         C=[[1.0, 0.0], [0.1, 0.0]], d=[-1.0, -0.2])
+        point = solve_active_set(prob)
+        assert point.status == SOLVED
+        np.testing.assert_allclose(point.z, [-2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(point.mu, [0.0, 20.0], atol=1e-10)
+        np.testing.assert_array_equal(point.working_set, [1])
+        assert point.iterations == 3
+
+    @pytest.mark.parametrize("with_equality", [False, True])
+    def test_infeasible_inequalities_fail_without_raising(self, with_equality):
+        # z1 <= -1 and -z1 <= -1 admit no point: the dual ray is unbounded
+        A, b = ([[0.0, 1.0]], [0.5]) if with_equality else (None, None)
+        prob = QpProblem(np.eye(2), np.zeros(2), A=A, b=b,
+                         C=[[1.0, 0.0], [-1.0, 0.0]], d=[-1.0, -1.0])
+        point = solve_active_set(prob)
+        assert point.status == "failed"
+
+    def test_solves_instance_that_cycled_under_one_blas_thread(self):
+        # one BLAS thread changes the last bits of every dense solve, and an
+        # active-set method that can cycle loops to its cap on this instance;
+        # the thread count must be set before numpy loads, hence a new process
+        status = run_fresh_python(
+            "from qpdiff import gen_random_dense, solve_active_set\n"
+            "print(solve_active_set(gen_random_dense(150, 274394284)).status)",
+            OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+        )
+        assert status == SOLVED
 
     def test_iteration_cap_returns_consistent_duals(self):
         # exiting mid-iteration must not leave stale multipliers behind
@@ -251,6 +301,14 @@ class TestEqualityBackend:
         prob = QpProblem([[1.0]], [0.0], C=[[1.0]], d=[-1.0])
         point = EqualityBackend().solve(prob, SolveSettings())
         assert point.status == "failed"
+
+
+class TestImports:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        loaded = run_fresh_python(
+            "import sys, qpdiff; print('scipy.optimize' in sys.modules)"
+        )
+        assert loaded == "False"
 
 
 class TestSettings:
