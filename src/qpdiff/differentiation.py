@@ -94,9 +94,11 @@ class DifferentiableSolution:
     """Solved QP bundled with everything needed to differentiate it.
 
     ``point`` always carries duals.  ``fact`` is the single reduced-KKT
-    factorization shared by dual recovery and all derivative solves; the
-    solver's primal z is kept as-is rather than overwritten by the KKT
-    solve, so backend inaccuracy stays visible to diagnostics.
+    factorization shared by dual recovery and all derivative solves.  It is
+    the backend's own (``point.fact``) when the backend factored K_J on the
+    rows identified here, and a fresh one otherwise.  The solver's primal z
+    is kept as-is rather than overwritten by the KKT solve, so backend
+    inaccuracy stays visible to diagnostics.
     Treated as immutable once built: concurrent forward/backward calls on
     one solution are safe.
     """
@@ -310,8 +312,10 @@ def differentiable_solve(
     Pipeline: solve -> (optional constraint normalization) -> active-set
     identification -> (optional refinement) -> reduced KKT assembly and
     factorization -> dual recovery if the backend returned none ->
-    diagnosis.  The factorization is retained on the returned solution for
-    any number of subsequent forward/backward calls.
+    diagnosis.  The factorization is the backend's own when it returned one
+    for the identified rows and no row scaling is active, and is retained
+    on the returned solution for any number of subsequent forward/backward
+    calls.
 
     With ``normalize`` the solver and the identification see the row-scaled
     problem (scale-invariant residuals); the factorization, duals and all
@@ -353,7 +357,16 @@ def differentiable_solve(
             working_set=point.working_set,
         )
 
-    fact = factorize(assemble_reduced_kkt(problem, active))
+    # the backend's own K_J factorization, when it factored the same rows of
+    # the same (unscaled) problem, is bit-identical to a fresh one
+    if (
+        scaling is None
+        and point.fact is not None
+        and np.array_equal(active.indices, point.working_set)
+    ):
+        fact = point.fact
+    else:
+        fact = factorize(assemble_reduced_kkt(problem, active))
 
     if not point.has_duals:
         lam, mu = recover_duals(problem, point.z, active, fact)

@@ -10,9 +10,9 @@ Apart from the independent oracles, this module is the only place such
 systems are built and solved.  Its consumers are the backend steps (the
 active-set subproblem and the equality-constrained solve), the ADMM
 iteration matrix (K_J on every row plus a diagonal shift) and the ADMM
-polish, dual recovery, and the forward and backward derivatives.  One
-factorization of K_J serves dual recovery and every derivative solve for
-the same (problem, J) pair.  A singular K_J is bordered with a basis of
+finishing solve on its active rows, dual recovery, and the forward and
+backward derivatives.  One factorization of K_J serves the ADMM finish,
+dual recovery and every derivative solve for the same (problem, J) pair.  A singular K_J is bordered with a basis of
 its null space and factored by the same sparse LU, so its solves return the
 minimum-norm least-squares solution.
 """

@@ -19,7 +19,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
-from .kkt import assemble_reduced_kkt, factorize, solve_equality_qp
+from .identification import DEFAULT_EPS_ACTIVE, identify
+from .kkt import KktFactorization, assemble_reduced_kkt, factorize, solve_equality_qp
 from .metrics import primal_dual_residuals, residuals
 from .problem import QpProblem
 
@@ -69,7 +70,15 @@ class SolveSettings:
 
 @dataclass
 class PrimalDualPoint:
-    """Primal solution with optional duals and achieved residuals."""
+    """Primal solution with optional duals and achieved residuals.
+
+    ``working_set`` holds the inequality rows the backend's final solve held
+    tight, when it has one: the active-set backend's working rows, or the
+    rows J of the ADMM finishing solve.  ``fact`` is the factorization of
+    the exact reduced KKT matrix on ``working_set`` that produced the point,
+    when the backend made one (ADMM, when its finishing solve is accepted);
+    ``differentiable_solve`` reuses it when it identifies the same rows.
+    """
 
     z: np.ndarray
     lam: np.ndarray | None = None
@@ -79,6 +88,7 @@ class PrimalDualPoint:
     r_d: float = np.nan
     iterations: int = 0
     working_set: np.ndarray | None = None
+    fact: KktFactorization | None = None
 
     @property
     def has_duals(self):
@@ -249,11 +259,20 @@ class AdmmBackend(SolverBackend):
     single sparse factorization of the regularized KKT matrix: the reduced
     KKT matrix on every row plus a diagonal shift.  The penalty is fixed
     (with a stiffer value on equality rows) and diagonal data rescaling is
-    off, so runs are deterministic given the settings.  After convergence
-    the solution is polished by a reduced-KKT solve on the rows the final
-    iterate marks as active, through the same layer differentiation uses;
-    the polished point is kept only when it lowers the larger of the two
-    residuals.
+    off, so runs are deterministic given the settings.
+
+    The solve ends on the active set.  From iteration 10 on, each residual
+    check identifies the rows J the iterate holds active; when J is the same
+    as at the previous check, one exact reduced-KKT solve on J is tried
+    through the same layer differentiation uses.  It is accepted, and the
+    loop stops, when the result is finite, its multipliers on J are at least
+    -1e-9, and both residuals pass ``eps_abs``.  After a rejected try at
+    iteration k the next comes no earlier than iteration 2k, so a set that
+    never finishes costs few factorizations.  When the iteration converges
+    on its own, the same solve runs once on the final iterate and is kept
+    only when it also lowers the larger of the two residuals.  An accepted
+    point carries J as ``working_set`` and its factorization as ``fact``.
+    ``polish = False`` turns the finishing solve off.
     """
 
     name = "admm"
@@ -264,7 +283,6 @@ class AdmmBackend(SolverBackend):
     rho_eq_scale = 1e3
     check_interval = 10
     polish = True
-    polish_reg = 1e-9
 
     def solve(self, problem, settings):
         n, p, m = problem.n, problem.p, problem.m
@@ -301,6 +319,9 @@ class AdmmBackend(SolverBackend):
             y = np.zeros(p + m)
 
         status = MAX_ITER
+        finished = None
+        prev_J = None
+        next_try = 0
         it = 0
         while it < settings.max_iterations:
             rhs = np.concatenate([self.sigma * x - problem.q, zs - rho_inv * y])
@@ -326,13 +347,27 @@ class AdmmBackend(SolverBackend):
                     and time.perf_counter() - t_start > settings.time_limit
                 ):
                     break
+                if self.polish and it > 5:
+                    J = identify(problem, x, DEFAULT_EPS_ACTIVE).indices
+                    if it >= next_try and np.array_equal(J, prev_J):
+                        finished = _finish(problem, J)
+                        if _residual(finished) <= settings.eps_abs:
+                            status = SOLVED
+                            break
+                        finished = None
+                        next_try = 2 * it
+                    prev_J = J
         if status != SOLVED:
             r_p, r_d = primal_dual_residuals(problem, x, y[:p], y[p:])
+        elif finished is None and self.polish:
+            finished = _finish(problem, identify(problem, x, DEFAULT_EPS_ACTIVE).indices)
+            if not _residual(finished) < max(r_p, r_d):
+                finished = None
 
-        if self.polish and status == SOLVED:
-            x, y, r_p, r_d = self._polish(problem, x, y, r_p, r_d)
-
-        point = PrimalDualPoint(
+        if finished is not None:
+            finished.iterations = it
+            return finished
+        return PrimalDualPoint(
             z=x,
             lam=y[:p].copy(),
             mu=y[p:].copy(),
@@ -341,27 +376,32 @@ class AdmmBackend(SolverBackend):
             r_d=r_d,
             iterations=it,
         )
-        return point
 
-    def _polish(self, problem, x, y, r_p, r_d):
-        """Reduced-KKT solve on the rows the iterate marks as active."""
-        n, p = problem.n, problem.p
-        J = np.flatnonzero((y[p:] > 0) | (problem.C @ x >= problem.d))
-        try:
-            fact = factorize(assemble_reduced_kkt(problem, J), regularization=self.polish_reg)
-        except RankDeficiencyError:  # P singular on the rows' null space
-            return x, y, r_p, r_d
-        sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
-        x_pol = sol[:n]
-        y_pol = np.zeros(y.shape[0])
-        y_pol[:p] = sol[n : n + p]
-        y_pol[p + J] = sol[n + p :]
-        if np.any(y_pol[p:] < -1e-9) or not np.all(np.isfinite(sol)):
-            return x, y, r_p, r_d
-        r_p_pol, r_d_pol = primal_dual_residuals(problem, x_pol, y_pol[:p], y_pol[p:])
-        if max(r_p_pol, r_d_pol) < max(r_p, r_d):
-            return x_pol, y_pol, r_p_pol, r_d_pol
-        return x, y, r_p, r_d
+
+def _finish(problem, J):
+    """The exact reduced-KKT solve on rows J, as a point carrying its
+    factorization; None when K_J cannot be factored, the solve is not
+    finite, or a multiplier on J is below -1e-9."""
+    n, p = problem.n, problem.p
+    try:
+        fact = factorize(assemble_reduced_kkt(problem, J))
+    except RankDeficiencyError:  # P singular on the rows' null space
+        return None
+    sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
+    if not np.all(np.isfinite(sol)) or sol[n + p :].min(initial=0.0) < -1e-9:
+        return None
+    z, lam = sol[:n], sol[n : n + p]
+    mu = np.zeros(problem.m)
+    mu[J] = sol[n + p :]
+    r_p, r_d = primal_dual_residuals(problem, z, lam, mu)
+    return PrimalDualPoint(
+        z=z, lam=lam, mu=mu, r_p=r_p, r_d=r_d, working_set=J, fact=fact
+    )
+
+
+def _residual(point):
+    """max(r_p, r_d) of a finishing point; +inf for a rejected one."""
+    return np.inf if point is None else max(point.r_p, point.r_d)
 
 
 def solve_admm(problem, settings=None):

@@ -59,6 +59,22 @@ def complementarity_margins(problem, point, active):
     return mu_min, res_min
 
 
+def parameter_pairing(bundle, direction):
+    """<bundle, direction> over all six blocks; every block must be given."""
+    return (
+        bundle.grad_q @ direction.dq + bundle.grad_b @ direction.db
+        + bundle.grad_d @ direction.dd
+        + sum(
+            grad.multiply(step).sum()
+            for grad, step in (
+                (bundle.grad_P, direction.dP),
+                (bundle.grad_A, direction.dA),
+                (bundle.grad_C, direction.dC),
+            )
+        )
+    )
+
+
 def simplex_projection_sort(x):
     """Closed-form projection onto the probability simplex (sort algorithm)."""
     x = np.asarray(x, dtype=float)

@@ -25,7 +25,7 @@ from qpdiff.kkt import LEAST_SQUARES, assemble_reduced_kkt, factorize
 from qpdiff.oracles import full_implicit_jacobian
 from qpdiff.solvers import PrimalOnlyBackend
 
-from helpers import complementarity_margins, random_mixed_qp
+from helpers import complementarity_margins, parameter_pairing, random_mixed_qp
 
 
 def one_dee():
@@ -362,18 +362,7 @@ class TestDifferentiableSolve:
         # adjoint identity <g, dz> = <backward(g), direction> still holds
         direction = random_direction(prob, np.random.Generator(np.random.PCG64(37)))
         dz, _, _ = sol.forward(direction)
-        pairing = (
-            bundle.grad_q @ direction.dq + bundle.grad_b @ direction.db
-            + bundle.grad_d @ direction.dd
-            + sum(
-                grad.multiply(step).sum()
-                for grad, step in (
-                    (bundle.grad_P, direction.dP),
-                    (bundle.grad_A, direction.dA),
-                    (bundle.grad_C, direction.dC),
-                )
-            )
-        )
+        pairing = parameter_pairing(bundle, direction)
         assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
     def test_normalize_and_refine_compose(self):

@@ -230,3 +230,48 @@ class TestFactorizationReuse:
         backward(sol, np.arange(6.0))
         forward_directional(sol, ParamDirection(dq=np.ones(6)))
         assert len(calls) == 1
+
+    def test_admm_factorization_is_reused(self, monkeypatch):
+        import dataclasses
+
+        import qpdiff.differentiation as differentiation
+        from qpdiff import backward, differentiable_solve, gen_random_dense
+        from qpdiff.solvers import PrimalOnlyBackend, get_backend
+
+        calls = []
+
+        def counting_factorize(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        prob = gen_random_dense(60, 0)
+        sol = differentiable_solve(prob, "admm")
+        assert len(calls) == 0
+        assert sol.fact is sol.point.fact
+
+        # another frame, no backend factorization, or other rows: factor afresh
+        for kwargs in (
+            dict(backend="admm", normalize=True),
+            dict(backend=PrimalOnlyBackend(get_backend("admm"))),
+            dict(backend="admm", eps_active=1.0),
+        ):
+            calls.clear()
+            other = differentiable_solve(prob, **kwargs)
+            assert len(calls) == 1, kwargs
+            assert other.fact is not other.point.fact
+        assert other.active.size > sol.active.size
+
+        fresh = dataclasses.replace(
+            sol, fact=factorize(assemble_reduced_kkt(prob, sol.active))
+        )
+        g = np.random.Generator(np.random.PCG64(11)).standard_normal(prob.n)
+        reused, refactored = backward(sol, g), backward(fresh, g)
+        for name in ("grad_q", "grad_b", "grad_d"):
+            np.testing.assert_array_equal(
+                getattr(reused, name), getattr(refactored, name)
+            )
+        for name in ("grad_P", "grad_A", "grad_C"):
+            np.testing.assert_array_equal(
+                getattr(reused, name).data, getattr(refactored, name).data
+            )

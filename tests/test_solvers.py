@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qpdiff import (
     DuplicateBackendError,
@@ -15,6 +16,7 @@ from qpdiff import (
     gen_random_sparse,
     gen_simplex,
     get_backend,
+    identify,
     list_backends,
     register_backend,
     residuals,
@@ -23,9 +25,9 @@ from qpdiff import (
     solve_equality_qp,
 )
 from qpdiff.errors import RankDeficiencyError
-from qpdiff.solvers import SOLVED, EqualityBackend, SolverBackend
+from qpdiff.solvers import SOLVED, AdmmBackend, EqualityBackend, SolverBackend
 
-from helpers import child_env, random_mixed_qp
+from helpers import child_env, parameter_pairing, random_mixed_qp
 
 
 def run_fresh_python(code, **env):
@@ -190,15 +192,16 @@ class TestAdmmSolver:
         assert res.r_d <= 1e-6
 
     def test_polish_reaches_working_precision_on_sparse(self):
-        # the polish solve needs three refinement steps to get here
+        # the finishing solve is exact on its rows (bordered here, since K_J
+        # is singular), so r_p ends far below eps_abs
         prob = gen_random_sparse(1000, seed=1)
         point = solve_admm(prob, SolveSettings(eps_abs=1e-6))
         assert point.status == SOLVED
         assert point.r_p <= 1e-12
 
     def test_polish_skipped_when_reduced_kkt_is_singular(self):
-        # P is only semidefinite and no row binds x2, so the polish K_J = P
-        # is singular even after bordering; the unpolished point stands
+        # P is only semidefinite and no row binds x2, so the finishing
+        # K_J = P is singular even after bordering; the ADMM iterate stands
         prob = QpProblem(
             np.diag([1.0, 0.0]), [1.0, 0.0], C=[[0.0, 1.0], [0.0, -1.0]], d=[1.0, 1.0]
         )
@@ -206,6 +209,57 @@ class TestAdmmSolver:
         assert point.status == SOLVED
         np.testing.assert_allclose(point.z[0], -1.0, atol=1e-6)
         assert abs(point.z[1]) <= 1.0 + 1e-6
+
+    def test_finishes_early_on_the_active_set(self):
+        prob = gen_random_dense(60, seed=0)
+        loose_backend = AdmmBackend()
+        loose_backend.polish = False
+        loose = loose_backend.solve(prob, SolveSettings())
+        point = solve_admm(prob)
+        again = solve_admm(prob)
+        assert loose.status == point.status == SOLVED
+        assert point.iterations < loose.iterations
+        res = residuals(prob, point)
+        assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
+        assert point.mu.min() >= 0.0
+        np.testing.assert_array_equal(point.working_set, identify(prob, point.z).indices)
+        # the attempt rule reads no clock: the same finish on every run
+        assert again.iterations == point.iterations
+        np.testing.assert_array_equal(again.z, point.z)
+
+    def test_finish_rejected_on_negative_minimum_norm_duals(self, monkeypatch):
+        # the equality row stated twice makes K_J singular; the minimum-norm
+        # duals of the finishing solve are negative at this degenerate vertex
+        import qpdiff.differentiation as differentiation
+        from qpdiff import differentiable_solve, factorize, random_direction
+        from qpdiff.kkt import LEAST_SQUARES
+
+        base = gen_simplex(300, seed=881707420)[0]
+        prob = QpProblem(
+            base.P, base.q, sp.vstack([base.A, base.A]),
+            np.concatenate([base.b, base.b]), base.C, base.d,
+        )
+        point = solve_admm(prob)
+        assert point.status == SOLVED
+        assert point.mu.min() >= -1e-9
+        assert point.fact is None
+
+        calls = []
+
+        def counting_factorize(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        sol = differentiable_solve(prob, "admm")
+        assert len(calls) == 1
+        assert sol.fact.mode == LEAST_SQUARES
+        g = np.random.Generator(np.random.PCG64(5)).standard_normal(prob.n)
+        bundle = sol.backward(g)
+        direction = random_direction(prob, np.random.Generator(np.random.PCG64(6)))
+        dz, _, _ = sol.forward(direction)
+        pairing = parameter_pairing(bundle, direction)
+        assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
     def test_deterministic(self):
         prob = gen_random_dense(12, seed=3)
