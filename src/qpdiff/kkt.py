@@ -6,15 +6,17 @@ The reduced KKT matrix for an active set J is the symmetric saddle matrix
           [ A    0    0    ]
           [ C_J  0    0    ]
 
-Apart from the independent oracles, this module is the only place such
-systems are built and solved.  Its consumers are the backend steps (the
-active-set subproblem and the equality-constrained solve), the ADMM
-iteration matrix (K_J on every row plus a diagonal shift) and the ADMM
-finishing solve on its active rows, dual recovery, and the forward and
-backward derivatives.  One factorization of K_J serves the ADMM finish,
-dual recovery and every derivative solve for the same (problem, J) pair.  A singular K_J is bordered with a basis of
-its null space and factored by the same sparse LU, so its solves return the
-minimum-norm least-squares solution.
+Apart from the independent oracles and the active-set backend's steps,
+which update a Cholesky factor and a QR of their own inside the loop, this
+module is the only place such systems are built and solved.  Its consumers
+are the equality-constrained solve (the active-set start and the equality
+backend), the ADMM iteration matrix (K_J on every row plus a diagonal
+shift), the active-set and ADMM finishing solves on their final rows, dual
+recovery, and the forward and backward derivatives.  One factorization of
+K_J serves a backend's finishing solve, dual recovery and every derivative
+solve for the same (problem, J) pair.  A singular K_J is bordered with a
+basis of its null space and factored by the same sparse LU, so its solves
+return the minimum-norm least-squares solution.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class KktFactorization:
         return x[: self.order]
 
 
-def factorize(kkt: ReducedKkt, regularization: float = 0.0) -> KktFactorization:
+def factorize(kkt: ReducedKkt) -> KktFactorization:
     """Factor K_J once for reuse, by sparse LU.
 
     A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]`` is
@@ -151,31 +153,20 @@ def factorize(kkt: ReducedKkt, regularization: float = 0.0) -> KktFactorization:
     solution is the minimum-norm least-squares solution.  Raises
     :class:`RankDeficiencyError` if that is singular too, which means P is
     not positive definite on the null space of ``[A; C_J]``.
-
-    ``regularization`` subtracts r from the diagonal of the zero constraint
-    blocks before factoring (0 disables); solves still target the exact
-    matrix through iterative refinement.
     """
     mat = kkt.matrix
-    work = mat
-    if regularization:
-        shift = np.concatenate(
-            [np.zeros(kkt.n), np.full(kkt.p + kkt.k, -regularization)]
-        )
-        work = sp.csc_array(mat + sp.diags_array(shift))
-
-    lu = _checked_lu(work)
+    lu = _checked_lu(mat)
     if lu is not None:
         return KktFactorization(mat, DIRECT, lu, mat, kkt.order)
 
     Z = _null_basis(kkt)
-    lu = _checked_lu(sp.block_array([[work, Z], [Z.T, None]], format="csc"))
+    bordered = sp.block_array([[mat, Z], [Z.T, None]], format="csc")
+    lu = _checked_lu(bordered)
     if lu is None:
         raise RankDeficiencyError(
             "reduced KKT matrix is singular: P is not positive definite on null([A; C_J])"
         )
-    exact = sp.block_array([[mat, Z], [Z.T, None]], format="csc")
-    return KktFactorization(mat, LEAST_SQUARES, lu, exact, kkt.order - Z.shape[1])
+    return KktFactorization(mat, LEAST_SQUARES, lu, bordered, kkt.order - Z.shape[1])
 
 
 def _checked_lu(matrix):
@@ -218,8 +209,8 @@ def solve_equality_qp(P, q, A=None, b=None):
     Requires P positive definite and A full row rank; raises
     :class:`RankDeficiencyError` otherwise.  Returns ``(z, lam)`` with
     ``lam`` empty when there are no equality constraints.  Dense on purpose:
-    the active-set backend calls it once per iteration on small dense blocks,
-    where a sparse factorization costs several times more.
+    the active-set backend calls it once, for its starting point, on the
+    dense blocks it already holds.
     """
     Pd = P.toarray() if sp.issparse(P) else np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float).ravel()

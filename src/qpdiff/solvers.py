@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky, qr, qr_delete, qr_insert, solve_triangular
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
@@ -76,8 +77,9 @@ class PrimalDualPoint:
     tight, when it has one: the active-set backend's working rows, or the
     rows J of the ADMM finishing solve.  ``fact`` is the factorization of
     the exact reduced KKT matrix on ``working_set`` that produced the point,
-    when the backend made one (ADMM, when its finishing solve is accepted);
-    ``differentiable_solve`` reuses it when it identifies the same rows.
+    when the backend made one (active set; ADMM, when its finishing solve is
+    accepted); ``differentiable_solve`` reuses it when it identifies the
+    same rows.
     """
 
     z: np.ndarray
@@ -138,13 +140,21 @@ class ActiveSetBackend(SolverBackend):
     Starts at the equality-constrained minimizer, which is dual feasible, and
     never needs a primal feasible point.  Each outer step takes the most
     violated inequality j (lowest index on ties) and raises its multiplier
-    along the direction of one equality-constrained solve on the working
+    along the direction of the equality-constrained step on the working
     rows, until row j is tight and joins them; a working multiplier that
     reaches zero first drops its row.  If c_j lies in the span of the working
     rows the step is purely dual, and when nothing bounds it the inequalities
     are infeasible.  The working rows stay linearly independent by
-    construction.  The answer is one equality-constrained solve on the final
-    working rows.
+    construction.
+
+    Nothing is factored inside the loop.  ``L = chol(P + A'A)`` and a full
+    QR of ``L^-1 [A' C_W']`` are formed once; a step costs two triangular
+    solves and a few products with Q, and a row that joins or leaves the
+    working set updates the QR by one column.  P + A'A equals P on null(A),
+    where every step moves, so the domain is P positive definite on null(A).
+    The answer is one reduced-KKT solve on the final working rows through
+    ``qpdiff.kkt``; the point carries that factorization as ``fact`` for
+    ``differentiable_solve`` to reuse.
     """
 
     name = "active_set"
@@ -164,8 +174,16 @@ class ActiveSetBackend(SolverBackend):
 
         try:
             x, _ = solve_equality_qp(P, q, A, b)
-        except RankDeficiencyError:
+            # every step stays in null(A), where P + A'A equals P; it is
+            # positive definite exactly when P is positive definite there
+            L = cholesky(P + A.T @ A, lower=True)
+        except (RankDeficiencyError, np.linalg.LinAlgError):
             return failed
+        LinvC = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
+        # full QR of L^-1 [A' C_W'], one column per equality and working row
+        Q, R = qr(solve_triangular(L, A.T, lower=True))
+        diag = np.abs(np.diagonal(R))
+        dependent = p and diag.min() <= max(n, p) * np.finfo(float).eps * diag.max()
 
         feas_tol = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
         work: list[int] = []  # working inequality rows, ascending
@@ -189,14 +207,17 @@ class ActiveSetBackend(SolverBackend):
             ):
                 break
             it += 1
-            try:
-                dx, r = solve_equality_qp(
-                    P, C[j], np.vstack([A, C[work]]), np.zeros(p + len(work))
-                )
-            except RankDeficiencyError:
+            if dependent:  # Q no longer spans the equality rows exactly
                 status = FAILED
                 break
-            r = r[p:]
+            # min 0.5 dx'P dx + c_j'dx s.t. [A; C_W] dx = 0, by the range-space
+            # method: dx = -L^-T Q2 w2 and the multipliers -R11^-1 w1
+            k = p + len(work)
+            w = Q.T @ LinvC[j]
+            dx = -solve_triangular(
+                L, Q[:, k:] @ w[k:], lower=True, trans="T", check_finite=False
+            )
+            r = -solve_triangular(R[:k, :k], w[:k], check_finite=False)[p:]
             # dual step length: the first working multiplier to reach zero
             ratios = np.full(len(work), np.inf)
             shrinking = r < 0
@@ -217,30 +238,37 @@ class ActiveSetBackend(SolverBackend):
             y[work] += t * r
             y[j] += t
             if add:
-                bisect.insort(work, j)
+                at = bisect.bisect(work, j)
+                Q, R = qr_insert(Q, R, LinvC[j], p + at, "col", check_finite=False)
+                work.insert(at, j)
                 j = None
             else:  # lowest index on ties
-                del work[int(np.argmin(ratios))]
+                at = int(np.argmin(ratios))
+                Q, R = qr_delete(Q, R, p + at, 1, "col", check_finite=False)
+                del work[at]
 
+        # the answer, through the factorization differentiation reuses
+        working_set = np.asarray(work, dtype=int)
         try:
-            z, duals = solve_equality_qp(
-                P, q, np.vstack([A, C[work]]), np.concatenate([b, d[work]])
-            )
+            fact = factorize(assemble_reduced_kkt(problem, working_set))
         except RankDeficiencyError:
             return failed
+        sol = fact.solve(np.concatenate([-q, b, d[work]]))
         mu = np.zeros(m)
-        mu[work] = np.maximum(duals[p:], 0.0)
+        mu[work] = np.maximum(sol[n + p :], 0.0)
         point = PrimalDualPoint(
-            z=z,
-            lam=duals[:p],
+            z=sol[:n],
+            lam=sol[n : n + p],
             mu=mu,
             status=status,
             iterations=it,
-            working_set=np.asarray(work, dtype=int),
+            working_set=working_set,
+            fact=fact,
         )
         res = residuals(problem, point)
         point.r_p, point.r_d = res.r_p, res.r_d
-        if status == SOLVED and (res.r_p > settings.eps_abs or res.r_d > settings.eps_abs):
+        # written so that a non-finite residual fails as well
+        if status == SOLVED and not max(res.r_p, res.r_d) <= settings.eps_abs:
             point.status = FAILED
         return point
 

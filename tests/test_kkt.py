@@ -127,14 +127,6 @@ class TestFactorize:
         with pytest.raises(RankDeficiencyError):
             factorize(assemble_reduced_kkt(prob, np.array([0])))
 
-    def test_regularization_keeps_solution_close(self):
-        prob = random_mixed_qp(8, 5, 2, seed=3)
-        kkt = assemble_reduced_kkt(prob, np.array([0, 2]))
-        plain = factorize(kkt)
-        reg = factorize(kkt, regularization=1e-11)
-        rhs = np.ones(kkt.order)
-        np.testing.assert_allclose(plain.solve(rhs), reg.solve(rhs), atol=1e-6)
-
 
 class TestSolveWith:
     def test_identity_returns_rhs(self):
@@ -230,6 +222,22 @@ class TestFactorizationReuse:
         backward(sol, np.arange(6.0))
         forward_directional(sol, ParamDirection(dq=np.ones(6)))
         assert len(calls) == 1
+
+    def test_active_set_factorization_is_reused(self, monkeypatch):
+        import qpdiff.differentiation as differentiation
+        from qpdiff import differentiable_solve, gen_random_dense
+
+        calls = []
+
+        def counting_factorize(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        sol = differentiable_solve(gen_random_dense(60, 0), "active_set")
+        np.testing.assert_array_equal(sol.active.indices, sol.point.working_set)
+        assert len(calls) == 0
+        assert sol.fact is sol.point.fact
 
     def test_admm_factorization_is_reused(self, monkeypatch):
         import dataclasses

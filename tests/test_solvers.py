@@ -157,6 +157,59 @@ class TestActiveSetSolver:
             assert np.all(np.isfinite(point.mu))
             assert point.working_set.size <= prob.m
 
+    def test_steps_make_no_equality_solve(self, monkeypatch):
+        # the loop works from one Cholesky factor and an updated QR, so the
+        # start is the only equality-constrained solve at any iteration count
+        import qpdiff.solvers as solvers
+
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve_equality_qp(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_equality_qp", counting_solve)
+        point = solve_active_set(gen_random_dense(150, 0))
+        assert point.status == SOLVED
+        assert point.iterations >= 40
+        assert len(calls) == 1
+
+    def test_semidefinite_p_positive_definite_on_equality_null_space(self):
+        # P = diag(1, 0) has no Cholesky factor, but P + A'A does: P is
+        # positive definite on null(A) = {z2 = 0}, where every step moves
+        prob = QpProblem(np.diag([1.0, 0.0]), [-1.0, 0.0], A=[[0.0, 1.0]], b=[0.5],
+                         C=[[1.0, 0.0]], d=[0.2])
+        point = solve_active_set(prob)
+        assert point.status == SOLVED
+        np.testing.assert_allclose(point.z, [0.2, 0.5], atol=1e-12)
+        np.testing.assert_allclose(point.mu, [0.8], atol=1e-12)
+
+    @pytest.mark.parametrize("with_equality", [False, True])
+    def test_indefinite_on_equality_null_space_fails_without_raising(
+        self, with_equality
+    ):
+        # the objective is unbounded below along z2, which null(A) contains
+        P = np.diag([1.0, -1.0, 1.0])
+        A, b = ([[0.0, 0.0, 1.0]], [0.5]) if with_equality else (None, None)
+        prob = QpProblem(P, [-1.0, 0.0, 0.0], A=A, b=b, C=[[1.0, 0.0, 0.0]], d=[0.2])
+        point = solve_active_set(prob)
+        assert point.status == "failed"
+
+    def test_dependent_equality_rows_fail_at_the_first_step(self):
+        # row 2 is row 0 + row 1 up to rounding, so the dense start solve
+        # passes, but no step is taken on a rank-deficient QR
+        rng = np.random.Generator(np.random.PCG64(0))
+        A = rng.standard_normal((2, 4))
+        A = np.vstack([A, A[0] + A[1]])
+        z0 = rng.standard_normal(4)
+        for q, status in ((1.0, SOLVED), (-10.0, "failed")):
+            prob = QpProblem(np.eye(4), np.full(4, q), A=A, b=A @ z0,
+                             C=np.eye(4), d=z0 + 1.0)
+            point = solve_active_set(prob)
+            assert point.status == status
+            # the start satisfies the inequalities at q = 1 and needs no step
+            assert point.iterations == (0 if status == SOLVED else 1)
+
     def test_duals_complementary_and_nonnegative(self):
         for seed in range(20):
             prob = random_mixed_qp(5, 7, 1, seed=100 + seed)
