@@ -59,7 +59,6 @@ from .kkt import (
     assemble_reduced_kkt,
     condition_estimate,
     factorize,
-    solve_equality_qp,
 )
 from .metrics import Residuals, residuals
 from .oracles import (

@@ -25,7 +25,7 @@ from .identification import (
     identify,
     refine,
 )
-from .kkt import KktFactorization, assemble_reduced_kkt, factorize
+from .kkt import KktFactorization, assemble_reduced_kkt, factorize, solve_on
 from .metrics import residuals
 from .problem import QpProblem, RowScaling, normalize_constraints
 from .solvers import SOLVED, PrimalDualPoint, SolveSettings, SolverBackend, get_backend
@@ -128,12 +128,8 @@ def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
     ones.
     Returns ``(lam, mu)`` with mu scattered to full length (zero off J).
     """
-    n, p = problem.n, problem.p
-    idx = active.indices
-    sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[idx]]))
-    mu = np.zeros(problem.m)
-    mu[idx] = sol[n + p :]
-    return sol[n : n + p], mu
+    _, lam, mu = solve_on(problem, active.indices, fact)
+    return lam, mu
 
 
 def forward_directional(sol: DifferentiableSolution, direction: ParamDirection):
@@ -305,7 +301,6 @@ def differentiable_solve(
     eps_active: float = DEFAULT_EPS_ACTIVE,
     normalize: bool = False,
     refine_active: bool = False,
-    check_duals: bool = False,
 ) -> DifferentiableSolution:
     """Solve a QP with any registered backend and prepare its differentiation.
 
@@ -369,21 +364,7 @@ def differentiable_solve(
         fact = factorize(assemble_reduced_kkt(problem, active))
 
     if not point.has_duals:
-        lam, mu = recover_duals(problem, point.z, active, fact)
-        point.lam, point.mu = lam, mu
-    elif check_duals:
-        lam, mu = recover_duals(problem, point.z, active, fact)
-        diff = 0.0
-        if problem.p:
-            diff = max(diff, float(np.abs(lam - point.lam).max()))
-        if problem.m:
-            diff = max(diff, float(np.abs(mu - point.mu).max()))
-        if diff > 1e-4:
-            log.warning(
-                "backend duals disagree with KKT recovery by %.2e; "
-                "using recovered duals", diff,
-            )
-        point.lam, point.mu = lam, mu
+        point.lam, point.mu = recover_duals(problem, point.z, active, fact)
 
     res = residuals(problem, point)
     point.r_p, point.r_d = res.r_p, res.r_d

@@ -6,14 +6,15 @@ The reduced KKT matrix for an active set J is the symmetric saddle matrix
           [ A    0    0    ]
           [ C_J  0    0    ]
 
-Apart from the independent oracles and the active-set backend's steps,
-which update a Cholesky factor and a QR of their own inside the loop, this
-module is the only place such systems are built and solved.  Its consumers
-are the equality-constrained solve (the active-set start and the equality
-backend), the ADMM iteration matrix (K_J on every row plus a diagonal
-shift), the active-set and ADMM finishing solves on their final rows, dual
-recovery, and the forward and backward derivatives.  One factorization of
-K_J serves a backend's finishing solve, dual recovery and every derivative
+Apart from the independent oracles and the active-set backend's start and
+steps, which use a Cholesky factor and a QR of their own, this module is
+the only place such systems are built and solved.  Its consumers are the
+ADMM iteration matrix (K_J on every row plus a diagonal shift), the forward
+and backward derivatives, and, through :func:`solve_on`, every point on a
+row set J: the equality backend and the active-set start on dependent
+equality rows (both with J empty), the active-set and ADMM finishing
+solves on their final rows, and dual recovery.  One factorization of K_J
+serves a backend's finishing solve, dual recovery and every derivative
 solve for the same (problem, J) pair.  A singular K_J is bordered with a
 basis of its null space and factored by the same sparse LU, so its solves
 return the minimum-norm least-squares solution.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import structural_rank
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import RankDeficiencyError
@@ -35,7 +37,7 @@ __all__ = [
     "KktFactorization",
     "assemble_reduced_kkt",
     "factorize",
-    "solve_equality_qp",
+    "solve_on",
     "condition_estimate",
 ]
 
@@ -169,10 +171,33 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     return KktFactorization(mat, LEAST_SQUARES, lu, bordered, kkt.order - Z.shape[1])
 
 
+def solve_on(problem, J, fact: KktFactorization):
+    """The point on rows J: solves K_J (z, lam, mu_J) = (-q, b, d_J) through
+    ``fact``, a factorization of K_J.
+
+    Returns ``(z, lam, mu)`` with mu scattered to length m (zero off J).
+    When K_J is singular these are the minimum-norm solution.
+    """
+    n, p = problem.n, problem.p
+    sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
+    mu = np.zeros(problem.m)
+    mu[J] = sol[n + p :]
+    return sol[:n], sol[n : n + p], mu
+
+
 def _checked_lu(matrix):
-    """Sparse LU of ``matrix``, or None when it fails the pivot check."""
+    """Sparse LU of ``matrix``, or None when it fails the pivot check.
+
+    A structurally singular matrix is refused before SuperLU sees it: its
+    zero-pivot path is not memory-safe, and has crashed the interpreter on
+    such a K_J (``gen_random_sparse(1000, 2)`` with J empty).
+    """
+    matrix = sp.csc_matrix(matrix)
+    # the transpose is a CSR view, free to form, with the same structural rank
+    if structural_rank(matrix.T) < matrix.shape[0]:
+        return None
     try:
-        lu = splu(sp.csc_matrix(matrix))
+        lu = splu(matrix)
     except RuntimeError:
         return None
     diag = np.abs(lu.U.diagonal())
@@ -201,45 +226,6 @@ def _null_basis(kkt: ReducedKkt):
     return sp.csc_array(
         (W.data, (n + perm[W.row], W.col)), shape=(kkt.order, W.shape[1])
     )
-
-
-def solve_equality_qp(P, q, A=None, b=None):
-    """Solve min 0.5 z'Pz + q'z s.t. Az = b via the dense saddle-point system.
-
-    Requires P positive definite and A full row rank; raises
-    :class:`RankDeficiencyError` otherwise.  Returns ``(z, lam)`` with
-    ``lam`` empty when there are no equality constraints.  Dense on purpose:
-    the active-set backend calls it once, for its starting point, on the
-    dense blocks it already holds.
-    """
-    Pd = P.toarray() if sp.issparse(P) else np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float).ravel()
-    n = q.shape[0]
-    if A is None or (hasattr(A, "shape") and A.shape[0] == 0):
-        p = 0
-        K = Pd
-        rhs = -q
-    else:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float).ravel()
-        p = Ad.shape[0]
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = Pd
-        K[:n, n:] = Ad.T
-        K[n:, :n] = Ad
-        rhs = np.concatenate([-q, b])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("equality KKT matrix is singular") from exc
-    if not np.all(np.isfinite(sol)):
-        raise RankDeficiencyError("equality KKT solve produced non-finite values")
-    resid = np.abs(K @ sol - rhs).max(initial=0.0)
-    if resid > 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0)):
-        raise RankDeficiencyError(
-            f"equality KKT solve is unreliable (residual {resid:.2e})"
-        )
-    return sol[:n], sol[n : n + p]
 
 
 def condition_estimate(matrix) -> float:

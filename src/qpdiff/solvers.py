@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
 from .identification import DEFAULT_EPS_ACTIVE, identify
-from .kkt import KktFactorization, assemble_reduced_kkt, factorize, solve_equality_qp
+from .kkt import DIRECT, KktFactorization, assemble_reduced_kkt, factorize, solve_on
 from .metrics import primal_dual_residuals, residuals
 from .problem import QpProblem
 
@@ -112,20 +112,24 @@ class SolverBackend:
 class EqualityBackend(SolverBackend):
     """Direct solve that ignores inequalities, valid when none are active.
 
-    If the equality-relaxed optimum happens to satisfy C z <= d it is the true
-    optimum with mu = 0; otherwise the solve fails.
+    The point on no inequality row: one factorization of K_J with J empty,
+    which the point carries as ``fact`` for ``differentiable_solve`` to
+    reuse.  A singular K_J (dependent equality rows, or P singular on
+    null(A)) raises :class:`RankDeficiencyError`.  If the equality-relaxed
+    optimum happens to satisfy C z <= d it is the true optimum with mu = 0;
+    otherwise the solve fails.
     """
 
     name = "equality"
 
     def solve(self, problem, settings):
-        z, lam = solve_equality_qp(problem.P, problem.q, problem.A, problem.b)
-        mu = np.zeros(problem.m)
-        point = PrimalDualPoint(z=z, lam=lam, mu=mu)
+        point = _point_on(problem, np.zeros(0, dtype=int))
+        if point.fact.mode != DIRECT:
+            raise RankDeficiencyError("equality KKT matrix is singular")
         res = residuals(problem, point)
         point.r_p, point.r_d = res.r_p, res.r_d
         feas_tol = max(settings.eps_abs, 1e-9)
-        if problem.m and (problem.C @ z - problem.d).max() > feas_tol:
+        if problem.m and (problem.C @ point.z - problem.d).max() > feas_tol:
             point.status = FAILED
         return point
 
@@ -152,7 +156,12 @@ class ActiveSetBackend(SolverBackend):
     solves and a few products with Q, and a row that joins or leaves the
     working set updates the QR by one column.  P + A'A equals P on null(A),
     where every step moves, so the domain is P positive definite on null(A).
-    The answer is one reduced-KKT solve on the final working rows through
+    The start comes from the same factors, by two triangular solves and two
+    products with Q.  When the equality rows are dependent, the QR no longer
+    spans them exactly: the start is then the bordered, minimum-norm solve
+    on no inequality row through ``qpdiff.kkt``, so a start that needs no
+    step solves, and the first step ends the solve with ``failed``.  The
+    answer is one reduced-KKT solve on the final working rows through
     ``qpdiff.kkt``; the point carries that factorization as ``fact`` for
     ``differentiable_solve`` to reuse.
     """
@@ -173,17 +182,26 @@ class ActiveSetBackend(SolverBackend):
         )
 
         try:
-            x, _ = solve_equality_qp(P, q, A, b)
             # every step stays in null(A), where P + A'A equals P; it is
             # positive definite exactly when P is positive definite there
             L = cholesky(P + A.T @ A, lower=True)
+            # full QR of L^-1 [A' C_W'], one column per equality and working row
+            Q, R = qr(solve_triangular(L, A.T, lower=True))
+            diag = np.abs(np.diagonal(R))
+            dependent = p and (
+                p > n or diag.min() <= max(n, p) * np.finfo(float).eps * diag.max()
+            )
+            if dependent:  # the bordered, minimum-norm equality minimizer
+                x = _point_on(problem, np.zeros(0, dtype=int)).z
+            else:
+                # the equality minimizer from the same factors: with u = L'x
+                # it minimizes 0.5|u|^2 + (L^-1 q)'u subject to R11'Q1'u = b
+                g = Q.T @ solve_triangular(L, q, lower=True)
+                g[:p] = -solve_triangular(R[:p, :p], b, trans="T")
+                x = -solve_triangular(L, Q @ g, lower=True, trans="T")
         except (RankDeficiencyError, np.linalg.LinAlgError):
             return failed
         LinvC = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
-        # full QR of L^-1 [A' C_W'], one column per equality and working row
-        Q, R = qr(solve_triangular(L, A.T, lower=True))
-        diag = np.abs(np.diagonal(R))
-        dependent = p and diag.min() <= max(n, p) * np.finfo(float).eps * diag.max()
 
         feas_tol = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
         work: list[int] = []  # working inequality rows, ascending
@@ -248,23 +266,12 @@ class ActiveSetBackend(SolverBackend):
                 del work[at]
 
         # the answer, through the factorization differentiation reuses
-        working_set = np.asarray(work, dtype=int)
         try:
-            fact = factorize(assemble_reduced_kkt(problem, working_set))
+            point = _point_on(problem, np.asarray(work, dtype=int))
         except RankDeficiencyError:
             return failed
-        sol = fact.solve(np.concatenate([-q, b, d[work]]))
-        mu = np.zeros(m)
-        mu[work] = np.maximum(sol[n + p :], 0.0)
-        point = PrimalDualPoint(
-            z=sol[:n],
-            lam=sol[n : n + p],
-            mu=mu,
-            status=status,
-            iterations=it,
-            working_set=working_set,
-            fact=fact,
-        )
+        point.mu = np.maximum(point.mu, 0.0)
+        point.status, point.iterations = status, it
         res = residuals(problem, point)
         point.r_p, point.r_d = res.r_p, res.r_d
         # written so that a non-finite residual fails as well
@@ -407,24 +414,18 @@ class AdmmBackend(SolverBackend):
 
 
 def _finish(problem, J):
-    """The exact reduced-KKT solve on rows J, as a point carrying its
-    factorization; None when K_J cannot be factored, the solve is not
-    finite, or a multiplier on J is below -1e-9."""
-    n, p = problem.n, problem.p
+    """ADMM's finishing point on rows J, with its residuals; None when K_J
+    cannot be factored, the solve is not finite, or a multiplier on J is
+    below -1e-9."""
     try:
-        fact = factorize(assemble_reduced_kkt(problem, J))
+        point = _point_on(problem, J)
     except RankDeficiencyError:  # P singular on the rows' null space
         return None
-    sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
-    if not np.all(np.isfinite(sol)) or sol[n + p :].min(initial=0.0) < -1e-9:
+    finite = all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu))
+    if not finite or point.mu.min(initial=0.0) < -1e-9:
         return None
-    z, lam = sol[:n], sol[n : n + p]
-    mu = np.zeros(problem.m)
-    mu[J] = sol[n + p :]
-    r_p, r_d = primal_dual_residuals(problem, z, lam, mu)
-    return PrimalDualPoint(
-        z=z, lam=lam, mu=mu, r_p=r_p, r_d=r_d, working_set=J, fact=fact
-    )
+    point.r_p, point.r_d = primal_dual_residuals(problem, point.z, point.lam, point.mu)
+    return point
 
 
 def _residual(point):
@@ -437,6 +438,15 @@ def solve_admm(problem, settings=None):
 
 
 # --- helpers ------------------------------------------------------------------
+
+
+def _point_on(problem, J):
+    """The point on rows J from one factorization of K_J, carrying J as
+    ``working_set`` and the factorization as ``fact``; raises
+    :class:`RankDeficiencyError` when K_J cannot be factored."""
+    fact = factorize(assemble_reduced_kkt(problem, J))
+    z, lam, mu = solve_on(problem, J, fact)
+    return PrimalDualPoint(z=z, lam=lam, mu=mu, working_set=J, fact=fact)
 
 
 class PrimalOnlyBackend(SolverBackend):

@@ -48,6 +48,17 @@ def dims_for_seed(seed):
     return n, m, p
 
 
+def dense_equality_qp(P, q, A, b):
+    """``(z, lam)`` of min 0.5 z'Pz + q'z s.t. Az = b, by one dense solve of
+    the saddle system, independent of the library."""
+    q = np.asarray(q, dtype=float)
+    A = np.asarray(A, dtype=float).reshape(-1, q.size)
+    n, p = q.size, A.shape[0]
+    K = np.block([[np.asarray(P, dtype=float), A.T], [A, np.zeros((p, p))]])
+    sol = np.linalg.solve(K, np.concatenate([-q, np.asarray(b, dtype=float)]))
+    return sol[:n], sol[n:]
+
+
 def complementarity_margins(problem, point, active):
     """(min active multiplier, min inactive |residual|); inf when empty."""
     mu = np.asarray(point.mu)

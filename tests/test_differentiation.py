@@ -19,13 +19,17 @@ from qpdiff import (
     random_direction,
     recover_duals,
     solve_active_set,
-    solve_equality_qp,
 )
 from qpdiff.kkt import LEAST_SQUARES, assemble_reduced_kkt, factorize
 from qpdiff.oracles import full_implicit_jacobian
 from qpdiff.solvers import PrimalOnlyBackend
 
-from helpers import complementarity_margins, parameter_pairing, random_mixed_qp
+from helpers import (
+    complementarity_margins,
+    dense_equality_qp,
+    parameter_pairing,
+    random_mixed_qp,
+)
 
 
 def one_dee():
@@ -241,12 +245,7 @@ class TestReducedFullEquivalence:
                 prob.C.toarray()[idx],
             ])
             stacked_b = np.concatenate([prob.b, prob.d[idx]])
-            if stacked_A.shape[0] == 0:
-                z_eq, _ = solve_equality_qp(prob.P.toarray(), prob.q)
-            else:
-                z_eq, _ = solve_equality_qp(
-                    prob.P.toarray(), prob.q, stacked_A, stacked_b
-                )
+            z_eq, _ = dense_equality_qp(prob.P.toarray(), prob.q, stacked_A, stacked_b)
             np.testing.assert_allclose(
                 z_eq, sol.point.z, atol=1e-8, err_msg=f"seed {500 + seed}"
             )
@@ -329,12 +328,6 @@ class TestDifferentiableSolve:
         )
         # duals are reported in the original problem's scale
         np.testing.assert_allclose(plain.point.mu, scaled.point.mu, atol=1e-7)
-
-    def test_check_duals_prefers_recovery(self):
-        prob = random_mixed_qp(5, 4, 1, seed=34)
-        sol = differentiable_solve(prob, "active_set", check_duals=True)
-        lam, mu = recover_duals(prob, sol.point.z, sol.active, sol.fact)
-        np.testing.assert_array_equal(sol.point.mu, mu)
 
     def test_zero_direction_gives_zero_derivative(self):
         prob = random_mixed_qp(4, 3, 1, seed=35)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from qpdiff import (
     QpProblem,
@@ -120,6 +120,23 @@ class TestFactorize:
             err = np.linalg.norm(fact.solve(rhs) - expected)
             assert err <= 1e-10 * np.linalg.norm(expected)
 
+    def test_structurally_singular_matrix_never_reaches_superlu(self, monkeypatch):
+        # both equality rows touch only z1, so K_J has no perfect matching;
+        # only the bordered matrix (order 5) is handed to the sparse LU
+        import qpdiff.kkt as kkt_module
+
+        orders = []
+
+        def recording_splu(matrix, *args, **kwargs):
+            orders.append(matrix.shape[0])
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(kkt_module, "splu", recording_splu)
+        prob = QpProblem(np.eye(2), np.zeros(2), A=[[1.0, 0.0], [2.0, 0.0]], b=[1.0, 2.0])
+        fact = factorize(assemble_reduced_kkt(prob, np.array([], dtype=int)))
+        assert fact.mode == LEAST_SQUARES
+        assert orders == [5]
+
     def test_singular_beyond_constraint_rows_raises(self):
         # [A; C_J] has full rank, yet K_J is singular: P is only
         # semidefinite on the null space of the active row
@@ -236,6 +253,25 @@ class TestFactorizationReuse:
         monkeypatch.setattr(differentiation, "factorize", counting_factorize)
         sol = differentiable_solve(gen_random_dense(60, 0), "active_set")
         np.testing.assert_array_equal(sol.active.indices, sol.point.working_set)
+        assert len(calls) == 0
+        assert sol.fact is sol.point.fact
+
+    def test_equality_factorization_is_reused(self, monkeypatch):
+        import qpdiff.differentiation as differentiation
+        from qpdiff import differentiable_solve
+
+        calls = []
+
+        def counting_factorize(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        # the equality row binds and the inequality is slack at z = (0.5, 0.5)
+        prob = QpProblem(np.eye(2), np.zeros(2), A=[[1.0, 1.0]], b=[1.0],
+                         C=[[1.0, 0.0]], d=[5.0])
+        sol = differentiable_solve(prob, "equality")
+        assert sol.active.size == 0
         assert len(calls) == 0
         assert sol.fact is sol.point.fact
 

@@ -14,10 +14,9 @@ from qpdiff import (
     full_implicit_jacobian,
     residuals,
     solve_active_set,
-    solve_equality_qp,
 )
 
-from helpers import random_mixed_qp, simplex_projection_sort
+from helpers import dense_equality_qp, random_mixed_qp, simplex_projection_sort
 
 
 def simplex_problem(x):
@@ -143,8 +142,8 @@ class TestFullImplicit:
         dz, dlam, _ = full_implicit_jacobian(prob, sol.point, ParamDirection(db=db))
         # direct sensitivity of the saddle system
         h = 1e-7
-        z_plus, lam_plus = solve_equality_qp(P, q, A, b + h * db)
-        z_minus, lam_minus = solve_equality_qp(P, q, A, b - h * db)
+        z_plus, lam_plus = dense_equality_qp(P, q, A, b + h * db)
+        z_minus, lam_minus = dense_equality_qp(P, q, A, b - h * db)
         np.testing.assert_allclose(dz, (z_plus - z_minus) / (2 * h), atol=1e-6)
         np.testing.assert_allclose(dlam, (lam_plus - lam_minus) / (2 * h), atol=1e-6)
 

@@ -11,6 +11,7 @@ from qpdiff import (
     SolveSettings,
     UnknownBackendError,
     brute_force_solve,
+    factorize,
     gen_chain,
     gen_random_dense,
     gen_random_sparse,
@@ -22,7 +23,6 @@ from qpdiff import (
     residuals,
     solve_active_set,
     solve_admm,
-    solve_equality_qp,
 )
 from qpdiff.errors import RankDeficiencyError
 from qpdiff.solvers import SOLVED, AdmmBackend, EqualityBackend, SolverBackend
@@ -40,14 +40,21 @@ def run_fresh_python(code, **env):
     return proc.stdout.strip()
 
 
+def equality_solve(P, q, A=None, b=None):
+    """``(z, lam)`` of the equality backend on min 0.5 z'Pz + q'z, Az = b."""
+    point = EqualityBackend().solve(QpProblem(P, q, A, b), SolveSettings())
+    assert point.status == SOLVED
+    return point.z, point.lam
+
+
 class TestEqualitySolve:
     def test_unconstrained_minimum_is_minus_q(self):
-        z, lam = solve_equality_qp(np.eye(2), np.array([1.0, 1.0]))
+        z, lam = equality_solve(np.eye(2), np.array([1.0, 1.0]))
         np.testing.assert_allclose(z, [-1.0, -1.0])
         assert lam.shape == (0,)
 
     def test_symmetric_split(self):
-        z, lam = solve_equality_qp(
+        z, lam = equality_solve(
             np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0])
         )
         np.testing.assert_allclose(z, [0.5, 0.5])
@@ -62,7 +69,7 @@ class TestEqualitySolve:
         q = rng.standard_normal(6)
         A = rng.standard_normal((2, 6))
         b = rng.standard_normal(2)
-        z, lam = solve_equality_qp(P, q, A, b)
+        z, lam = equality_solve(P, q, A, b)
         # independent elimination: lam from the Schur complement, then z
         Pinv_q = np.linalg.solve(P, -q)
         Pinv_At = np.linalg.solve(P, A.T)
@@ -75,7 +82,7 @@ class TestEqualitySolve:
 
     def test_singular_kkt_raises(self):
         with pytest.raises(RankDeficiencyError):
-            solve_equality_qp(
+            equality_solve(
                 np.eye(2), np.zeros(2),
                 np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]),
             )
@@ -158,17 +165,18 @@ class TestActiveSetSolver:
             assert point.working_set.size <= prob.m
 
     def test_steps_make_no_equality_solve(self, monkeypatch):
-        # the loop works from one Cholesky factor and an updated QR, so the
-        # start is the only equality-constrained solve at any iteration count
+        # the start and the steps work from one Cholesky factor and an
+        # updated QR, so the final solve is the only factorization of a
+        # saddle matrix at any iteration count
         import qpdiff.solvers as solvers
 
         calls = []
 
-        def counting_solve(*args, **kwargs):
+        def counting_factorize(*args, **kwargs):
             calls.append(1)
-            return solve_equality_qp(*args, **kwargs)
+            return factorize(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "solve_equality_qp", counting_solve)
+        monkeypatch.setattr(solvers, "factorize", counting_factorize)
         point = solve_active_set(gen_random_dense(150, 0))
         assert point.status == SOLVED
         assert point.iterations >= 40
@@ -196,8 +204,8 @@ class TestActiveSetSolver:
         assert point.status == "failed"
 
     def test_dependent_equality_rows_fail_at_the_first_step(self):
-        # row 2 is row 0 + row 1 up to rounding, so the dense start solve
-        # passes, but no step is taken on a rank-deficient QR
+        # row 2 is row 0 + row 1 up to rounding, so the start is the
+        # bordered solve, but no step is taken on a rank-deficient QR
         rng = np.random.Generator(np.random.PCG64(0))
         A = rng.standard_normal((2, 4))
         A = np.vstack([A, A[0] + A[1]])
@@ -209,6 +217,38 @@ class TestActiveSetSolver:
             assert point.status == status
             # the start satisfies the inequalities at q = 1 and needs no step
             assert point.iterations == (0 if status == SOLVED else 1)
+
+    def test_consistent_dependent_equality_rows_solve_at_the_start(self):
+        # the equality row stated twice, or more rows than variables: the
+        # start is the bordered, minimum-norm solve, and it already
+        # satisfies the inequality
+        for A, b in (([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]),
+                     ([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]], [1.0, 0.0, 1.0])):
+            prob = QpProblem(np.eye(2), np.zeros(2), A=A, b=b,
+                             C=[[1.0, 0.0]], d=[5.0])
+            point = solve_active_set(prob)
+            assert point.status == SOLVED
+            assert point.iterations == 0
+            np.testing.assert_allclose(point.z, [0.5, 0.5], atol=1e-12)
+
+    def test_structurally_dependent_equality_rows_fail_without_crashing(self):
+        # A has rank 440 of 500 here because some rows share their only
+        # column, so K_J with J empty is structurally singular; the sparse LU
+        # never sees it (its zero-pivot path crashed the interpreter)
+        out = run_fresh_python(
+            "from qpdiff import EqualityBackend, SolveSettings, gen_random_sparse,"
+            " solve_active_set\n"
+            "from qpdiff.errors import RankDeficiencyError\n"
+            "prob = gen_random_sparse(1000, 2)\n"
+            "point = solve_active_set(prob)\n"
+            "print(point.status, point.iterations)\n"
+            "try:\n"
+            "    EqualityBackend().solve(prob, SolveSettings())\n"
+            "except RankDeficiencyError:\n"
+            "    print('rank deficient')\n",
+            OPENBLAS_NUM_THREADS="1",
+        )
+        assert out.splitlines() == ["failed 1", "rank deficient"]
 
     def test_duals_complementary_and_nonnegative(self):
         for seed in range(20):
@@ -284,7 +324,7 @@ class TestAdmmSolver:
         # the equality row stated twice makes K_J singular; the minimum-norm
         # duals of the finishing solve are negative at this degenerate vertex
         import qpdiff.differentiation as differentiation
-        from qpdiff import differentiable_solve, factorize, random_direction
+        from qpdiff import differentiable_solve, random_direction
         from qpdiff.kkt import LEAST_SQUARES
 
         base = gen_simplex(300, seed=881707420)[0]
