@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,25 +34,34 @@ EXIT_SOLVE = 3
 EXIT_SINGULAR = 4
 
 
-def _shared_flags(parser):
-    parser.add_argument("--solver", default=None,
-                        help="backend name, or comma list where a list makes sense "
-                             "(default: active_set; profile defaults to all)")
-    parser.add_argument("--eps-abs", type=float, default=1e-6,
-                        help="absolute residual tolerance (default 1e-6)")
-    parser.add_argument("--eps-active", type=float, default=1e-5,
-                        help="active-set threshold (default 1e-5)")
-    parser.add_argument("--normalize", action="store_true",
-                        help="row-normalize constraints before solving")
-    parser.add_argument("--refine-active-set", action="store_true",
-                        help="greedy refinement of the identified active set")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true",
-                        help="emit a machine-readable record")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the command's artifact to FILE")
-    parser.add_argument("--time-limit", type=float, default=60.0,
-                        help="per-solve wall-clock limit in seconds")
+_FLAGS = {
+    "--solver": dict(default=None,
+                     help="backend name, or comma list where a list makes sense "
+                          "(default: active_set; profile defaults to all)"),
+    "--eps-abs": dict(type=float, default=1e-6,
+                      help="absolute residual tolerance (default 1e-6)"),
+    "--eps-active": dict(type=float, default=1e-5,
+                         help="active-set threshold (default 1e-5)"),
+    "--normalize": dict(action="store_true",
+                        help="row-normalize constraints before solving"),
+    "--refine-active-set": dict(action="store_true",
+                                help="greedy refinement of the identified active set"),
+    "--seed": dict(type=int, default=0),
+    "--json": dict(action="store_true", help="emit a machine-readable record"),
+    "--out": dict(default=None, metavar="FILE",
+                  help="write the command's artifact to FILE"),
+    "--time-limit": dict(type=float, default=60.0,
+                         help="per-solve wall-clock limit in seconds"),
+}
+_SOLVE_FLAGS = ("--eps-abs", "--eps-active", "--normalize", "--refine-active-set",
+                "--time-limit")
+
+
+def _add_flags(parser, *names):
+    """Every subcommand's ``--solver``, ``--json`` and ``--out``, then the
+    named flags: a subcommand takes only the flags its handler reads."""
+    for name in ("--solver", "--json", "--out", *names):
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser():
@@ -61,28 +71,30 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only: `bench --seed 3` must not pass for `--seeds 3`
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_solve = sub.add_parser("solve", help="solve one problem file and differentiate")
+    p_solve = add_parser("solve", help="solve one problem file and differentiate")
     p_solve.add_argument("problem", help="path to a JSON problem file")
-    _shared_flags(p_solve)
+    _add_flags(p_solve, *_SOLVE_FLAGS)
 
-    p_bench = sub.add_parser("bench", help="run a generated suite, write CSV records")
+    p_bench = add_parser("bench", help="run a generated suite, write CSV records")
     p_bench.add_argument("--suite", required=True, choices=SUITES)
     p_bench.add_argument("--sizes", default="100",
                          help="comma list of sizes (chain: link dimension)")
     p_bench.add_argument("--seeds", type=int, default=5,
                          help="number of seeds per size (0..k-1)")
-    _shared_flags(p_bench)
+    _add_flags(p_bench, *_SOLVE_FLAGS)
 
-    p_prof = sub.add_parser("profile", help="rank backends across tolerance regimes")
+    p_prof = add_parser("profile", help="rank backends across tolerance regimes")
     src = p_prof.add_mutually_exclusive_group(required=True)
     src.add_argument("--problem", help="path to a JSON problem file")
     src.add_argument("--suite", choices=SUITES)
     p_prof.add_argument("--size", type=int, default=100)
     p_prof.add_argument("--tolerances", default="1e-8,1e-5,1e-2")
-    _shared_flags(p_prof)
+    _add_flags(p_prof, "--seed", "--time-limit")
 
-    p_grad = sub.add_parser("check-grad", help="verify gradients against oracles")
+    p_grad = add_parser("check-grad", help="verify gradients against oracles")
     p_grad.add_argument("--suite", required=True, choices=SUITES)
     p_grad.add_argument("--size", type=int, default=5)
     p_grad.add_argument("--m-points", type=int, default=10,
@@ -91,14 +103,14 @@ def build_parser():
                         help="chain suite: point dimension")
     p_grad.add_argument("--h", type=float, default=1e-6,
                         help="finite-difference step")
-    _shared_flags(p_grad)
+    _add_flags(p_grad, "--seed")
 
-    p_bi = sub.add_parser("bilevel", help="toy bi-level descent on the dual norm")
+    p_bi = add_parser("bilevel", help="toy bi-level descent on the dual norm")
     p_bi.add_argument("--step", type=float, default=1e-2)
     p_bi.add_argument("--max-iters", type=int, default=500)
     p_bi.add_argument("--target", type=float, default=1e-10)
     p_bi.add_argument("--warm-start", action="store_true")
-    _shared_flags(p_bi)
+    _add_flags(p_bi, "--eps-abs", "--eps-active")
 
     return parser
 

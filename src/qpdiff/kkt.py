@@ -11,13 +11,12 @@ steps, which use a Cholesky factor and a QR of their own, this module is
 the only place such systems are built and solved.  Its consumers are the
 ADMM iteration matrix (K_J on every row plus a diagonal shift), the forward
 and backward derivatives, and, through :func:`solve_on`, every point on a
-row set J: the equality backend and the active-set start on dependent
-equality rows (both with J empty), the active-set and ADMM finishing
-solves on their final rows, and dual recovery.  One factorization of K_J
-serves a backend's finishing solve, dual recovery and every derivative
-solve for the same (problem, J) pair.  A singular K_J is bordered with a
-basis of its null space and factored by the same sparse LU, so its solves
-return the minimum-norm least-squares solution.
+row set J: the equality backend (J empty), the active-set and ADMM
+finishing solves on their final rows, and dual recovery.  One factorization
+of K_J serves a backend's finishing solve, dual recovery and every
+derivative solve for the same (problem, J) pair.  A singular K_J is
+bordered with a basis of its null space and factored by the same sparse
+LU, so its solves return the minimum-norm least-squares solution.
 """
 
 from __future__ import annotations
@@ -186,7 +185,17 @@ def solve_on(problem, J, fact: KktFactorization):
 
 
 def _checked_lu(matrix):
-    """Sparse LU of ``matrix``, or None when it fails the pivot check.
+    """Sparse LU of ``matrix``, or None when it fails the pivot check."""
+    lu = _lu_or_none(matrix)
+    if lu is None:
+        return None
+    diag = np.abs(lu.U.diagonal())
+    ok = diag.size and np.all(np.isfinite(diag)) and diag.min() > _PIVOT_RTOL * diag.max()
+    return lu if ok else None
+
+
+def _lu_or_none(matrix):
+    """Sparse LU of ``matrix``, or None when it is singular to SuperLU.
 
     A structurally singular matrix is refused before SuperLU sees it: its
     zero-pivot path is not memory-safe, and has crashed the interpreter on
@@ -197,12 +206,9 @@ def _checked_lu(matrix):
     if structural_rank(matrix.T) < matrix.shape[0]:
         return None
     try:
-        lu = splu(matrix)
+        return splu(matrix)
     except RuntimeError:
         return None
-    diag = np.abs(lu.U.diagonal())
-    ok = diag.size and np.all(np.isfinite(diag)) and diag.min() > _PIVOT_RTOL * diag.max()
-    return lu if ok else None
 
 
 def _null_basis(kkt: ReducedKkt):
@@ -240,11 +246,13 @@ def condition_estimate(matrix) -> float:
             raise ValueError("condition_estimate requires a square matrix")
         if order <= 600:
             return _dense_cond(matrix.toarray())
-        try:
-            lu = splu(sp.csc_matrix(matrix))
-        except RuntimeError:
+        lu = _lu_or_none(matrix)
+        if lu is None:
             return np.inf
-        inv_op = LinearOperator(matrix.shape, matvec=lu.solve)
+        # onenormest also applies the adjoint
+        inv_op = LinearOperator(
+            matrix.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T")
+        )
         return float(onenormest(matrix) * onenormest(inv_op))
     arr = np.asarray(matrix, dtype=float)
     if arr.shape[0] != arr.shape[1]:

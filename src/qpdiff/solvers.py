@@ -53,8 +53,9 @@ class SolveSettings:
     """Solver tolerances shared by all backends.
 
     ``eps_abs`` bounds the achieved primal and dual residuals in infinity
-    norm.  Backends that are exact by construction (active set, equality)
-    report their achieved residuals and ignore the tolerance otherwise.
+    norm.  The exact backends reach working precision or fail: ``active_set``
+    fails when a residual exceeds it, and ``equality`` fails when an
+    inequality is violated by more than ``max(eps_abs, 1e-9)``.
     """
 
     eps_abs: float = 1e-6
@@ -156,14 +157,14 @@ class ActiveSetBackend(SolverBackend):
     solves and a few products with Q, and a row that joins or leaves the
     working set updates the QR by one column.  P + A'A equals P on null(A),
     where every step moves, so the domain is P positive definite on null(A).
-    The start comes from the same factors, by two triangular solves and two
-    products with Q.  When the equality rows are dependent, the QR no longer
-    spans them exactly: the start is then the bordered, minimum-norm solve
-    on no inequality row through ``qpdiff.kkt``, so a start that needs no
-    step solves, and the first step ends the solve with ``failed``.  The
-    answer is one reduced-KKT solve on the final working rows through
-    ``qpdiff.kkt``; the point carries that factorization as ``fact`` for
-    ``differentiable_solve`` to reuse.
+    The QR of ``L^-1 A'`` is column pivoted and keeps only the equality rows
+    whose ``|R_ii|`` clear the rank cut, so dependent equality rows drop out
+    of the loop.  The start comes from the same factors, by two triangular
+    solves and two products with Q.  The answer is one reduced-KKT solve on
+    all equality rows and the final working rows through ``qpdiff.kkt``: the
+    minimum-norm ``lam`` when the equality rows are dependent, and ``failed``
+    when they are inconsistent.  The point carries that factorization as
+    ``fact`` for ``differentiable_solve`` to reuse.
     """
 
     name = "active_set"
@@ -185,22 +186,19 @@ class ActiveSetBackend(SolverBackend):
             # every step stays in null(A), where P + A'A equals P; it is
             # positive definite exactly when P is positive definite there
             L = cholesky(P + A.T @ A, lower=True)
-            # full QR of L^-1 [A' C_W'], one column per equality and working row
-            Q, R = qr(solve_triangular(L, A.T, lower=True))
-            diag = np.abs(np.diagonal(R))
-            dependent = p and (
-                p > n or diag.min() <= max(n, p) * np.finfo(float).eps * diag.max()
-            )
-            if dependent:  # the bordered, minimum-norm equality minimizer
-                x = _point_on(problem, np.zeros(0, dtype=int)).z
-            else:
-                # the equality minimizer from the same factors: with u = L'x
-                # it minimizes 0.5|u|^2 + (L^-1 q)'u subject to R11'Q1'u = b
-                g = Q.T @ solve_triangular(L, q, lower=True)
-                g[:p] = -solve_triangular(R[:p, :p], b, trans="T")
-                x = -solve_triangular(L, Q @ g, lower=True, trans="T")
-        except (RankDeficiencyError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return failed
+        # full QR of L^-1 [A' C_W'], one column per equality row the pivoted
+        # QR keeps (the rp above the rank cut) and per working row
+        Q, R, piv = qr(solve_triangular(L, A.T, lower=True), pivoting=True)
+        diag = np.abs(np.diagonal(R))
+        rp = int((diag > max(n, p) * np.finfo(float).eps * diag.max(initial=0.0)).sum())
+        R = R[:, :rp]
+        # the equality minimizer from the same factors: with u = L'x it
+        # minimizes 0.5|u|^2 + (L^-1 q)'u subject to R11'Q1'u = b[piv[:rp]]
+        g = Q.T @ solve_triangular(L, q, lower=True)
+        g[:rp] = -solve_triangular(R[:rp, :rp], b[piv[:rp]], trans="T")
+        x = -solve_triangular(L, Q @ g, lower=True, trans="T")
         LinvC = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
 
         feas_tol = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
@@ -225,17 +223,14 @@ class ActiveSetBackend(SolverBackend):
             ):
                 break
             it += 1
-            if dependent:  # Q no longer spans the equality rows exactly
-                status = FAILED
-                break
             # min 0.5 dx'P dx + c_j'dx s.t. [A; C_W] dx = 0, by the range-space
             # method: dx = -L^-T Q2 w2 and the multipliers -R11^-1 w1
-            k = p + len(work)
+            k = rp + len(work)
             w = Q.T @ LinvC[j]
             dx = -solve_triangular(
                 L, Q[:, k:] @ w[k:], lower=True, trans="T", check_finite=False
             )
-            r = -solve_triangular(R[:k, :k], w[:k], check_finite=False)[p:]
+            r = -solve_triangular(R[:k, :k], w[:k], check_finite=False)[rp:]
             # dual step length: the first working multiplier to reach zero
             ratios = np.full(len(work), np.inf)
             shrinking = r < 0
@@ -257,12 +252,12 @@ class ActiveSetBackend(SolverBackend):
             y[j] += t
             if add:
                 at = bisect.bisect(work, j)
-                Q, R = qr_insert(Q, R, LinvC[j], p + at, "col", check_finite=False)
+                Q, R = qr_insert(Q, R, LinvC[j], rp + at, "col", check_finite=False)
                 work.insert(at, j)
                 j = None
             else:  # lowest index on ties
                 at = int(np.argmin(ratios))
-                Q, R = qr_delete(Q, R, p + at, 1, "col", check_finite=False)
+                Q, R = qr_delete(Q, R, rp + at, 1, "col", check_finite=False)
                 del work[at]
 
         # the answer, through the factorization differentiation reuses

@@ -224,6 +224,22 @@ class TestCheckGradCommand:
         assert "PASS" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-grad", "--suite", "simplex", "--eps-abs", "1e-12"],
+    ["check-grad", "--suite", "simplex", "--time-limit", "0"],
+    ["bilevel", "--refine-active-set"],
+    ["profile", "--suite", "simplex", "--normalize"],
+    ["solve", "problem.json", "--seed", "3"],
+    ["bench", "--suite", "simplex", "--seed", "3"],
+])
+def test_flag_the_handler_never_reads_is_a_parse_error(argv, capsys):
+    # a subcommand takes only the flags its handler reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestBilevelCommand:
     def test_toy_demo_converges(self, capsys):
         rc = main(["bilevel"])

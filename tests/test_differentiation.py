@@ -339,24 +339,34 @@ class TestDifferentiableSolve:
 
     def test_overdetermined_duals_use_least_squares_end_to_end(self):
         # |J| + p > n: duals not unique, factorization degrades, but the
-        # pipeline still produces finite gradients
-        prob = QpProblem(
-            np.eye(2), np.zeros(2), A=[[1.0, 0.0]], b=[0.0],
-            C=[[1.0, 1.0], [1.0, -1.0]], d=[0.0, 0.0],
-        )
-        sol = differentiable_solve(prob)
-        assert not sol.diagnosis.dimension_ok
-        assert sol.fact.mode == LEAST_SQUARES
-        g = np.array([1.0, -1.0])
-        bundle = backward(sol, g)
-        assert np.all(np.isfinite(bundle.grad_q))
-        assert np.all(np.isfinite(bundle.grad_d))
-        # forward and backward read the same minimum-norm solve, so the
-        # adjoint identity <g, dz> = <backward(g), direction> still holds
-        direction = random_direction(prob, np.random.Generator(np.random.PCG64(37)))
-        dz, _, _ = sol.forward(direction)
-        pairing = parameter_pairing(bundle, direction)
-        assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
+        # pipeline still produces finite gradients.  The second input states
+        # the simplex's equality row twice, so the active-set backend itself
+        # meets dependent equality rows
+        base = gen_simplex(300, seed=881707420)[0]
+        problems = [
+            QpProblem(
+                np.eye(2), np.zeros(2), A=[[1.0, 0.0]], b=[0.0],
+                C=[[1.0, 1.0], [1.0, -1.0]], d=[0.0, 0.0],
+            ),
+            QpProblem(
+                base.P, base.q, sp.vstack([base.A, base.A]),
+                np.concatenate([base.b, base.b]), base.C, base.d,
+            ),
+        ]
+        for prob in problems:
+            sol = differentiable_solve(prob, "active_set")
+            assert not sol.diagnosis.dimension_ok
+            assert sol.fact.mode == LEAST_SQUARES
+            g = np.where(np.arange(prob.n) % 2, -1.0, 1.0)  # (1, -1, 1, ...)
+            bundle = backward(sol, g)
+            assert np.all(np.isfinite(bundle.grad_q))
+            assert np.all(np.isfinite(bundle.grad_d))
+            # forward and backward read the same minimum-norm solve, so the
+            # adjoint identity <g, dz> = <backward(g), direction> still holds
+            direction = random_direction(prob, np.random.Generator(np.random.PCG64(37)))
+            dz, _, _ = sol.forward(direction)
+            pairing = parameter_pairing(bundle, direction)
+            assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
     def test_normalize_and_refine_compose(self):
         prob = random_mixed_qp(5, 6, 1, seed=36)

@@ -207,6 +207,24 @@ class TestConditionEstimate:
         truth = diag.max() / diag.min()
         assert est / truth < 10 and truth / est < 10
 
+    def test_sparse_estimate_above_dense_limit(self):
+        # order 700 takes the sparse 1-norm estimate, which applies the
+        # inverse's adjoint as well; on a diagonal matrix it is exact
+        mat = sp.diags_array(np.linspace(1.0, 1e3, 700))
+        assert condition_estimate(mat) == pytest.approx(1e3, rel=1e-12)
+
+    def test_structurally_singular_sparse_is_inf_without_lu(self, monkeypatch):
+        import qpdiff.kkt as kkt
+
+        calls = []
+        monkeypatch.setattr(kkt, "splu", lambda *a, **k: calls.append(1))
+        diag = np.ones(700)
+        diag[350] = 0.0  # an empty column
+        mat = sp.diags_array(diag).tocsc()
+        mat.eliminate_zeros()
+        assert condition_estimate(mat) == np.inf
+        assert calls == []
+
     def test_full_vs_reduced_system_both_finite(self):
         prob = random_mixed_qp(6, 5, 1, seed=9)
         point = solve_active_set(prob)

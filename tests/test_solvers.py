@@ -47,6 +47,16 @@ def equality_solve(P, q, A=None, b=None):
     return point.z, point.lam
 
 
+def dependent_rows_qp(q):
+    """A 4-variable QP whose third equality row is the sum of the first two;
+    its start violates a bound at ``q = -10`` but not at ``q = 1``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    A = rng.standard_normal((2, 4))
+    A = np.vstack([A, A[0] + A[1]])
+    z0 = rng.standard_normal(4)
+    return QpProblem(np.eye(4), np.full(4, q), A=A, b=A @ z0, C=np.eye(4), d=z0 + 1.0)
+
+
 class TestEqualitySolve:
     def test_unconstrained_minimum_is_minus_q(self):
         z, lam = equality_solve(np.eye(2), np.array([1.0, 1.0]))
@@ -181,6 +191,12 @@ class TestActiveSetSolver:
         assert point.status == SOLVED
         assert point.iterations >= 40
         assert len(calls) == 1
+        # dependent equality rows take the same path: no start of their own
+        calls.clear()
+        point = solve_active_set(dependent_rows_qp(-10.0))
+        assert point.status == SOLVED
+        assert point.iterations >= 1
+        assert len(calls) == 1
 
     def test_semidefinite_p_positive_definite_on_equality_null_space(self):
         # P = diag(1, 0) has no Cholesky factor, but P + A'A does: P is
@@ -203,25 +219,35 @@ class TestActiveSetSolver:
         point = solve_active_set(prob)
         assert point.status == "failed"
 
-    def test_dependent_equality_rows_fail_at_the_first_step(self):
-        # row 2 is row 0 + row 1 up to rounding, so the start is the
-        # bordered solve, but no step is taken on a rank-deficient QR
-        rng = np.random.Generator(np.random.PCG64(0))
-        A = rng.standard_normal((2, 4))
-        A = np.vstack([A, A[0] + A[1]])
-        z0 = rng.standard_normal(4)
-        for q, status in ((1.0, SOLVED), (-10.0, "failed")):
-            prob = QpProblem(np.eye(4), np.full(4, q), A=A, b=A @ z0,
-                             C=np.eye(4), d=z0 + 1.0)
+    def test_dependent_equality_rows_solve(self):
+        # row 2 is row 0 + row 1 up to rounding: the pivoted QR keeps two
+        # rows, and the answer equals the one on those two rows alone
+        for q, stepped in ((1.0, False), (-10.0, True)):
+            prob = dependent_rows_qp(q)
             point = solve_active_set(prob)
-            assert point.status == status
-            # the start satisfies the inequalities at q = 1 and needs no step
-            assert point.iterations == (0 if status == SOLVED else 1)
+            assert point.status == SOLVED
+            # at q = 1 the start satisfies the inequalities and needs no step
+            assert (point.iterations > 0) == stepped
+            oracle = brute_force_solve(
+                QpProblem(prob.P, prob.q, prob.A[:2], prob.b[:2], prob.C, prob.d)
+            )
+            np.testing.assert_allclose(point.z, oracle.z, atol=1e-8)
+            np.testing.assert_allclose(point.mu, oracle.mu, atol=1e-8)
+
+    def test_inconsistent_dependent_equality_rows_fail_without_raising(self):
+        # z1 + z2 = 1 and z1 + z2 = 2: the loop ends solved on the kept row,
+        # and the residual check on every equality row turns it to failed
+        prob = QpProblem(np.eye(2), np.zeros(2), A=[[1.0, 1.0], [1.0, 1.0]],
+                         b=[1.0, 2.0], C=[[1.0, 0.0]], d=[-5.0])
+        point = solve_active_set(prob)
+        assert point.status == "failed"
+        assert point.iterations == 1
+        assert point.r_p == pytest.approx(0.5)
 
     def test_consistent_dependent_equality_rows_solve_at_the_start(self):
         # the equality row stated twice, or more rows than variables: the
-        # start is the bordered, minimum-norm solve, and it already
-        # satisfies the inequality
+        # start on the rows the pivoted QR keeps already satisfies the
+        # inequality
         for A, b in (([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]),
                      ([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]], [1.0, 0.0, 1.0])):
             prob = QpProblem(np.eye(2), np.zeros(2), A=A, b=b,
@@ -231,7 +257,7 @@ class TestActiveSetSolver:
             assert point.iterations == 0
             np.testing.assert_allclose(point.z, [0.5, 0.5], atol=1e-12)
 
-    def test_structurally_dependent_equality_rows_fail_without_crashing(self):
+    def test_structurally_dependent_equality_rows_solve_without_crashing(self):
         # A has rank 440 of 500 here because some rows share their only
         # column, so K_J with J empty is structurally singular; the sparse LU
         # never sees it (its zero-pivot path crashed the interpreter)
@@ -240,15 +266,14 @@ class TestActiveSetSolver:
             " solve_active_set\n"
             "from qpdiff.errors import RankDeficiencyError\n"
             "prob = gen_random_sparse(1000, 2)\n"
-            "point = solve_active_set(prob)\n"
-            "print(point.status, point.iterations)\n"
+            "print(solve_active_set(prob).status)\n"
             "try:\n"
             "    EqualityBackend().solve(prob, SolveSettings())\n"
             "except RankDeficiencyError:\n"
             "    print('rank deficient')\n",
             OPENBLAS_NUM_THREADS="1",
         )
-        assert out.splitlines() == ["failed 1", "rank deficient"]
+        assert out.splitlines() == [SOLVED, "rank deficient"]
 
     def test_duals_complementary_and_nonnegative(self):
         for seed in range(20):
