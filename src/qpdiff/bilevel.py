@@ -40,7 +40,6 @@ class BilevelConfig:
     eps_abs: float = 1e-6
     eps_active: float = 1e-5
     warm_start: bool = False
-    halve_on_increase: bool = True
 
     def __post_init__(self):
         if not self.step_size > 0:
@@ -68,9 +67,9 @@ def run_bilevel(config: BilevelConfig, log_fn=None) -> BilevelResult:
 
     Stops when the loss reaches ``target`` or the iteration budget runs out.
     On a loss increase the step is halved and the iterate reverted, so the
-    recorded loss sequence is non-increasing when halving is enabled.  Any
-    outer optimizer could consume the same gradients; plain descent keeps
-    the iteration log easy to reason about.
+    recorded loss sequence is non-increasing.  Any outer optimizer could
+    consume the same gradients; plain descent keeps the iteration log easy
+    to reason about.
     """
     theta = config.theta0.copy()
     step = config.step_size
@@ -96,11 +95,7 @@ def run_bilevel(config: BilevelConfig, log_fn=None) -> BilevelResult:
         mu = sol.point.mu
         loss = float(mu @ mu)
 
-        if (
-            config.halve_on_increase
-            and prev is not None
-            and loss > prev[1] * (1.0 + 1e-12)
-        ):
+        if prev is not None and loss > prev[1] * (1.0 + 1e-12):
             theta, _, sol = prev
             mu = sol.point.mu
             loss = prev[1]

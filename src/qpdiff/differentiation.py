@@ -1,7 +1,8 @@
 """Dual recovery, forward directional derivatives, and the backward pass.
 
 Everything runs through one reduced KKT factorization per (problem, active
-set) pair: recovering missing duals, pushing a parameter perturbation
+set) pair, by :func:`qpdiff.kkt.solve_on` on the rows that factorization
+carries: recovering missing duals, pushing a parameter perturbation
 forward, and pulling a loss gradient back.  Because the reduced matrix is
 symmetric, the backward pass reuses the exact same solve as the forward
 (no transposed factorization exists or is needed).
@@ -27,7 +28,7 @@ from .identification import (
 )
 from .kkt import KktFactorization, assemble_reduced_kkt, factorize, solve_on
 from .metrics import residuals
-from .problem import QpProblem, RowScaling, normalize_constraints
+from .problem import QpProblem, RowScaling, is_symmetric, normalize_constraints
 from .solvers import SOLVED, PrimalDualPoint, SolveSettings, SolverBackend, get_backend
 
 __all__ = [
@@ -94,9 +95,10 @@ class DifferentiableSolution:
     """Solved QP bundled with everything needed to differentiate it.
 
     ``point`` always carries duals.  ``fact`` is the single reduced-KKT
-    factorization shared by dual recovery and all derivative solves.  It is
-    the backend's own (``point.fact``) when the backend factored K_J on the
-    rows identified here, and a fresh one otherwise.  The solver's primal z
+    factorization shared by dual recovery and all derivative solves; its
+    ``rows`` equal ``active.indices``.  It is the backend's own
+    (``point.fact``) when the backend factored K_J on the rows identified
+    here, and a fresh one otherwise.  The solver's primal z
     is kept as-is rather than overwritten by the KKT solve, so backend
     inaccuracy stays visible to diagnostics.
     Treated as immutable once built: concurrent forward/backward calls on
@@ -122,13 +124,16 @@ class DifferentiableSolution:
 def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
     """Dual variables implied by the reduced KKT system at the active set.
 
-    Solves K_J zeta = (-q, b, d_J) and keeps the dual blocks of the result;
-    ``z`` is not read, because the caller keeps its own primal point.  When
-    K_J is singular the duals are not unique and these are the minimum-norm
-    ones.
+    Solves K_J zeta = (-q, b, d_J) through ``fact``, which must be a
+    factorization on the rows of ``active`` (else :class:`ValueError`), and
+    keeps the dual blocks of the result; ``z`` is not read, because the
+    caller keeps its own primal point.  When K_J is singular the duals are
+    not unique and these are the minimum-norm ones.
     Returns ``(lam, mu)`` with mu scattered to full length (zero off J).
     """
-    _, lam, mu = solve_on(problem, active.indices, fact)
+    if not np.array_equal(active.indices, fact.rows):
+        raise ValueError("fact is a factorization on rows other than the active set")
+    _, lam, mu = solve_on(problem, fact, -problem.q, problem.b, problem.d)
     return lam, mu
 
 
@@ -140,11 +145,9 @@ def forward_directional(sol: DifferentiableSolution, direction: ParamDirection):
     full length with zeros on inactive rows.
     """
     problem = sol.problem
-    n, p = problem.n, problem.p
-    idx = sol.active.indices
+    n, p, m = problem.n, problem.p, problem.m
     z = sol.point.z
     lam = sol.point.lam if p else np.zeros(0)
-    mu_j = sol.point.mu[idx] if idx.size else np.zeros(0)
 
     top = np.zeros(n)
     if direction.dq is not None:
@@ -152,43 +155,31 @@ def forward_directional(sol: DifferentiableSolution, direction: ParamDirection):
         _check_len(dq, n, "dq")
         top += dq
     if direction.dP is not None:
-        dP = _check_mat(direction.dP, (n, n), "dP", symmetric=True)
+        dP = _check_mat(direction.dP, (n, n), "dP")
+        if not is_symmetric(dP):
+            raise ValueError("dP must be symmetric")
         top += dP @ z
-    dA = None
-    if direction.dA is not None:
-        dA = _check_mat(direction.dA, (p, n), "dA")
-        top += dA.T @ lam
-    dC_J = None
-    if direction.dC is not None:
-        dC = _check_mat(direction.dC, (problem.m, n), "dC")
-        dC_J = sp.csr_array(dC)[idx] if idx.size else None
-        if dC_J is not None:
-            top += dC_J.T @ mu_j
-
     mid = np.zeros(p)
     if direction.db is not None:
         db = np.asarray(direction.db, dtype=float).ravel()
         _check_len(db, p, "db")
         mid += db
-    if dA is not None:
+    if direction.dA is not None:
+        dA = _check_mat(direction.dA, (p, n), "dA")
+        top += dA.T @ lam
         mid -= dA @ z
-
-    bot = np.zeros(idx.size)
+    bot = np.zeros(m)
     if direction.dd is not None:
         dd = np.asarray(direction.dd, dtype=float).ravel()
-        _check_len(dd, problem.m, "dd")
-        bot += dd[idx]
-    if dC_J is not None:
-        bot -= dC_J @ z
+        _check_len(dd, m, "dd")
+        bot += dd
+    if direction.dC is not None:
+        dC = _check_mat(direction.dC, (m, n), "dC")
+        J = sol.fact.rows
+        top += sp.csr_array(dC)[J].T @ sol.point.mu[J]
+        bot -= dC @ z
 
-    rhs = np.concatenate([-top, mid, bot])
-    step = sol.fact.solve(rhs)
-    dz = step[:n]
-    dlam = step[n : n + p]
-    dmu = np.zeros(problem.m)
-    if idx.size:
-        dmu[idx] = step[n + p :]
-    return dz, dlam, dmu
+    return solve_on(problem, sol.fact, -top, mid, bot)
 
 
 def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
@@ -202,7 +193,6 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
     """
     problem = sol.problem
     n, p, m = problem.n, problem.p, problem.m
-    idx = sol.active.indices
     fixed = frozenset(fixed)
     unknown = fixed - set(PARAM_NAMES)
     if unknown:
@@ -214,38 +204,31 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
     if grad_lam is not None:
         gl = np.asarray(grad_lam, dtype=float).ravel()
         _check_len(gl, p, "grad_lam")
-    gm_j = np.zeros(idx.size)
+    gm = np.zeros(m)
     if grad_mu is not None:
         gm = np.asarray(grad_mu, dtype=float).ravel()
         _check_len(gm, m, "grad_mu")
-        off = np.setdiff1d(np.flatnonzero(gm != 0.0), idx)
+        off = np.setdiff1d(np.flatnonzero(gm != 0.0), sol.fact.rows)
         if off.size:
             log.debug(
                 "backward: ignoring mu-gradient on %d inactive rows", off.size
             )
-        if idx.size:
-            gm_j = gm[idx]
 
     # symmetric K_J: the adjoint solve is the same solve
-    u = sol.fact.solve(np.concatenate([gz, gl, gm_j]))
-    d_z = -u[:n]
-    d_lam = -u[n : n + p]
-    d_mu = -u[n + p :]
+    u_z, u_lam, u_mu = solve_on(problem, sol.fact, gz, gl, gm)
+    d_z, d_lam, d_mu = -u_z, -u_lam, -u_mu
 
     z = sol.point.z
     lam = sol.point.lam if p else np.zeros(0)
-    mu_full = sol.point.mu if m else np.zeros(0)
-    d_mu_full = np.zeros(m)
-    if idx.size:
-        d_mu_full[idx] = d_mu
+    mu = sol.point.mu if m else np.zeros(0)
 
     grad_P = grad_q = grad_A = grad_b = grad_C = grad_d = None
     if "q" not in fixed:
-        grad_q = d_z.copy()
+        grad_q = d_z
     if "b" not in fixed:
-        grad_b = -d_lam.copy()
+        grad_b = u_lam
     if "d" not in fixed:
-        grad_d = -d_mu_full
+        grad_d = u_mu
     if "P" not in fixed:
         grad_P = _pattern_outer(problem.P, d_z, z, z, d_z, half=True)
     if "A" not in fixed and p:
@@ -253,7 +236,7 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
     elif "A" not in fixed:
         grad_A = sp.csc_array((0, n))
     if "C" not in fixed and m:
-        grad_C = _pattern_outer(problem.C, d_mu_full, z, mu_full, d_z)
+        grad_C = _pattern_outer(problem.C, d_mu, z, mu, d_z)
     elif "C" not in fixed:
         grad_C = sp.csc_array((0, n))
 
@@ -282,15 +265,10 @@ def _check_len(vec, length, name):
         raise ValueError(f"{name} has length {vec.shape[0]}, expected {length}")
 
 
-def _check_mat(mat, shape, name, symmetric=False):
+def _check_mat(mat, shape, name):
     out = sp.csc_array(mat)
     if out.shape != shape:
         raise ValueError(f"{name} has shape {out.shape}, expected {shape}")
-    if symmetric and out.shape[0]:
-        asym = abs(out - out.T)
-        scale = max(1.0, abs(out).max() if out.nnz else 0.0)
-        if (asym.max() if asym.nnz else 0.0) > 1e-12 * scale:
-            raise ValueError(f"{name} must be symmetric")
     return out
 
 
@@ -349,7 +327,6 @@ def differentiable_solve(
             r_p=point.r_p,
             r_d=point.r_d,
             iterations=point.iterations,
-            working_set=point.working_set,
         )
 
     # the backend's own K_J factorization, when it factored the same rows of
@@ -357,7 +334,7 @@ def differentiable_solve(
     if (
         scaling is None
         and point.fact is not None
-        and np.array_equal(active.indices, point.working_set)
+        and np.array_equal(active.indices, point.fact.rows)
     ):
         fact = point.fact
     else:

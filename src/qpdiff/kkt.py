@@ -9,12 +9,14 @@ The reduced KKT matrix for an active set J is the symmetric saddle matrix
 Apart from the independent oracles and the active-set backend's start and
 steps, which use a Cholesky factor and a QR of their own, this module is
 the only place such systems are built and solved.  Its consumers are the
-ADMM iteration matrix (K_J on every row plus a diagonal shift), the forward
-and backward derivatives, and, through :func:`solve_on`, every point on a
-row set J: the equality backend (J empty), the active-set and ADMM
-finishing solves on their final rows, and dual recovery.  One factorization
-of K_J serves a backend's finishing solve, dual recovery and every
-derivative solve for the same (problem, J) pair.  A singular K_J is
+ADMM iteration matrix (K_J on every row plus a diagonal shift) and, through
+:func:`solve_on`, every solve on a row set J: the equality backend (J
+empty), the active-set and ADMM finishing solves on their final rows, dual
+recovery, and the forward and backward derivatives.  A factorization
+carries its rows J, so :func:`solve_on` is the one place that gathers a
+right-hand side onto J and scatters the result back to length m.  One
+factorization of K_J serves a backend's finishing solve, dual recovery and
+every derivative solve for the same (problem, J) pair.  A singular K_J is
 bordered with a basis of its null space and factored by the same sparse
 LU, so its solves return the minimum-norm least-squares solution.
 """
@@ -48,16 +50,16 @@ _PIVOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ReducedKkt:
-    """Assembled reduced KKT matrix with its block sizes."""
+    """Assembled reduced KKT matrix with its block sizes and its rows J."""
 
     matrix: sp.csc_array
     n: int
     p: int
-    k: int
+    rows: np.ndarray
 
     @property
     def order(self):
-        return self.n + self.p + self.k
+        return self.n + self.p + self.rows.size
 
 
 def assemble_reduced_kkt(problem, active) -> ReducedKkt:
@@ -107,27 +109,29 @@ def assemble_reduced_kkt(problem, active) -> ReducedKkt:
     else:
         mat = sp.csc_array((order, order))
     mat.sort_indices()
-    return ReducedKkt(matrix=mat, n=n, p=p, k=k)
+    return ReducedKkt(matrix=mat, n=n, p=p, rows=indices)
 
 
 class KktFactorization:
     """Reusable solver for K_J systems.
 
-    ``mode`` is ``"direct"`` when K_J itself was factored, else
-    ``"least_squares"``: K_J was bordered and solves return the minimum-norm
-    least-squares solution.  ``rank`` is the rank of K_J.  Because K_J is
-    symmetric, the same code path serves forward and adjoint solves.
+    ``rows`` is the row set J of K_J.  ``mode`` is ``"direct"`` when K_J
+    itself was factored, else ``"least_squares"``: K_J was bordered and
+    solves return the minimum-norm least-squares solution.  ``rank`` is the
+    rank of K_J.  Because K_J is symmetric, the same code path serves
+    forward and adjoint solves.
     Instances are immutable after construction; concurrent solves are safe.
     """
 
-    def __init__(self, matrix, mode, lu, factored, rank):
-        self.matrix = matrix
+    def __init__(self, kkt, mode, lu, factored, rank):
+        self.matrix = kkt.matrix
+        self.rows = kkt.rows
         self.mode = mode
         self._lu = lu
         # the exact matrix ``lu`` factors: K_J, or K_J bordered by its null basis
         self._factored = factored
         self.rank = rank
-        self.order = matrix.shape[0]
+        self.order = kkt.order
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float).ravel()
@@ -158,7 +162,7 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     mat = kkt.matrix
     lu = _checked_lu(mat)
     if lu is not None:
-        return KktFactorization(mat, DIRECT, lu, mat, kkt.order)
+        return KktFactorization(kkt, DIRECT, lu, mat, kkt.order)
 
     Z = _null_basis(kkt)
     bordered = sp.block_array([[mat, Z], [Z.T, None]], format="csc")
@@ -167,21 +171,23 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
         raise RankDeficiencyError(
             "reduced KKT matrix is singular: P is not positive definite on null([A; C_J])"
         )
-    return KktFactorization(mat, LEAST_SQUARES, lu, bordered, kkt.order - Z.shape[1])
+    return KktFactorization(kkt, LEAST_SQUARES, lu, bordered, kkt.order - Z.shape[1])
 
 
-def solve_on(problem, J, fact: KktFactorization):
-    """The point on rows J: solves K_J (z, lam, mu_J) = (-q, b, d_J) through
-    ``fact``, a factorization of K_J.
+def solve_on(problem, fact: KktFactorization, top, mid, bot):
+    """Solve K_J (x, y, w_J) = (top, mid, bot_J) through ``fact``, a
+    factorization of K_J on rows J = ``fact.rows``.
 
-    Returns ``(z, lam, mu)`` with mu scattered to length m (zero off J).
-    When K_J is singular these are the minimum-norm solution.
+    ``bot`` has length m and is gathered onto J.  Returns ``(x, y, w)`` with
+    w scattered to length m (zero off J).  The point on J is
+    ``solve_on(problem, fact, -q, b, d)``.  When K_J is singular the result
+    is the minimum-norm solution.
     """
     n, p = problem.n, problem.p
-    sol = fact.solve(np.concatenate([-problem.q, problem.b, problem.d[J]]))
-    mu = np.zeros(problem.m)
-    mu[J] = sol[n + p :]
-    return sol[:n], sol[n : n + p], mu
+    sol = fact.solve(np.concatenate([top, mid, bot[fact.rows]]))
+    w = np.zeros(problem.m)
+    w[fact.rows] = sol[n + p :]
+    return sol[:n], sol[n : n + p], w
 
 
 def _checked_lu(matrix):

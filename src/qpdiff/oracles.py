@@ -87,9 +87,7 @@ def brute_force_solve(problem) -> PrimalDualPoint:
                 continue
             mu = np.zeros(m)
             mu[S] = np.maximum(mu_s, 0.0)
-            point = PrimalDualPoint(
-                z=z, lam=lam, mu=mu, status=SOLVED, working_set=S
-            )
+            point = PrimalDualPoint(z=z, lam=lam, mu=mu, status=SOLVED)
             res = residuals(problem, point)
             point.r_p, point.r_d = res.r_p, res.r_d
             if max(res.r_p, res.r_d) > solve_tol * 10:

@@ -33,6 +33,13 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 
 
+def is_symmetric(mat) -> bool:
+    """max|M - M'| <= SYMMETRY_RTOL * max(1, max|M|) for a sparse square M."""
+    asym = abs(mat - mat.T)
+    scale = max(1.0, abs(mat).max() if mat.nnz else 0.0)
+    return bool((asym.max() if asym.nnz else 0.0) <= SYMMETRY_RTOL * scale)
+
+
 def _as_csc(mat, shape, name):
     """Coerce dense/sparse input to canonical CSC (sorted, duplicate-free)."""
     if mat is None:
@@ -163,9 +170,7 @@ def validate(problem: QpProblem, check_pd: bool = False) -> ValidationReport:
     """
     messages = []
 
-    asym = abs(problem.P - problem.P.T)
-    scale = max(1.0, abs(problem.P).max() if problem.P.nnz else 0.0)
-    symmetric = bool((asym.max() if asym.nnz else 0.0) <= SYMMETRY_RTOL * scale)
+    symmetric = is_symmetric(problem.P)
     if not symmetric:
         messages.append("P is not symmetric")
 
@@ -256,8 +261,9 @@ def _scale_rows(mat, scales):
 # {"rows": r, "cols": c, "triplets": [[i, j, v], ...]} with triplets sorted
 # column-major, zero-based and duplicate-free; "q", "b", "d" as arrays.
 # P may carry "symmetric_lower": true, in which case only i >= j entries are
-# stored.  Values are written as decimals with 17 significant digits, which
-# round-trips IEEE doubles exactly.
+# stored.  Values are written with Python's float repr, the shortest decimal
+# that round-trips an IEEE double exactly; infinite bounds are written as
+# Infinity or -Infinity.
 
 
 def store_problem(problem: QpProblem, path) -> None:
@@ -273,28 +279,8 @@ def store_problem(problem: QpProblem, path) -> None:
         "d": [float(v) for v in problem.d],
     }
     with open(path, "w") as fh:
-        fh.write(_emit(obj))
+        json.dump(obj, fh)
         fh.write("\n")
-
-
-def _emit(obj, indent=0):
-    """Serialize to JSON with floats printed to 17 significant digits."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad} "{k}": {_emit(v, indent + 1).lstrip()}' for k, v in obj.items()
-        )
-        return f"{pad}{{\n{items}\n{pad}}}"
-    if isinstance(obj, list):
-        inner = ", ".join(_emit(v).lstrip() for v in obj)
-        return f"{pad}[{inner}]"
-    if isinstance(obj, bool):
-        return f"{pad}{'true' if obj else 'false'}"
-    if isinstance(obj, int):
-        return f"{pad}{obj}"
-    if isinstance(obj, float):
-        return pad + format(obj, ".17g")
-    return pad + json.dumps(obj)
 
 
 def _matrix_to_json(mat):
@@ -334,9 +320,14 @@ def load_problem(path) -> QpProblem:
 
 def _int_field(obj, key, path):
     v = obj[key]
-    if not isinstance(v, int) or v < 0:
+    if not _is_int(v) or v < 0:
         raise ProblemFormatError(f"{path}: '{key}' must be a nonnegative integer")
     return v
+
+
+def _is_int(v):
+    """A JSON integer; ``bool`` is an ``int`` in Python, so it is excluded."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _vector_from_json(raw, length, name, path):
@@ -353,10 +344,13 @@ def _vector_from_json(raw, length, name, path):
 def _matrix_from_json(raw, shape, name, path):
     if not isinstance(raw, dict) or "triplets" not in raw:
         raise ProblemFormatError(f"{path}: '{name}' must be a triplet object")
-    if (raw.get("rows"), raw.get("cols")) != shape:
+    for key in ("rows", "cols"):
+        if not _is_int(raw.get(key)):
+            raise ProblemFormatError(f"{path}: '{name}.{key}' must be an integer")
+    if (raw["rows"], raw["cols"]) != shape:
         raise ProblemFormatError(
             f"{path}: '{name}' declares shape "
-            f"({raw.get('rows')}, {raw.get('cols')}), expected {shape}"
+            f"({raw['rows']}, {raw['cols']}), expected {shape}"
         )
     lower = bool(raw.get("symmetric_lower", False))
     if lower and name != "P":
@@ -369,7 +363,7 @@ def _matrix_from_json(raw, shape, name, path):
         if not isinstance(trip, list) or len(trip) != 3:
             raise ProblemFormatError(f"{loc}: expected [i, j, v]")
         i, j, v = trip
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise ProblemFormatError(f"{loc}: indices must be integers")
         if not (0 <= i < shape[0] and 0 <= j < shape[1]):
             raise ProblemFormatError(f"{loc}: index ({i}, {j}) out of range")

@@ -74,13 +74,12 @@ class SolveSettings:
 class PrimalDualPoint:
     """Primal solution with optional duals and achieved residuals.
 
-    ``working_set`` holds the inequality rows the backend's final solve held
-    tight, when it has one: the active-set backend's working rows, or the
-    rows J of the ADMM finishing solve.  ``fact`` is the factorization of
-    the exact reduced KKT matrix on ``working_set`` that produced the point,
-    when the backend made one (active set; ADMM, when its finishing solve is
-    accepted); ``differentiable_solve`` reuses it when it identifies the
-    same rows.
+    ``fact`` is the factorization of the exact reduced KKT matrix that
+    produced the point, when the backend made one (equality; active set;
+    ADMM, when its finishing solve is accepted).  Its ``rows`` are the
+    inequality rows that final solve held tight: the active-set backend's
+    working rows, or the rows J of the ADMM finishing solve.
+    ``differentiable_solve`` reuses it when it identifies the same rows.
     """
 
     z: np.ndarray
@@ -90,7 +89,6 @@ class PrimalDualPoint:
     r_p: float = np.nan
     r_d: float = np.nan
     iterations: int = 0
-    working_set: np.ndarray | None = None
     fact: KktFactorization | None = None
 
     @property
@@ -164,7 +162,8 @@ class ActiveSetBackend(SolverBackend):
     all equality rows and the final working rows through ``qpdiff.kkt``: the
     minimum-norm ``lam`` when the equality rows are dependent, and ``failed``
     when they are inconsistent.  The point carries that factorization as
-    ``fact`` for ``differentiable_solve`` to reuse.
+    ``fact``, whose ``rows`` are the final working rows, for
+    ``differentiable_solve`` to reuse.
     """
 
     name = "active_set"
@@ -301,7 +300,7 @@ class AdmmBackend(SolverBackend):
     never finishes costs few factorizations.  When the iteration converges
     on its own, the same solve runs once on the final iterate and is kept
     only when it also lowers the larger of the two residuals.  An accepted
-    point carries J as ``working_set`` and its factorization as ``fact``.
+    point carries the factorization of K_J as ``fact``, whose ``rows`` are J.
     ``polish = False`` turns the finishing solve off.
     """
 
@@ -436,12 +435,12 @@ def solve_admm(problem, settings=None):
 
 
 def _point_on(problem, J):
-    """The point on rows J from one factorization of K_J, carrying J as
-    ``working_set`` and the factorization as ``fact``; raises
+    """The point on rows J from one factorization of K_J, carrying the
+    factorization (and with it J) as ``fact``; raises
     :class:`RankDeficiencyError` when K_J cannot be factored."""
     fact = factorize(assemble_reduced_kkt(problem, J))
-    z, lam, mu = solve_on(problem, J, fact)
-    return PrimalDualPoint(z=z, lam=lam, mu=mu, working_set=J, fact=fact)
+    z, lam, mu = solve_on(problem, fact, -problem.q, problem.b, problem.d)
+    return PrimalDualPoint(z=z, lam=lam, mu=mu, fact=fact)
 
 
 class PrimalOnlyBackend(SolverBackend):

@@ -65,6 +65,17 @@ class TestRecoverDuals:
             if prob.p:
                 np.testing.assert_allclose(lam, exact.lam, atol=1e-6)
 
+    def test_factorization_on_other_rows_raises(self):
+        # the optimum (-2, -3) holds row 0 tight; a factorization on row 1
+        # alone has the same order and would give mu = (-1, 0), not (1, 0)
+        prob = QpProblem(np.eye(2), [1.0, 3.0], C=np.eye(2), d=[-2.0, 5.0])
+        z = np.array([-2.0, -3.0])
+        active = identify(prob, z)
+        np.testing.assert_array_equal(active.indices, [0])
+        fact = factorize(assemble_reduced_kkt(prob, np.array([1])))
+        with pytest.raises(ValueError, match="rows"):
+            recover_duals(prob, z, active, fact)
+
     def test_least_squares_mode_minimizes_stationarity(self):
         # duplicated active row: K_J singular, duals from least squares
         prob = QpProblem([[1.0]], [0.0], C=[[1.0], [1.0]], d=[-1.0, -1.0])

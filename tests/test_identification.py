@@ -49,7 +49,7 @@ class TestIdentify:
         large = identify(prob, point.z, 1e-2).indices
         assert set(small) <= set(large)
 
-    def test_matches_solver_working_set(self):
+    def test_matches_solver_working_rows(self):
         hits = 0
         for seed in range(100):
             prob = random_mixed_qp(5 + seed % 5, 4 + seed % 6, seed % 2, seed=seed)
@@ -58,7 +58,7 @@ class TestIdentify:
                 continue
             active = identify(prob, point.z, 1e-5)
             np.testing.assert_array_equal(
-                active.indices, point.working_set, err_msg=f"seed {seed}"
+                active.indices, point.fact.rows, err_msg=f"seed {seed}"
             )
             hits += 1
         assert hits >= 95

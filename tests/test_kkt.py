@@ -9,11 +9,12 @@ from qpdiff import (
     condition_estimate,
     factorize,
     full_implicit_matrix,
+    gen_simplex,
     identify,
     solve_active_set,
 )
 from qpdiff.errors import RankDeficiencyError
-from qpdiff.kkt import DIRECT, LEAST_SQUARES
+from qpdiff.kkt import DIRECT, LEAST_SQUARES, solve_on
 
 from helpers import random_mixed_qp
 
@@ -28,7 +29,8 @@ class TestAssemble:
         np.testing.assert_array_equal(
             kkt.matrix.toarray(), [[1.0, 1.0], [1.0, 0.0]]
         )
-        assert (kkt.n, kkt.p, kkt.k) == (1, 0, 1)
+        assert (kkt.n, kkt.p, kkt.order) == (1, 0, 2)
+        np.testing.assert_array_equal(kkt.rows, [0])
 
     def test_empty_active_set_no_equalities_gives_p(self):
         prob = QpProblem(np.diag([2.0, 3.0]), np.zeros(2), C=[[1.0, 0.0]], d=[9.0])
@@ -177,6 +179,26 @@ class TestSolveWith:
         with pytest.raises(ValueError):
             fact.solve(np.zeros(5))
 
+    def test_solve_on_gathers_and_scatters_the_rows_of_a_bordered_factorization(self):
+        # the simplex's equality row stated twice makes K_J singular, so the
+        # factorization on the identified rows is the bordered one
+        base = gen_simplex(300, seed=881707420)[0]
+        prob = QpProblem(
+            base.P, base.q, sp.vstack([base.A, base.A]),
+            np.concatenate([base.b, base.b]), base.C, base.d,
+        )
+        active = identify(prob, solve_active_set(prob).z)
+        fact = factorize(assemble_reduced_kkt(prob, active))
+        assert fact.mode == LEAST_SQUARES
+        np.testing.assert_array_equal(fact.rows, active.indices)
+        rng = np.random.Generator(np.random.PCG64(12))
+        top, mid, bot = (rng.standard_normal(k) for k in (prob.n, prob.p, prob.m))
+        x, y, w = solve_on(prob, fact, top, mid, bot)
+        off = np.setdiff1d(np.arange(prob.m), active.indices)
+        assert off.size and np.all(w[off] == 0.0)
+        expected = fact.solve(np.concatenate([top, mid, bot[active.indices]]))
+        np.testing.assert_array_equal(np.concatenate([x, y, w[active.indices]]), expected)
+
     def test_roundtrip_on_random_vectors(self):
         prob = random_mixed_qp(12, 8, 2, seed=6)
         kkt = assemble_reduced_kkt(prob, np.array([0, 3, 5]))
@@ -270,7 +292,7 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(differentiation, "factorize", counting_factorize)
         sol = differentiable_solve(gen_random_dense(60, 0), "active_set")
-        np.testing.assert_array_equal(sol.active.indices, sol.point.working_set)
+        np.testing.assert_array_equal(sol.active.indices, sol.point.fact.rows)
         assert len(calls) == 0
         assert sol.fact is sol.point.fact
 

@@ -12,6 +12,7 @@ from qpdiff import (
     finite_difference_jacobian,
     forward_directional,
     full_implicit_jacobian,
+    identify,
     residuals,
     solve_active_set,
 )
@@ -35,7 +36,7 @@ class TestBruteForce:
         point = brute_force_solve(prob)
         np.testing.assert_allclose(point.z, [-1.0], atol=1e-12)
         np.testing.assert_allclose(point.mu, [1.0], atol=1e-12)
-        np.testing.assert_array_equal(point.working_set, [0])
+        np.testing.assert_array_equal(identify(prob, point.z).indices, [0])
 
     def test_slack_constraints_reduce_to_unconstrained(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -45,7 +46,7 @@ class TestBruteForce:
         prob = QpProblem(P, q, C=rng.standard_normal((3, 4)), d=1e6 * np.ones(3))
         point = brute_force_solve(prob)
         np.testing.assert_allclose(point.z, np.linalg.solve(P, -q), atol=1e-9)
-        assert point.working_set.size == 0
+        assert identify(prob, point.z).size == 0
 
     def test_simplex_clipping_matches_active_set_solver(self):
         prob = simplex_problem([0.9, 0.9, 0.9])

@@ -149,11 +149,13 @@ class TestNormalize:
 
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
-        prob = two_dee()
-        path = tmp_path / "two_dee.json"
-        store_problem(prob, path)
-        again = load_problem(path)
-        assert again.data_equal(prob)
+        # the second input has an infinite bound, which JSON has no literal for
+        unbounded = QpProblem(np.eye(2), np.zeros(2), C=np.eye(2), d=[np.inf, 1.0])
+        for k, prob in enumerate((two_dee(), unbounded)):
+            path = tmp_path / f"p{k}.json"
+            store_problem(prob, path)
+            again = load_problem(path)
+            assert again.data_equal(prob)
 
     def test_round_trip_random_problems_bit_exact(self, tmp_path):
         for seed in range(3):
@@ -237,6 +239,31 @@ class TestSerialization:
         }
         path.write_text(json.dumps(obj))
         with pytest.raises(ProblemFormatError, match=r"C.triplets\[0\]"):
+            load_problem(path)
+
+    @pytest.mark.parametrize(
+        "key, match",
+        [("n", "'n'"), ("rows", "'P.rows'"), ("cols", "'P.cols'"),
+         ("triplet", r"P.triplets\[0\]")],
+    )
+    def test_boolean_where_an_integer_is_needed_rejected(self, tmp_path, key, match):
+        # bool is an int in Python, so true would otherwise load as 1
+        obj = {
+            "n": 1, "p": 0, "m": 0,
+            "P": {"rows": 1, "cols": 1, "triplets": [[0, 0, 1.0]]},
+            "A": {"rows": 0, "cols": 1, "triplets": []},
+            "C": {"rows": 0, "cols": 1, "triplets": []},
+            "q": [0.0], "b": [], "d": [],
+        }
+        if key == "n":
+            obj["n"] = True
+        elif key == "triplet":
+            obj["P"]["triplets"] = [[False, False, 1.0]]
+        else:
+            obj["P"][key] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ProblemFormatError, match=match):
             load_problem(path)
 
     def test_invalid_json_reports_path(self, tmp_path):

@@ -121,7 +121,7 @@ class TestActiveSetSolver:
             oracle = brute_force_solve(prob)
             np.testing.assert_allclose(point.z, oracle.z, atol=1e-6)
             # every step adds a row unless a working multiplier hits zero
-            drop_steps += point.iterations > point.working_set.size
+            drop_steps += point.iterations > point.fact.rows.size
         assert drop_steps >= 1
 
     def test_phase_one_handles_infeasible_equality_start(self):
@@ -142,7 +142,7 @@ class TestActiveSetSolver:
         assert point.status == SOLVED
         np.testing.assert_allclose(point.z, [-2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(point.mu, [0.0, 20.0], atol=1e-10)
-        np.testing.assert_array_equal(point.working_set, [1])
+        np.testing.assert_array_equal(point.fact.rows, [1])
         assert point.iterations == 3
 
     @pytest.mark.parametrize("with_equality", [False, True])
@@ -172,7 +172,7 @@ class TestActiveSetSolver:
             point = solve_active_set(prob, SolveSettings(max_iterations=budget))
             assert point.mu.shape == (prob.m,)
             assert np.all(np.isfinite(point.mu))
-            assert point.working_set.size <= prob.m
+            assert point.fact.rows.size <= prob.m
 
     def test_steps_make_no_equality_solve(self, monkeypatch):
         # the start and the steps work from one Cholesky factor and an
@@ -340,7 +340,7 @@ class TestAdmmSolver:
         res = residuals(prob, point)
         assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
         assert point.mu.min() >= 0.0
-        np.testing.assert_array_equal(point.working_set, identify(prob, point.z).indices)
+        np.testing.assert_array_equal(point.fact.rows, identify(prob, point.z).indices)
         # the attempt rule reads no clock: the same finish on every run
         assert again.iterations == point.iterations
         np.testing.assert_array_equal(again.z, point.z)
