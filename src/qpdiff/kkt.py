@@ -6,19 +6,22 @@ The reduced KKT matrix for an active set J is the symmetric saddle matrix
           [ A    0    0    ]
           [ C_J  0    0    ]
 
-Apart from the independent oracles and the active-set backend's start and
-steps, which use a Cholesky factor and a QR of their own, this module is
-the only place such systems are built and solved.  Its consumers are the
-ADMM iteration matrix (K_J on every row plus a diagonal shift) and, through
-:func:`solve_on`, every solve on a row set J: the equality backend (J
-empty), the active-set and ADMM finishing solves on their final rows, dual
-recovery, and the forward and backward derivatives.  A factorization
-carries its rows J, so :func:`solve_on` is the one place that gathers a
-right-hand side onto J and scatters the result back to length m.  One
-factorization of K_J serves a backend's finishing solve, dual recovery and
-every derivative solve for the same (problem, J) pair.  A singular K_J is
-bordered with a basis of its null space and factored by the same sparse
-LU, so its solves return the minimum-norm least-squares solution.
+Apart from the independent oracles, the active-set backend's start and
+steps, which use a Cholesky factor and a QR of their own, and ADMM's
+iteration on dense data, which factors a reduced n x n matrix by Cholesky,
+this module is the only place such systems are built and solved.  Its
+consumers are the ADMM iteration matrix on sparse data (K_J on every row
+plus a diagonal shift) and, through :func:`solve_on`, every solve on a row
+set J: the equality backend (J empty), the active-set and ADMM finishing
+solves on their final rows, dual recovery, and the forward and backward
+derivatives.  A factorization carries its rows J, so :func:`solve_on` is
+the one place that gathers a right-hand side onto J and scatters the
+result back to length m.  One factorization of K_J serves a backend's
+finishing solve, dual recovery and every derivative solve for the same
+(problem, J) pair.  A K_J with at least a quarter of its entries nonzero
+is factored by dense LAPACK LU, any other by SuperLU.  A singular K_J is
+bordered with a basis of its null space and factored by the same engine,
+so its solves return the minimum-norm least-squares solution.
 """
 
 from __future__ import annotations
@@ -44,8 +47,17 @@ __all__ = [
 
 DIRECT = "direct"
 LEAST_SQUARES = "least_squares"
+DENSE = "dense"
+SPARSE = "sparse"
 
 _PIVOT_RTOL = 1e-12
+# a matrix with at least this share of its entries nonzero is factored dense
+_DENSE_FILL = 0.25
+
+
+def _dense_enough(nnz, order):
+    """Whether a square matrix of this order and nnz is factored dense."""
+    return nnz >= _DENSE_FILL * order * order
 
 
 @dataclass(frozen=True)
@@ -117,16 +129,18 @@ class KktFactorization:
 
     ``rows`` is the row set J of K_J.  ``mode`` is ``"direct"`` when K_J
     itself was factored, else ``"least_squares"``: K_J was bordered and
-    solves return the minimum-norm least-squares solution.  ``rank`` is the
+    solves return the minimum-norm least-squares solution.  ``engine`` is
+    ``"dense"`` (LAPACK LU) or ``"sparse"`` (SuperLU).  ``rank`` is the
     rank of K_J.  Because K_J is symmetric, the same code path serves
     forward and adjoint solves.
     Instances are immutable after construction; concurrent solves are safe.
     """
 
-    def __init__(self, kkt, mode, lu, factored, rank):
+    def __init__(self, kkt, mode, engine, lu, factored, rank):
         self.matrix = kkt.matrix
         self.rows = kkt.rows
         self.mode = mode
+        self.engine = engine
         self._lu = lu
         # the exact matrix ``lu`` factors: K_J, or K_J bordered by its null basis
         self._factored = factored
@@ -151,8 +165,10 @@ class KktFactorization:
 
 
 def factorize(kkt: ReducedKkt) -> KktFactorization:
-    """Factor K_J once for reuse, by sparse LU.
+    """Factor K_J once for reuse, by LU.
 
+    The engine is dense LAPACK LU when at least a quarter of the entries of
+    K_J are nonzero, else SuperLU, and it serves the bordered matrix too.
     A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]`` is
     factored, with Z a null-space basis of K_J, and the leading block of its
     solution is the minimum-norm least-squares solution.  Raises
@@ -160,18 +176,21 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     not positive definite on the null space of ``[A; C_J]``.
     """
     mat = kkt.matrix
-    lu = _checked_lu(mat)
+    engine = DENSE if _dense_enough(mat.nnz, kkt.order) else SPARSE
+    factored, lu = _checked_lu(mat, engine)
     if lu is not None:
-        return KktFactorization(kkt, DIRECT, lu, mat, kkt.order)
+        return KktFactorization(kkt, DIRECT, engine, lu, factored, kkt.order)
 
     Z = _null_basis(kkt)
     bordered = sp.block_array([[mat, Z], [Z.T, None]], format="csc")
-    lu = _checked_lu(bordered)
+    factored, lu = _checked_lu(bordered, engine)
     if lu is None:
         raise RankDeficiencyError(
             "reduced KKT matrix is singular: P is not positive definite on null([A; C_J])"
         )
-    return KktFactorization(kkt, LEAST_SQUARES, lu, bordered, kkt.order - Z.shape[1])
+    return KktFactorization(
+        kkt, LEAST_SQUARES, engine, lu, factored, kkt.order - Z.shape[1]
+    )
 
 
 def solve_on(problem, fact: KktFactorization, top, mid, bot):
@@ -190,14 +209,46 @@ def solve_on(problem, fact: KktFactorization, top, mid, bot):
     return sol[:n], sol[n : n + p], w
 
 
-def _checked_lu(matrix):
-    """Sparse LU of ``matrix``, or None when it fails the pivot check."""
-    lu = _lu_or_none(matrix)
-    if lu is None:
-        return None
-    diag = np.abs(lu.U.diagonal())
+def _checked_lu(matrix, engine):
+    """``(factored, lu)``: the matrix in the engine's format and its LU, with
+    ``lu`` None when it fails the pivot check."""
+    if engine == DENSE:
+        factored = matrix.toarray()
+        lu = _DenseLu(factored)
+        diag = np.abs(np.diagonal(lu.lu))
+    else:
+        factored = matrix
+        lu = _lu_or_none(matrix)
+        if lu is None:
+            return factored, None
+        diag = np.abs(lu.U.diagonal())
     ok = diag.size and np.all(np.isfinite(diag)) and diag.min() > _PIVOT_RTOL * diag.max()
-    return lu if ok else None
+    return factored, (lu if ok else None)
+
+
+class _DenseLu:
+    """LAPACK LU with partial pivoting (``getrf``) of a dense matrix.
+
+    Solves apply the row permutation and two triangular solves.  LAPACK's
+    own ``getrs`` is not used: with OpenBLAS 0.3.31, threads calling it on
+    one shared factorization have aborted and crashed the interpreter,
+    while triangular solves on shared factors are safe.  ``getrf`` is
+    memory-safe on singular input and returns its zero pivots in U.
+    """
+
+    def __init__(self, matrix):
+        self.lu, piv, _ = scipy.linalg.lapack.dgetrf(matrix)
+        # getrf swaps row i with row piv[i], in turn; apply them once here
+        perm = np.arange(matrix.shape[0])
+        for i, j in enumerate(piv):
+            perm[i], perm[j] = perm[j], perm[i]
+        self.perm = perm
+
+    def solve(self, rhs):
+        y = scipy.linalg.solve_triangular(
+            self.lu, rhs[self.perm], lower=True, unit_diagonal=True, check_finite=False
+        )
+        return scipy.linalg.solve_triangular(self.lu, y, check_finite=False)
 
 
 def _lu_or_none(matrix):

@@ -16,12 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky, qr, qr_delete, qr_insert, solve_triangular
+from scipy.linalg import (
+    cho_factor,
+    cho_solve,
+    cholesky,
+    qr,
+    qr_delete,
+    qr_insert,
+    solve_triangular,
+)
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
 from .identification import DEFAULT_EPS_ACTIVE, identify
-from .kkt import DIRECT, KktFactorization, assemble_reduced_kkt, factorize, solve_on
+from .kkt import (
+    DIRECT,
+    KktFactorization,
+    _dense_enough,
+    assemble_reduced_kkt,
+    factorize,
+    solve_on,
+)
 from .metrics import primal_dual_residuals, residuals
 from .problem import QpProblem
 
@@ -284,11 +299,16 @@ def solve_active_set(problem, settings=None):
 class AdmmBackend(SolverBackend):
     """Operator-splitting (ADMM) solver on the stacked constraint form.
 
-    The iteration follows the standard splitting for l <= Gz <= u with a
-    single sparse factorization of the regularized KKT matrix: the reduced
-    KKT matrix on every row plus a diagonal shift.  The penalty is fixed
-    (with a stiffer value on equality rows) and diagonal data rescaling is
-    off, so runs are deterministic given the settings.
+    The iteration follows the standard splitting for l <= Gz <= u, G = [A; C],
+    with a single factorization made before the loop.  When the regularized
+    KKT matrix (the reduced KKT matrix on every row plus a diagonal shift)
+    would have at least a quarter of its entries nonzero, it is not built:
+    its constraint block is eliminated, and the n x n matrix
+    ``P + sigma I + G' diag(rho) G`` is factored by Cholesky; if that
+    fails, P is not positive semidefinite and the solve returns ``failed``.
+    Otherwise the regularized KKT matrix is factored by sparse LU.  The
+    penalty is fixed (with a stiffer value on equality rows) and diagonal
+    data rescaling is off, so runs are deterministic given the settings.
 
     The solve ends on the active set.  From iteration 10 on, each residual
     check identifies the rows J the iterate holds active; when J is the same
@@ -325,12 +345,34 @@ class AdmmBackend(SolverBackend):
         rho[:p] *= self.rho_eq_scale
         rho_inv = 1.0 / rho
 
-        kkt = assemble_reduced_kkt(problem, np.arange(m)).matrix + sp.diags_array(
-            np.concatenate([np.full(n, self.sigma), -rho_inv])
-        )
         # factored raw, not through factorize: the loop needs neither
         # refinement nor a fallback, and each solve must stay cheap
-        lu = splu(sp.csc_matrix(kkt))
+        if _dense_enough(problem.P.nnz + 2 * G.nnz + n + p + m, n + p + m):
+            # eliminate nu = rho*(G x - r2) from the iteration matrix and
+            # factor the reduced n x n matrix P + sigma I + G' diag(rho) G
+            Gd = G.toarray()
+            reduced = problem.P.toarray() + Gd.T @ (rho[:, None] * Gd)
+            reduced[np.diag_indices(n)] += self.sigma
+            try:
+                chol = cho_factor(reduced)
+            except np.linalg.LinAlgError:  # P is not positive semidefinite
+                return PrimalDualPoint(
+                    z=np.full(n, np.nan), lam=np.zeros(p), mu=np.zeros(m), status=FAILED
+                )
+
+            def step(r1, r2):
+                x = cho_solve(chol, r1 + Gd.T @ (rho * r2), check_finite=False)
+                return x, rho * (Gd @ x - r2)
+
+        else:
+            lu = splu(sp.csc_matrix(
+                assemble_reduced_kkt(problem, np.arange(m)).matrix
+                + sp.diags_array(np.concatenate([np.full(n, self.sigma), -rho_inv]))
+            ))
+
+            def step(r1, r2):
+                sol = lu.solve(np.concatenate([r1, r2]))
+                return sol[:n], sol[n:]
 
         ws = settings.warm_start
         if ws is not None and ws.z is not None:
@@ -353,10 +395,7 @@ class AdmmBackend(SolverBackend):
         next_try = 0
         it = 0
         while it < settings.max_iterations:
-            rhs = np.concatenate([self.sigma * x - problem.q, zs - rho_inv * y])
-            sol = lu.solve(rhs)
-            x_t = sol[:n]
-            nu = sol[n:]
+            x_t, nu = step(self.sigma * x - problem.q, zs - rho_inv * y)
             z_t = zs + rho_inv * (nu - y)
             x = self.relaxation * x_t + (1.0 - self.relaxation) * x
             w = self.relaxation * z_t + (1.0 - self.relaxation) * zs + rho_inv * y

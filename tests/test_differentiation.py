@@ -20,7 +20,14 @@ from qpdiff import (
     recover_duals,
     solve_active_set,
 )
-from qpdiff.kkt import LEAST_SQUARES, assemble_reduced_kkt, factorize
+from qpdiff.kkt import (
+    DENSE,
+    DIRECT,
+    LEAST_SQUARES,
+    SPARSE,
+    assemble_reduced_kkt,
+    factorize,
+)
 from qpdiff.oracles import full_implicit_jacobian
 from qpdiff.solvers import PrimalOnlyBackend
 
@@ -398,24 +405,28 @@ def _flat(bundle, step):
 
 class TestThreadSafety:
     @pytest.mark.parametrize(
-        "backend, duplicated",
+        "backend, case, mode, engine",
         [
-            pytest.param("active_set", False, id="active_set"),
-            pytest.param("admm", False, id="admm"),
+            pytest.param("active_set", "mixed", DIRECT, DENSE, id="active_set"),
+            pytest.param("admm", "mixed", DIRECT, DENSE, id="admm"),
             # K_J singular: the shared factorization is the bordered one
-            pytest.param("admm", True, id="admm-duplicated-rows"),
+            pytest.param("admm", "duplicated", LEAST_SQUARES, DENSE,
+                         id="admm-duplicated-rows"),
+            pytest.param("admm", "simplex", DIRECT, SPARSE, id="admm-sparse"),
         ],
     )
-    def test_shared_solution_matches_serial(self, backend, duplicated):
+    def test_shared_solution_matches_serial(self, backend, case, mode, engine):
         n_threads, repeats = 8, 20
         prob = random_mixed_qp(12, 10, 2, seed=77)
-        if duplicated:  # every equality row stated twice
+        if case == "duplicated":  # every equality row stated twice
             prob = QpProblem(
                 prob.P, prob.q, sp.vstack([prob.A, prob.A]),
                 np.concatenate([prob.b, prob.b]), prob.C, prob.d,
             )
+        elif case == "simplex":
+            prob = gen_simplex(200, 0)[0]
         sol = differentiable_solve(prob, backend)
-        assert (sol.fact.mode == LEAST_SQUARES) == duplicated
+        assert (sol.fact.mode, sol.fact.engine) == (mode, engine)
         rng = np.random.Generator(np.random.PCG64(78))
         grads = [rng.standard_normal(prob.n) for _ in range(n_threads)]
         dirs = [random_direction(prob, rng) for _ in range(n_threads)]

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,14 +12,15 @@ from qpdiff import (
     condition_estimate,
     factorize,
     full_implicit_matrix,
+    gen_random_dense,
     gen_simplex,
     identify,
     solve_active_set,
 )
 from qpdiff.errors import RankDeficiencyError
-from qpdiff.kkt import DIRECT, LEAST_SQUARES, solve_on
+from qpdiff.kkt import DENSE, DIRECT, LEAST_SQUARES, SPARSE, solve_on
 
-from helpers import random_mixed_qp
+from helpers import child_env, random_mixed_qp
 
 
 def one_dee():
@@ -124,7 +128,8 @@ class TestFactorize:
 
     def test_structurally_singular_matrix_never_reaches_superlu(self, monkeypatch):
         # both equality rows touch only z1, so K_J has no perfect matching;
-        # only the bordered matrix (order 5) is handed to the sparse LU
+        # K_J (order 12, 14 nonzeros) is sparse enough for SuperLU, yet only
+        # the bordered matrix (order 13) is handed to it
         import qpdiff.kkt as kkt_module
 
         orders = []
@@ -134,10 +139,12 @@ class TestFactorize:
             return splu(matrix, *args, **kwargs)
 
         monkeypatch.setattr(kkt_module, "splu", recording_splu)
-        prob = QpProblem(np.eye(2), np.zeros(2), A=[[1.0, 0.0], [2.0, 0.0]], b=[1.0, 2.0])
+        A = np.zeros((2, 10))
+        A[:, 0] = [1.0, 2.0]
+        prob = QpProblem(np.eye(10), np.zeros(10), A=A, b=[1.0, 2.0])
         fact = factorize(assemble_reduced_kkt(prob, np.array([], dtype=int)))
-        assert fact.mode == LEAST_SQUARES
-        assert orders == [5]
+        assert (fact.mode, fact.engine) == (LEAST_SQUARES, SPARSE)
+        assert orders == [13]
 
     def test_singular_beyond_constraint_rows_raises(self):
         # [A; C_J] has full rank, yet K_J is singular: P is only
@@ -145,6 +152,90 @@ class TestFactorize:
         prob = QpProblem([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], C=[[1.0, 0.0]], d=[0.0])
         with pytest.raises(RankDeficiencyError):
             factorize(assemble_reduced_kkt(prob, np.array([0])))
+
+
+def stacked_dense_qp():
+    """``gen_random_dense(40, 3)`` with every equality row stated twice."""
+    base = gen_random_dense(40, 3)
+    return QpProblem(
+        base.P, base.q, sp.vstack([base.A, base.A]),
+        np.concatenate([base.b, base.b]), base.C, base.d,
+    )
+
+
+class TestEngines:
+    @pytest.mark.parametrize(
+        "prob, rows, mode",
+        [
+            pytest.param(random_mixed_qp(20, 10, 3, seed=1), [0, 2, 4, 6, 8], DIRECT,
+                         id="direct"),
+            # the rows identified at this problem's solution
+            pytest.param(stacked_dense_qp(), [1, 9, 11, 15, 16, 21, 24, 29, 35, 38, 39],
+                         LEAST_SQUARES, id="bordered"),
+        ],
+    )
+    def test_dense_and_sparse_agree(self, monkeypatch, prob, rows, mode):
+        import qpdiff.kkt as kkt_module
+
+        kkt = assemble_reduced_kkt(prob, np.array(rows))
+        facts = {}
+        for fill in (0.0, np.inf):  # every matrix dense, then every one sparse
+            monkeypatch.setattr(kkt_module, "_DENSE_FILL", fill)
+            facts[fill] = factorize(kkt)
+        dense, sparse = facts[0.0], facts[np.inf]
+        assert (dense.engine, sparse.engine) == (DENSE, SPARSE)
+        assert dense.mode == sparse.mode == mode
+        assert dense.rank == sparse.rank
+        rng = np.random.Generator(np.random.PCG64(13))
+        for _ in range(3):
+            rhs = rng.standard_normal(kkt.order)
+            x, y = dense.solve(rhs), sparse.solve(rhs)
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_dense_least_squares_matches_pseudoinverse(self):
+        prob = stacked_dense_qp()
+        active = identify(prob, solve_active_set(prob).z)
+        kkt = assemble_reduced_kkt(prob, active)
+        fact = factorize(kkt)
+        assert (fact.mode, fact.engine) == (LEAST_SQUARES, DENSE)
+        assert (fact.rank, fact.order) == (71, 91)
+        pinv = np.linalg.pinv(kkt.matrix.toarray())
+        rng = np.random.Generator(np.random.PCG64(14))
+        for _ in range(3):
+            rhs = rng.standard_normal(kkt.order)
+            expected = pinv @ rhs
+            err = np.linalg.norm(fact.solve(rhs) - expected)
+            assert err <= 1e-10 * np.linalg.norm(expected)
+
+    def test_shared_dense_factorization_survives_threaded_solves(self):
+        # LAPACK's getrs has aborted the interpreter when threads shared one
+        # LU, so the test runs in a child interpreter and reads its exit code
+        code = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from qpdiff import assemble_reduced_kkt, factorize, gen_random_dense\n"
+            "fact = factorize(assemble_reduced_kkt(gen_random_dense(20, 0), np.arange(5)))\n"
+            "assert fact.engine == 'dense'\n"
+            "rhs = np.random.Generator(np.random.PCG64(0)).standard_normal((8, fact.order))\n"
+            "expected = [fact.solve(r) for r in rhs]\n"
+            "bad = []\n"
+            "def worker(k):\n"
+            "    for _ in range(3000):\n"
+            "        if not np.array_equal(fact.solve(rhs[k]), expected[k]):\n"
+            "            bad.append(k)\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(timeout=100)\n"
+            "sys.exit(1 if bad or any(t.is_alive() for t in threads) else 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSolveWith:

@@ -25,7 +25,7 @@ from qpdiff import (
     solve_admm,
 )
 from qpdiff.errors import RankDeficiencyError
-from qpdiff.solvers import SOLVED, AdmmBackend, EqualityBackend, SolverBackend
+from qpdiff.solvers import FAILED, SOLVED, AdmmBackend, EqualityBackend, SolverBackend
 
 from helpers import child_env, parameter_pairing, random_mixed_qp
 
@@ -412,6 +412,26 @@ class TestAdmmSolver:
         )
         assert point.status == "max_iter"
         assert point.iterations < 100
+
+    def test_reduced_cholesky_matches_quasi_definite_lu(self, monkeypatch):
+        import qpdiff.kkt as kkt_module
+
+        prob = gen_random_dense(60, 0)
+        dense = solve_admm(prob)
+        monkeypatch.setattr(kkt_module, "_DENSE_FILL", np.inf)  # every matrix sparse
+        sparse = solve_admm(prob)
+        assert dense.status == sparse.status == SOLVED
+        assert (dense.fact.engine, sparse.fact.engine) == ("dense", "sparse")
+        assert dense.iterations == sparse.iterations
+        np.testing.assert_allclose(dense.z, sparse.z, rtol=0, atol=1e-10)
+
+    def test_indefinite_dense_problem_fails_without_raising(self):
+        # P + sigma I + G' diag(rho) G has no Cholesky factor; the quasi-definite
+        # sparse form would iterate to the saddle point (-1, 0.01) instead
+        prob = QpProblem(np.diag([1.0, -100.0]), np.array([1.0, 1.0]))
+        point = solve_admm(prob)
+        assert point.status == FAILED
+        assert point.iterations == 0
 
 
 class TestBackendAgreement:
