@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,22 +73,54 @@ class ParamDirection:
         )
 
 
-@dataclass(frozen=True)
 class GradientBundle:
     """Loss gradients with respect to the six parameter blocks.
 
-    Matrix gradients share the sparsity pattern of the corresponding input
-    block and grad_P is symmetric by construction.  Blocks named in
-    ``fixed`` were skipped entirely and are None.
+    ``grad_q``, ``grad_b`` and ``grad_d`` are slices of the one adjoint
+    solve and are set by :func:`backward`.  The matrix blocks ``grad_P``,
+    ``grad_A`` and ``grad_C`` are built on first read from the adjoint
+    vectors and the solution's (z, lam, mu), then kept; a caller that reads
+    only the vector blocks never pays for them.  Matrix gradients share the
+    sparsity pattern of the corresponding input block and grad_P is
+    symmetric by construction.  Blocks named in ``fixed`` are None.
+
+    Only :func:`backward` builds a bundle.  It may be shared across threads:
+    a matrix block's build is deterministic, so racing first reads get
+    bit-identical arrays.
     """
 
-    grad_P: object = None
-    grad_q: np.ndarray | None = None
-    grad_A: object = None
-    grad_b: np.ndarray | None = None
-    grad_C: object = None
-    grad_d: np.ndarray | None = None
-    fixed: frozenset = field(default_factory=frozenset)
+    def __init__(self, problem, point, u_z, u_lam, u_mu, fixed):
+        self.fixed = fixed
+        self.grad_q = None if "q" in fixed else -u_z
+        self.grad_b = None if "b" in fixed else u_lam
+        self.grad_d = None if "d" in fixed else u_mu
+        # the matrix blocks read their own negated copies, so writing into
+        # grad_q, grad_b or grad_d in place cannot change a block read later
+        self._problem = problem
+        self._z, self._lam, self._mu = point.z, point.lam, point.mu
+        self._d_z, self._d_lam, self._d_mu = -u_z, -u_lam, -u_mu
+
+    @cached_property
+    def grad_P(self):
+        if "P" in self.fixed:
+            return None
+        return _pattern_outer(self._problem.P, self._d_z, self._z, self._z,
+                              self._d_z, half=True)
+
+    @cached_property
+    def grad_A(self):
+        return self._constraint_block("A", self._problem.A, self._d_lam, self._lam)
+
+    @cached_property
+    def grad_C(self):
+        return self._constraint_block("C", self._problem.C, self._d_mu, self._mu)
+
+    def _constraint_block(self, name, mat, d_dual, dual):
+        if name in self.fixed:
+            return None
+        if not mat.shape[0]:
+            return sp.csc_array((0, self._problem.n))
+        return _pattern_outer(mat, d_dual, self._z, dual, self._d_z)
 
 
 @dataclass
@@ -187,9 +220,9 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
     """Pull a loss gradient on (z, lam, mu) back to the problem parameters.
 
     Components of ``grad_mu`` on inactive rows cannot influence the result
-    (complementary slackness) and are ignored.  Blocks listed in ``fixed``
-    are skipped entirely, saving both the solve unwrapping and the gradient
-    storage.
+    (complementary slackness) and are ignored.  The cost is one solve with
+    ``sol.fact``; the matrix blocks of the returned bundle are built only
+    when read.  Blocks listed in ``fixed`` read None.
     """
     problem = sol.problem
     n, p, m = problem.n, problem.p, problem.m
@@ -216,34 +249,7 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
 
     # symmetric K_J: the adjoint solve is the same solve
     u_z, u_lam, u_mu = solve_on(problem, sol.fact, gz, gl, gm)
-    d_z, d_lam, d_mu = -u_z, -u_lam, -u_mu
-
-    z = sol.point.z
-    lam = sol.point.lam if p else np.zeros(0)
-    mu = sol.point.mu if m else np.zeros(0)
-
-    grad_P = grad_q = grad_A = grad_b = grad_C = grad_d = None
-    if "q" not in fixed:
-        grad_q = d_z
-    if "b" not in fixed:
-        grad_b = u_lam
-    if "d" not in fixed:
-        grad_d = u_mu
-    if "P" not in fixed:
-        grad_P = _pattern_outer(problem.P, d_z, z, z, d_z, half=True)
-    if "A" not in fixed and p:
-        grad_A = _pattern_outer(problem.A, d_lam, z, lam, d_z)
-    elif "A" not in fixed:
-        grad_A = sp.csc_array((0, n))
-    if "C" not in fixed and m:
-        grad_C = _pattern_outer(problem.C, d_mu, z, mu, d_z)
-    elif "C" not in fixed:
-        grad_C = sp.csc_array((0, n))
-
-    return GradientBundle(
-        grad_P=grad_P, grad_q=grad_q, grad_A=grad_A, grad_b=grad_b,
-        grad_C=grad_C, grad_d=grad_d, fixed=fixed,
-    )
+    return GradientBundle(problem, sol.point, u_z, u_lam, u_mu, fixed)
 
 
 def _pattern_outer(mat, left, right, left2, right2, half=False):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import qpdiff
-from qpdiff import QpProblem
+from qpdiff import QpProblem, differentiation
 
 
 def child_env(**extra):
@@ -15,6 +15,20 @@ def child_env(**extra):
     src = str(Path(qpdiff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def count_matrix_builds(monkeypatch):
+    """Patch ``differentiation._pattern_outer`` to record the shape of the
+    problem block each matrix-gradient build reads; returns that list."""
+    calls = []
+    original = differentiation._pattern_outer
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(differentiation, "_pattern_outer", counting)
+    return calls
 
 
 def random_mixed_qp(n, m, p, seed, margin_lo=0.05, margin_hi=1.0):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qpdiff import QpProblem, store_problem
+from qpdiff.bench import run_bench
 from qpdiff.cli import main
 
-from helpers import child_env
+from helpers import child_env, count_matrix_builds
 
 
 @pytest.fixture
@@ -147,6 +148,17 @@ class TestBenchCommand:
                 [{k: v for k, v in row.items() if k not in timing} for row in rows]
             )
         assert snapshots[0] == snapshots[1]
+
+    def test_backward_time_covers_the_matrix_blocks(self, monkeypatch):
+        builds = count_matrix_builds(monkeypatch)
+        records = run_bench("simplex", sizes=[20], seeds=[0, 1],
+                            backends=["active_set", "admm"])
+        assert [r.status for r in records] == ["solved"] * 4
+        assert all(r.p > 0 and r.m > 0 for r in records)
+        # grad_P, grad_A and grad_C are each built once per record
+        assert builds == [
+            shape for r in records for shape in ((r.n, r.n), (r.p, r.n), (r.m, r.n))
+        ]
 
     def test_failures_recorded_as_status_rows(self, tmp_path, capsys):
         # the equality backend fails whenever a bound binds; run continues

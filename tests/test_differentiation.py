@@ -12,6 +12,7 @@ from qpdiff import (
     SolveSettings,
     backward,
     differentiable_solve,
+    differentiation,
     forward_directional,
     gen_simplex,
     get_backend,
@@ -27,12 +28,14 @@ from qpdiff.kkt import (
     SPARSE,
     assemble_reduced_kkt,
     factorize,
+    solve_on,
 )
 from qpdiff.oracles import full_implicit_jacobian
 from qpdiff.solvers import PrimalOnlyBackend
 
 from helpers import (
     complementarity_margins,
+    count_matrix_builds,
     dense_equality_qp,
     parameter_pairing,
     random_mixed_qp,
@@ -209,6 +212,77 @@ class TestBackward:
         sol = differentiable_solve(one_dee())
         with pytest.raises(ValueError):
             backward(sol, np.zeros(1), fixed=("Q",))
+
+
+def same_block(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    if hasattr(a, "indptr"):
+        return a.shape == b.shape and all(
+            np.array_equal(getattr(a, k), getattr(b, k))
+            for k in ("indptr", "indices", "data")
+        )
+    return np.array_equal(a, b)
+
+
+class TestLazyMatrixBlocks:
+    def test_jacobian_loop_reading_grad_q_builds_no_matrix_block(self, monkeypatch):
+        prob = random_mixed_qp(20, 12, 2, seed=24)
+        sol = differentiable_solve(prob)
+        calls = count_matrix_builds(monkeypatch)
+        unit = np.zeros(prob.n)
+        rows = np.empty((prob.n, prob.n))
+        for i in range(prob.n):
+            unit[i] = 1.0
+            rows[i] = backward(sol, unit).grad_q
+            unit[i] = 0.0
+        assert calls == []
+        # dz/dq is symmetric: the loop did compute the Jacobian
+        np.testing.assert_allclose(rows, rows.T, atol=1e-10)
+
+    def test_matrix_block_built_once_on_first_read(self, monkeypatch):
+        prob = random_mixed_qp(6, 5, 2, seed=25)
+        sol = differentiable_solve(prob)
+        calls = count_matrix_builds(monkeypatch)
+        bundle = backward(sol, np.ones(6))
+        assert calls == []
+        first = bundle.grad_P
+        assert calls == [(6, 6)]
+        assert bundle.grad_P is first
+        assert calls == [(6, 6)]
+
+    @pytest.mark.parametrize("fixed", [(), ("P",), ("A", "C")],
+                             ids=["none", "P", "A-C"])
+    @pytest.mark.parametrize("m, p", [(5, 2), (4, 0), (0, 2)],
+                             ids=["mixed", "no-equalities", "no-inequalities"])
+    def test_blocks_match_the_eager_formula(self, monkeypatch, fixed, m, p):
+        prob = random_mixed_qp(6, m, p, seed=26)
+        sol = differentiable_solve(prob)
+        rng = np.random.Generator(np.random.PCG64(27))
+        gz, gl, gm = (rng.standard_normal(k) for k in (prob.n, p, m))
+        outer = differentiation._pattern_outer
+        u_z, u_lam, u_mu = solve_on(prob, sol.fact, gz, gl, gm)
+        d_z, d_lam, d_mu = -u_z, -u_lam, -u_mu
+        z, lam, mu = sol.point.z, sol.point.lam, sol.point.mu
+        expected = {
+            "grad_P": outer(prob.P, d_z, z, z, d_z, half=True),
+            "grad_q": d_z,
+            "grad_A": outer(prob.A, d_lam, z, lam, d_z) if p else sp.csc_array((0, 6)),
+            "grad_b": u_lam,
+            "grad_C": outer(prob.C, d_mu, z, mu, d_z) if m else sp.csc_array((0, 6)),
+            "grad_d": u_mu,
+        }
+        for name in fixed:
+            expected[f"grad_{name}"] = None
+
+        calls = count_matrix_builds(monkeypatch)
+        bundle = backward(sol, gz, gl, gm, fixed=fixed)
+        assert calls == []
+        for name, want in expected.items():
+            assert same_block(getattr(bundle, name), want), name
+        built = [k for k, rows in (("P", 6), ("A", p), ("C", m))
+                 if rows and k not in fixed]
+        assert len(calls) == len(built)
 
 
 class TestAdjointConsistency:
@@ -456,5 +530,47 @@ class TestThreadSafety:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert mismatches == []
+
+    def test_racing_first_reads_of_matrix_blocks(self):
+        n_threads, rounds = 8, 20
+        blocks = ("grad_P", "grad_A", "grad_C")
+        prob = random_mixed_qp(12, 10, 2, seed=77)
+        sol = differentiable_solve(prob)
+        g = np.random.Generator(np.random.PCG64(79)).standard_normal(prob.n)
+        reference = backward(sol, g)
+        serial = [getattr(reference, name) for name in blocks]
+        mismatches, errors, stuck = [], [], []
+
+        def worker(bundle, barrier, k):
+            try:
+                barrier.wait(timeout=60)
+                # each thread starts on a different block
+                for j in range(len(blocks)):
+                    i = (k + j) % len(blocks)
+                    if not same_block(getattr(bundle, blocks[i]), serial[i]):
+                        mismatches.append((k, blocks[i]))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                bundle = backward(sol, g)  # fresh: no block read yet
+                barrier = threading.Barrier(n_threads)
+                threads = [
+                    threading.Thread(target=worker, args=(bundle, barrier, k))
+                    for k in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                stuck += [t for t in threads if t.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert stuck == []
         assert errors == []
         assert mismatches == []
