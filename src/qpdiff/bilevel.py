@@ -130,7 +130,6 @@ def run_bilevel(config: BilevelConfig, log_fn=None) -> BilevelResult:
             sol,
             grad_z=np.zeros(config.problem.n),
             grad_mu=2.0 * mu,
-            fixed=("P", "q", "A", "b", "C"),
         )
         grad_theta = bundle.grad_d  # d(theta) = d0 + theta, identity chain rule
         if config.warm_start:

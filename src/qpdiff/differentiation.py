@@ -42,8 +42,6 @@ __all__ = [
     "differentiable_solve",
 ]
 
-PARAM_NAMES = ("P", "q", "A", "b", "C", "d")
-
 log = logging.getLogger(__name__)
 
 
@@ -82,18 +80,17 @@ class GradientBundle:
     vectors and the solution's (z, lam, mu), then kept; a caller that reads
     only the vector blocks never pays for them.  Matrix gradients share the
     sparsity pattern of the corresponding input block and grad_P is
-    symmetric by construction.  Blocks named in ``fixed`` are None.
+    symmetric by construction.
 
     Only :func:`backward` builds a bundle.  It may be shared across threads:
     a matrix block's build is deterministic, so racing first reads get
     bit-identical arrays.
     """
 
-    def __init__(self, problem, point, u_z, u_lam, u_mu, fixed):
-        self.fixed = fixed
-        self.grad_q = None if "q" in fixed else -u_z
-        self.grad_b = None if "b" in fixed else u_lam
-        self.grad_d = None if "d" in fixed else u_mu
+    def __init__(self, problem, point, u_z, u_lam, u_mu):
+        self.grad_q = -u_z
+        self.grad_b = u_lam
+        self.grad_d = u_mu
         # the matrix blocks read their own negated copies, so writing into
         # grad_q, grad_b or grad_d in place cannot change a block read later
         self._problem = problem
@@ -102,22 +99,18 @@ class GradientBundle:
 
     @cached_property
     def grad_P(self):
-        if "P" in self.fixed:
-            return None
         return _pattern_outer(self._problem.P, self._d_z, self._z, self._z,
                               self._d_z, half=True)
 
     @cached_property
     def grad_A(self):
-        return self._constraint_block("A", self._problem.A, self._d_lam, self._lam)
+        return self._constraint_block(self._problem.A, self._d_lam, self._lam)
 
     @cached_property
     def grad_C(self):
-        return self._constraint_block("C", self._problem.C, self._d_mu, self._mu)
+        return self._constraint_block(self._problem.C, self._d_mu, self._mu)
 
-    def _constraint_block(self, name, mat, d_dual, dual):
-        if name in self.fixed:
-            return None
+    def _constraint_block(self, mat, d_dual, dual):
         if not mat.shape[0]:
             return sp.csc_array((0, self._problem.n))
         return _pattern_outer(mat, d_dual, self._z, dual, self._d_z)
@@ -150,8 +143,8 @@ class DifferentiableSolution:
     def forward(self, direction: ParamDirection):
         return forward_directional(self, direction)
 
-    def backward(self, grad_z, grad_lam=None, grad_mu=None, fixed=()):
-        return backward(self, grad_z, grad_lam, grad_mu, fixed)
+    def backward(self, grad_z, grad_lam=None, grad_mu=None):
+        return backward(self, grad_z, grad_lam, grad_mu)
 
 
 def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
@@ -216,20 +209,16 @@ def forward_directional(sol: DifferentiableSolution, direction: ParamDirection):
 
 
 def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
-             fixed=()) -> GradientBundle:
+             ) -> GradientBundle:
     """Pull a loss gradient on (z, lam, mu) back to the problem parameters.
 
     Components of ``grad_mu`` on inactive rows cannot influence the result
     (complementary slackness) and are ignored.  The cost is one solve with
     ``sol.fact``; the matrix blocks of the returned bundle are built only
-    when read.  Blocks listed in ``fixed`` read None.
+    when read.
     """
     problem = sol.problem
     n, p, m = problem.n, problem.p, problem.m
-    fixed = frozenset(fixed)
-    unknown = fixed - set(PARAM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown fixed parameter names: {sorted(unknown)}")
 
     gz = np.asarray(grad_z, dtype=float).ravel()
     _check_len(gz, n, "grad_z")
@@ -249,7 +238,7 @@ def backward(sol: DifferentiableSolution, grad_z, grad_lam=None, grad_mu=None,
 
     # symmetric K_J: the adjoint solve is the same solve
     u_z, u_lam, u_mu = solve_on(problem, sol.fact, gz, gl, gm)
-    return GradientBundle(problem, sol.point, u_z, u_lam, u_mu, fixed)
+    return GradientBundle(problem, sol.point, u_z, u_lam, u_mu)
 
 
 def _pattern_outer(mat, left, right, left2, right2, half=False):

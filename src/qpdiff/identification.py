@@ -5,7 +5,8 @@ Identification is hard thresholding of the inequality residuals
 r_j = (C z - d)_j at a tolerance eps: row j is active iff r_j >= -eps.
 The optional refinement walks the remaining rows in order of increasing
 slack and greedily accepts additions that shrink the residual of the
-reduced KKT system with the primal point held fixed.
+reduced KKT system with the primal point held fixed; one orthogonalization
+prices every candidate.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .kkt import DIRECT, LEAST_SQUARES
+from .kkt import DIRECT, LEAST_SQUARES, _rank_cut
 
 __all__ = [
     "ActiveSet",
@@ -61,8 +63,9 @@ class DifferentiabilityDiagnosis:
 
 def identify(problem, z, eps_active: float = DEFAULT_EPS_ACTIVE) -> ActiveSet:
     """Threshold the inequality residuals at ``eps_active``."""
-    if eps_active <= 0:
-        raise ValueError("eps_active must be positive")
+    # written so that NaN is rejected as well
+    if not 0 < eps_active < np.inf:
+        raise ValueError("eps_active must be finite and positive")
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != problem.n:
         raise ValueError(f"z has length {z.shape[0]}, expected {problem.n}")
@@ -91,52 +94,53 @@ def refine(problem, z, initial: ActiveSet) -> ActiveSet:
 
     Remaining rows are tried in order of increasing slack; a row is accepted
     iff the Euclidean residual of the reduced KKT system, with z fixed and
-    the duals re-solved, strictly decreases.  Stops at the first
-    non-improvement.  Never raises: numerical failures end the refinement
-    with the current set.
+    the duals fitted by least squares, strictly decreases.  Stops at the
+    first non-improvement.
+
+    One pass prices every candidate: a pivoted QR of ``[A' C_J']`` gives a
+    basis of its range, the stationarity target ``-(Pz + q)`` and the
+    candidate columns ``c_j'`` are projected off it, and one QR of the
+    projected columns next to the projected target gives the least-squares
+    residual after each prefix of candidates, as the sum of the trailing
+    squares of the target's column of R.  A candidate whose projected
+    column is dependent cannot lower that residual, so it ends the scan.
+    Never raises: a non-finite point returns ``initial``.
     """
-    z = np.asarray(z, dtype=float).ravel()
     res = initial.residuals
-    current = list(initial.indices)
-    remaining = [j for j in range(problem.m) if j not in set(current)]
-    if not remaining:
+    inactive = np.setdiff1d(np.arange(problem.m), initial.indices)
+    z = np.asarray(z, dtype=float).ravel()
+    if not inactive.size or not np.isfinite(z).all():
         return initial
     # increasing slack = decreasing residual; ties by row index
-    remaining.sort(key=lambda j: (-res[j], j))
+    order = inactive[np.argsort(-res[inactive], kind="stable")]
 
-    try:
-        best = _system_residual(problem, z, current)
-    except np.linalg.LinAlgError:
-        return initial
-
-    accepted = False
-    for j in remaining:
-        candidate = sorted(current + [j])
-        try:
-            metric = _system_residual(problem, z, candidate)
-        except np.linalg.LinAlgError:
-            break
-        if metric < best * (1.0 - 1e-12):
-            current = candidate
-            best = metric
-            accepted = True
-        else:
-            break
-
+    C = sp.csr_array(problem.C)
+    r = C @ z - problem.d
+    e = problem.A @ z - problem.b
+    M = np.hstack([problem.A.toarray().T, C[initial.indices].toarray().T])
+    Q, R0, _ = scipy.linalg.qr(M, mode="economic", pivoting=True, check_finite=False)
+    d0 = np.abs(np.diagonal(R0))
+    Q = Q[:, : int((d0 > _rank_cut(d0, M.shape)).sum())]
+    # beyond n - rank candidates every projected column is dependent
+    order = order[: problem.n - Q.shape[1]]
+    V = np.column_stack([C[order].toarray().T, -(problem.P @ z + problem.q)])
+    V -= Q @ (Q.T @ V)
+    R = scipy.linalg.qr(V, mode="r", check_finite=False)[0]
+    d1 = np.abs(np.diagonal(R)[: order.size])
+    cut = _rank_cut(np.concatenate([d0, d1]), (problem.n, M.shape[1] + order.size))
+    dependent = np.flatnonzero(d1 <= cut)
+    k = dependent[0] if dependent.size else d1.size
+    # squared stationarity residual and primal residual after i = 0..k candidates
+    stat = np.append(np.cumsum(R[::-1, -1] ** 2)[::-1], 0.0)[: k + 1]
+    rJ = r[initial.indices]
+    prim = e @ e + rJ @ rJ + np.concatenate([[0.0], np.cumsum(r[order[:k]] ** 2)])
+    metric = np.sqrt(stat + prim)
+    stops = np.flatnonzero(~(metric[1:] < metric[:-1] * (1.0 - 1e-12)))
+    accepted = stops[0] if stops.size else k
     if not accepted:
         return initial
     return ActiveSet(
-        indices=np.asarray(current, dtype=int), eps=initial.eps, residuals=res
+        indices=np.sort(np.concatenate([initial.indices, order[:accepted]])),
+        eps=initial.eps,
+        residuals=res,
     )
-
-
-def _system_residual(problem, z, indices):
-    """|| K_J zeta - v_J ||_2 with z frozen and the duals fitted by dense lstsq."""
-    idx = np.asarray(indices, dtype=int)
-    CJ = sp.csr_array(problem.C)[idx]
-    blocks = [block.toarray().T for block in (problem.A, CJ) if block.shape[0]]
-    M = np.hstack(blocks) if blocks else np.zeros((problem.n, 0))
-    target = -(problem.P @ z + problem.q)
-    duals, *_ = np.linalg.lstsq(M, target, rcond=None)
-    parts = [target - M @ duals, problem.A @ z - problem.b, CJ @ z - problem.d[idx]]
-    return float(np.linalg.norm(np.concatenate(parts)))

@@ -85,43 +85,13 @@ def assemble_reduced_kkt(problem, active) -> ReducedKkt:
         raise IndexError(
             f"active-set index out of range [0, {problem.m}): {indices}"
         )
-    n, p, k = problem.n, problem.p, indices.size
-    CJ = sp.csc_array(sp.csr_array(problem.C)[indices]) if k else sp.csc_array((0, n))
-
-    parts_row = []
-    parts_col = []
-    parts_val = []
-
-    def _add(block, roff, coff):
-        coo = sp.coo_array(block)
-        if coo.nnz:
-            parts_row.append(coo.row + roff)
-            parts_col.append(coo.col + coff)
-            parts_val.append(coo.data)
-
-    _add(problem.P, 0, 0)
-    if p:
-        _add(problem.A.T, 0, n)
-        _add(problem.A, n, 0)
-    if k:
-        _add(CJ.T, 0, n + p)
-        _add(CJ, n + p, 0)
-
-    order = n + p + k
-    if parts_row:
-        mat = sp.csc_array(
-            sp.coo_array(
-                (
-                    np.concatenate(parts_val),
-                    (np.concatenate(parts_row), np.concatenate(parts_col)),
-                ),
-                shape=(order, order),
-            )
-        )
-    else:
-        mat = sp.csc_array((order, order))
+    CJ = sp.csr_array(problem.C)[indices]
+    mat = sp.block_array(
+        [[problem.P, problem.A.T, CJ.T], [problem.A, None, None], [CJ, None, None]],
+        format="csc",
+    )
     mat.sort_indices()
-    return ReducedKkt(matrix=mat, n=n, p=p, rows=indices)
+    return ReducedKkt(matrix=mat, n=problem.n, p=problem.p, rows=indices)
 
 
 class KktFactorization:
@@ -268,6 +238,13 @@ def _lu_or_none(matrix):
         return None
 
 
+def _rank_cut(diag, shape):
+    """The rank cut of a pivoted QR of a matrix of ``shape`` whose R has the
+    absolute diagonal ``diag``: the |R_ii| above max(shape)·eps·max|R_ii|
+    count toward its rank."""
+    return max(shape) * np.finfo(float).eps * np.max(diag, initial=0.0)
+
+
 def _null_basis(kkt: ReducedKkt):
     """Sparse basis of {(0, y) : [A; C_J]' y = 0}: with P positive definite,
     the null space of K_J, one column per null vector.
@@ -281,7 +258,7 @@ def _null_basis(kkt: ReducedKkt):
     M = kkt.matrix[:n, n:].toarray()
     R, perm = scipy.linalg.qr(M, mode="r", pivoting=True)
     diag = np.abs(np.diagonal(R))
-    cut = diag[0] * max(M.shape) * np.finfo(float).eps if diag.size else 0.0
+    cut = _rank_cut(diag, M.shape)
     rank = int((diag > cut).sum())
     W = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
     W[np.abs(W) <= cut] = 0.0

@@ -263,7 +263,7 @@ def _scale_rows(mat, scales):
 # P may carry "symmetric_lower": true, in which case only i >= j entries are
 # stored.  Values are written with Python's float repr, the shortest decimal
 # that round-trips an IEEE double exactly; infinite bounds are written as
-# Infinity or -Infinity.
+# Infinity or -Infinity.  A NaN entry is rejected on load.
 
 
 def store_problem(problem: QpProblem, path) -> None:
@@ -338,7 +338,10 @@ def _vector_from_json(raw, length, name, path):
         )
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
         raise ProblemFormatError(f"{path}: '{name}' has a non-numeric entry")
-    return np.array([float(v) for v in raw])
+    vec = np.array([float(v) for v in raw])
+    if np.isnan(vec).any():
+        raise ProblemFormatError(f"{path}: '{name}' has a NaN entry")
+    return vec
 
 
 def _matrix_from_json(raw, shape, name, path):
@@ -378,6 +381,8 @@ def _matrix_from_json(raw, shape, name, path):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ProblemFormatError(f"{loc}: non-numeric value")
         vals.append(float(v))
+        if np.isnan(vals[-1]):
+            raise ProblemFormatError(f"{loc}: NaN value")
         rows.append(i)
         cols.append(j)
 

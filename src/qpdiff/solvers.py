@@ -33,6 +33,7 @@ from .kkt import (
     DIRECT,
     KktFactorization,
     _dense_enough,
+    _rank_cut,
     assemble_reduced_kkt,
     factorize,
     solve_on,
@@ -131,7 +132,8 @@ class EqualityBackend(SolverBackend):
     reuse.  A singular K_J (dependent equality rows, or P singular on
     null(A)) raises :class:`RankDeficiencyError`.  If the equality-relaxed
     optimum happens to satisfy C z <= d it is the true optimum with mu = 0;
-    otherwise the solve fails.
+    otherwise, or when the point or a residual is not finite, the solve
+    fails.
     """
 
     name = "equality"
@@ -142,8 +144,10 @@ class EqualityBackend(SolverBackend):
             raise RankDeficiencyError("equality KKT matrix is singular")
         res = residuals(problem, point)
         point.r_p, point.r_d = res.r_p, res.r_d
-        feas_tol = max(settings.eps_abs, 1e-9)
-        if problem.m and (problem.C @ point.z - problem.d).max() > feas_tol:
+        finite = np.isfinite(point.z).all() and np.isfinite([res.r_p, res.r_d]).all()
+        violation = (problem.C @ point.z - problem.d).max(initial=0.0)
+        # written so that a non-finite point or residual fails as well
+        if not (finite and violation <= max(settings.eps_abs, 1e-9)):
             point.status = FAILED
         return point
 
@@ -206,7 +210,7 @@ class ActiveSetBackend(SolverBackend):
         # QR keeps (the rp above the rank cut) and per working row
         Q, R, piv = qr(solve_triangular(L, A.T, lower=True), pivoting=True)
         diag = np.abs(np.diagonal(R))
-        rp = int((diag > max(n, p) * np.finfo(float).eps * diag.max(initial=0.0)).sum())
+        rp = int((diag > _rank_cut(diag, (n, p))).sum())
         R = R[:, :rp]
         # the equality minimizer from the same factors: with u = L'x it
         # minimizes 0.5|u|^2 + (L^-1 q)'u subject to R11'Q1'u = b[piv[:rp]]

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 import qpdiff
 from qpdiff import QpProblem, differentiation
@@ -29,6 +30,32 @@ def count_matrix_builds(monkeypatch):
 
     monkeypatch.setattr(differentiation, "_pattern_outer", counting)
     return calls
+
+
+def refine_by_lstsq(problem, z, initial):
+    """Reference for ``qpdiff.refine``: the same greedy rule, with a dense
+    least-squares solve of ``[A' C_S']`` for every candidate set S."""
+
+    def metric(rows):
+        CS = sp.csr_array(problem.C)[np.asarray(rows, dtype=int)]
+        M = np.hstack([problem.A.toarray().T, CS.toarray().T])
+        target = -(problem.P @ z + problem.q)
+        duals, *_ = np.linalg.lstsq(M, target, rcond=None)
+        parts = [target - M @ duals, problem.A @ z - problem.b,
+                 CS @ z - problem.d[np.asarray(rows, dtype=int)]]
+        return float(np.linalg.norm(np.concatenate(parts)))
+
+    res = initial.residuals
+    current = list(initial.indices)
+    remaining = sorted(set(range(problem.m)) - set(current), key=lambda j: (-res[j], j))
+    best = metric(current)
+    for j in remaining:
+        candidate = sorted(current + [j])
+        value = metric(candidate)
+        if not value < best * (1.0 - 1e-12):
+            break
+        current, best = candidate, value
+    return np.asarray(current, dtype=int)
 
 
 def random_mixed_qp(n, m, p, seed, margin_lo=0.05, margin_hi=1.0):

@@ -73,6 +73,24 @@ class TestSolveCommand:
         rc = main(["solve", str(path), "--solver", "equality"])
         assert rc == 4
 
+    def test_nan_eps_active_exit_two(self, one_dee_file, capsys):
+        rc = main(["solve", one_dee_file, "--eps-active", "nan"])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert "eps_active" in err
+
+    @pytest.mark.parametrize("key", ["q", "d"])
+    def test_nan_entry_exit_two(self, tmp_path, capsys, key):
+        path = tmp_path / "nan.json"
+        store_problem(QpProblem([[1.0]], [0.0], C=[[1.0]], d=[5.0]), path)
+        obj = json.loads(path.read_text())
+        obj[key] = [float("nan")]
+        path.write_text(json.dumps(obj))
+        rc = main(["solve", str(path), "--solver", "equality"])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert f"'{key}'" in err
+
     def test_failed_backend_exit_three(self, one_dee_file, capsys):
         rc = main(["solve", one_dee_file, "--solver", "equality"])
         assert rc == 3

@@ -197,22 +197,6 @@ class TestBackward:
             with_junk.grad_C.toarray(), without.grad_C.toarray()
         )
 
-    def test_fixed_mask_skips_blocks(self):
-        prob = random_mixed_qp(5, 4, 1, seed=23)
-        sol = differentiable_solve(prob)
-        bundle = backward(sol, np.ones(5), fixed=("P", "A", "b"))
-        assert bundle.grad_P is None
-        assert bundle.grad_A is None
-        assert bundle.grad_b is None
-        full = backward(sol, np.ones(5))
-        np.testing.assert_array_equal(bundle.grad_q, full.grad_q)
-        np.testing.assert_array_equal(bundle.grad_d, full.grad_d)
-
-    def test_unknown_fixed_name_rejected(self):
-        sol = differentiable_solve(one_dee())
-        with pytest.raises(ValueError):
-            backward(sol, np.zeros(1), fixed=("Q",))
-
 
 def same_block(a, b):
     if a is None or b is None:
@@ -251,11 +235,11 @@ class TestLazyMatrixBlocks:
         assert bundle.grad_P is first
         assert calls == [(6, 6)]
 
-    @pytest.mark.parametrize("fixed", [(), ("P",), ("A", "C")],
+    @pytest.mark.parametrize("read_first", [(), ("P",), ("A", "C")],
                              ids=["none", "P", "A-C"])
     @pytest.mark.parametrize("m, p", [(5, 2), (4, 0), (0, 2)],
                              ids=["mixed", "no-equalities", "no-inequalities"])
-    def test_blocks_match_the_eager_formula(self, monkeypatch, fixed, m, p):
+    def test_blocks_match_the_eager_formula(self, monkeypatch, read_first, m, p):
         prob = random_mixed_qp(6, m, p, seed=26)
         sol = differentiable_solve(prob)
         rng = np.random.Generator(np.random.PCG64(27))
@@ -272,17 +256,18 @@ class TestLazyMatrixBlocks:
             "grad_C": outer(prob.C, d_mu, z, mu, d_z) if m else sp.csc_array((0, 6)),
             "grad_d": u_mu,
         }
-        for name in fixed:
-            expected[f"grad_{name}"] = None
 
         calls = count_matrix_builds(monkeypatch)
-        bundle = backward(sol, gz, gl, gm, fixed=fixed)
+        bundle = backward(sol, gz, gl, gm)
         assert calls == []
+        # reading some blocks first builds those and no other
+        for name in read_first:
+            getattr(bundle, f"grad_{name}")
+        rows = {"P": 6, "A": p, "C": m}
+        assert len(calls) == sum(1 for k in read_first if rows[k])
         for name, want in expected.items():
             assert same_block(getattr(bundle, name), want), name
-        built = [k for k, rows in (("P", 6), ("A", p), ("C", m))
-                 if rows and k not in fixed]
-        assert len(calls) == len(built)
+        assert len(calls) == sum(1 for k in rows.values() if k)
 
 
 class TestAdjointConsistency:
@@ -395,6 +380,11 @@ class TestDifferentiableSolve:
             np.testing.assert_allclose(
                 a.grad_C.toarray(), b.grad_C.toarray(), atol=1e-5
             )
+
+    def test_nan_eps_active_rejected(self):
+        # a NaN threshold would identify no row: active [] and grad_d 0, not 1
+        with pytest.raises(ValueError, match="eps_active"):
+            differentiable_solve(one_dee(), eps_active=np.nan)
 
     def test_backend_failure_surfaces_point(self):
         prob = one_dee()  # equality backend cannot satisfy the active bound

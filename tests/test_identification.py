@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qpdiff import (
     QpProblem,
@@ -7,14 +10,16 @@ from qpdiff import (
     TWO_PARAM_BOX,
     TWO_PARAM_BREAKS,
     diagnose,
+    gen_simplex,
     gen_two_param_family,
     identify,
     refine,
     solve_active_set,
 )
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
+from qpdiff.solvers import AdmmBackend
 
-from helpers import random_mixed_qp
+from helpers import random_mixed_qp, refine_by_lstsq, simplex_projection_sort
 
 
 class TestIdentify:
@@ -65,8 +70,9 @@ class TestIdentify:
 
     def test_rejects_bad_eps(self):
         prob = random_mixed_qp(3, 2, 0, seed=1)
-        with pytest.raises(ValueError):
-            identify(prob, np.zeros(3), 0.0)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                identify(prob, np.zeros(3), eps)
 
 
 class TestTwoParamStability:
@@ -176,8 +182,6 @@ class TestRefine:
             tight = solve_active_set(prob, SolveSettings(eps_abs=1e-10))
             truth = identify(prob, tight.z, 1e-5).indices
 
-            from qpdiff.solvers import AdmmBackend
-
             loose_backend = AdmmBackend()
             loose_backend.polish = False
             loose = loose_backend.solve(prob, SolveSettings(eps_abs=1e-4))
@@ -192,7 +196,53 @@ class TestRefine:
         assert recovered == degraded_count
 
     def test_never_raises_on_pathological_input(self):
+        # duplicated rows at a feasible point, and a NaN point
         prob = QpProblem([[1.0]], [0.0], C=[[1.0], [1.0]], d=[-1.0, -1.0])
-        active = identify(prob, np.array([-1.0]), 1e-7)
-        refined = refine(prob, np.array([-1.0]), active)
-        assert refined.size >= active.size
+        for z in (np.array([-1.0]), np.array([np.nan])):
+            active = identify(prob, z, 1e-7)
+            refined = refine(prob, z, active)
+            assert refined.size >= active.size
+        assert refined is active
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["plain", "duplicated-rows"])
+    def test_matches_least_squares_per_candidate(self, duplicated):
+        # loose ADMM points identified at several thresholds; with duplicated
+        # rows every inequality is stated twice, so candidates can be dependent
+        changed = 0
+        for seed in range(30):
+            n, m, p = 3 + seed % 8, 2 + seed % 11, seed % 3
+            prob = random_mixed_qp(n, m, p, seed=700 + seed, margin_lo=-0.5)
+            if duplicated:
+                prob = QpProblem(
+                    prob.P, prob.q, prob.A if p else None, prob.b if p else None,
+                    sp.vstack([prob.C, prob.C]), np.concatenate([prob.d, prob.d]),
+                )
+            backend = AdmmBackend()
+            backend.polish = False
+            for tol in (1e-2, 1e-4):
+                z = backend.solve(prob, SolveSettings(eps_abs=tol)).z
+                for eps in (1e-7, 1e-5, 1e-3):
+                    active = identify(prob, z, eps)
+                    want = refine_by_lstsq(prob, z, active)
+                    got = refine(prob, z, active).indices
+                    np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+                    changed += not np.array_equal(want, active.indices)
+        assert changed >= 10
+
+    def test_large_simplex_in_one_pass(self):
+        # a loose point at a tight threshold identifies no bound; refinement
+        # adds the 995 bounds of the exact projection.  The time bound is
+        # generous: a least-squares solve per candidate takes about 30 s
+        prob, x = gen_simplex(1000, 0)
+        backend = AdmmBackend()
+        backend.polish = False
+        z = backend.solve(prob, SolveSettings(eps_abs=1e-3)).z
+        active = identify(prob, z, 1e-7)
+        assert active.size == 0
+        start = time.perf_counter()
+        refined = refine(prob, z, active)
+        elapsed = time.perf_counter() - start
+        truth = identify(prob, simplex_projection_sort(x), 1e-9).indices
+        assert truth.size == 995
+        np.testing.assert_array_equal(refined.indices, truth)
+        assert elapsed < 5.0

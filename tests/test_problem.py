@@ -266,6 +266,31 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match=match):
             load_problem(path)
 
+    @pytest.mark.parametrize("key, match", [("q", "'q'"), ("d", "'d'"),
+                                            ("C", r"C.triplets\[0\]")])
+    def test_nan_entry_rejected_and_named(self, tmp_path, key, match):
+        obj = {
+            "n": 1, "p": 0, "m": 1,
+            "P": {"rows": 1, "cols": 1, "triplets": [[0, 0, 1.0]]},
+            "A": {"rows": 0, "cols": 1, "triplets": []},
+            "C": {"rows": 1, "cols": 1, "triplets": [[0, 0, 1.0]]},
+            "q": [0.0], "b": [], "d": [5.0],
+        }
+        if key == "C":
+            obj["C"]["triplets"] = [[0, 0, float("nan")]]
+        else:
+            obj[key] = [float("nan")]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))  # json writes the bare token NaN
+        with pytest.raises(ProblemFormatError, match=match):
+            load_problem(path)
+
+    def test_infinite_bound_loads(self, tmp_path):
+        path = tmp_path / "inf.json"
+        store_problem(QpProblem([[1.0]], [0.0], C=[[1.0]], d=[np.inf]), path)
+        assert "Infinity" in path.read_text()
+        np.testing.assert_array_equal(load_problem(path).d, [np.inf])
+
     def test_invalid_json_reports_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -494,6 +494,14 @@ class TestEqualityBackend:
         point = EqualityBackend().solve(prob, SolveSettings())
         assert point.status == "failed"
 
+    @pytest.mark.parametrize("key", ["q", "d"])
+    def test_fails_on_nan_data(self, key):
+        # a NaN q gives a NaN point, a NaN d a NaN primal residual
+        data = {"q": [0.0], "d": [5.0], key: [np.nan]}
+        prob = QpProblem([[1.0]], data["q"], C=[[1.0]], d=data["d"])
+        point = EqualityBackend().solve(prob, SolveSettings())
+        assert point.status == "failed"
+
 
 class TestImports:
     def test_import_leaves_scipy_optimize_unloaded(self):
