@@ -18,8 +18,11 @@ derivatives.  A factorization carries its rows J, so :func:`solve_on` is
 the one place that gathers a right-hand side onto J and scatters the
 result back to length m.  One factorization of K_J serves a backend's
 finishing solve, dual recovery and every derivative solve for the same
-(problem, J) pair.  A K_J with at least a quarter of its entries nonzero
-is factored by dense LAPACK LU, any other by SuperLU.  A singular K_J is
+(problem, J) pair.  A K_J with at least a quarter of its entries nonzero,
+counted from the problem blocks, is filled dense straight from them and
+factored by LAPACK LU, with solves by BLAS triangular solves; any other is
+assembled in sparse form and factored by SuperLU.  The sparse form of a
+dense K_J is built only when something reads it.  A singular K_J is
 bordered with a basis of its null space and factored by the same engine,
 so its solves return the minimum-norm least-squares solution.
 """
@@ -27,10 +30,12 @@ so its solves return the minimum-norm least-squares solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsv
 from scipy.sparse.csgraph import structural_rank
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
@@ -62,36 +67,72 @@ def _dense_enough(nnz, order):
 
 @dataclass(frozen=True)
 class ReducedKkt:
-    """Assembled reduced KKT matrix with its block sizes and its rows J."""
+    """K_J of ``problem`` on its inequality rows J, kept as the problem's
+    blocks and formed on demand.
 
-    matrix: sp.csc_array
-    n: int
-    p: int
+    ``nnz`` is counted from the blocks.  ``toarray()`` fills the dense K_J
+    straight from them, in Fortran order like ``matrix.toarray()``;
+    ``matrix``, the sparse CSC form with sorted indices, is built the first
+    time it is read.  A dense factorization reads it only to border a
+    singular K_J.
+    """
+
+    problem: object
     rows: np.ndarray
+
+    @property
+    def n(self):
+        return self.problem.n
+
+    @property
+    def p(self):
+        return self.problem.p
 
     @property
     def order(self):
         return self.n + self.p + self.rows.size
 
+    @cached_property
+    def nnz(self):
+        """Stored entries of K_J: those of P, twice those of A and of C_J."""
+        P, A, C = self.problem.P, self.problem.A, self.problem.C
+        cj = np.bincount(C.indices, minlength=C.shape[0])[self.rows].sum()
+        return int(P.nnz + 2 * A.nnz + 2 * cj)
+
+    @cached_property
+    def matrix(self) -> sp.csc_array:
+        P, A, C = self.problem.P, self.problem.A, self.problem.C
+        CJ = sp.csr_array(C)[self.rows]
+        mat = sp.block_array([[P, A.T, CJ.T], [A, None, None], [CJ, None, None]],
+                             format="csc")
+        mat.sort_indices()
+        return mat
+
+    def toarray(self):
+        """The dense K_J, equal to ``matrix.toarray()`` in values and order."""
+        n, p = self.n, self.p
+        K = np.zeros((self.order, self.order), order="F")
+        K[:n, :n] = self.problem.P.toarray()
+        for lo, block in ((n, self.problem.A.toarray()),
+                          (n + p, self.problem.C.toarray()[self.rows])):
+            K[lo : lo + block.shape[0], :n] = block
+            K[:n, lo : lo + block.shape[0]] = block.T
+        return K
+
 
 def assemble_reduced_kkt(problem, active) -> ReducedKkt:
-    """Build K_J from the problem blocks without modifying any entry.
+    """K_J of the problem blocks on rows ``active``, without modifying any
+    entry.
 
     ``active`` may be an ActiveSet or a plain index array; indices must lie
-    in ``[0, m)``.
+    in ``[0, m)``.  Nothing is copied here: see :class:`ReducedKkt`.
     """
     indices = np.asarray(getattr(active, "indices", active), dtype=int)
     if indices.size and (indices.min() < 0 or indices.max() >= problem.m):
         raise IndexError(
             f"active-set index out of range [0, {problem.m}): {indices}"
         )
-    CJ = sp.csr_array(problem.C)[indices]
-    mat = sp.block_array(
-        [[problem.P, problem.A.T, CJ.T], [problem.A, None, None], [CJ, None, None]],
-        format="csc",
-    )
-    mat.sort_indices()
-    return ReducedKkt(matrix=mat, n=problem.n, p=problem.p, rows=indices)
+    return ReducedKkt(problem=problem, rows=indices)
 
 
 class KktFactorization:
@@ -100,14 +141,16 @@ class KktFactorization:
     ``rows`` is the row set J of K_J.  ``mode`` is ``"direct"`` when K_J
     itself was factored, else ``"least_squares"``: K_J was bordered and
     solves return the minimum-norm least-squares solution.  ``engine`` is
-    ``"dense"`` (LAPACK LU) or ``"sparse"`` (SuperLU).  ``rank`` is the
-    rank of K_J.  Because K_J is symmetric, the same code path serves
-    forward and adjoint solves.
-    Instances are immutable after construction; concurrent solves are safe.
+    ``"dense"`` (LAPACK LU of the dense K_J, solved by ``trsv``) or
+    ``"sparse"`` (SuperLU).  ``rank`` is the rank of K_J.  ``matrix`` is
+    K_J in sparse form, built when first read.  Because K_J is symmetric,
+    the same code path serves forward and adjoint solves.
+    Instances are immutable after construction; concurrent solves are safe,
+    and threads that race on the first read of ``matrix`` get equal arrays.
     """
 
     def __init__(self, kkt, mode, engine, lu, factored, rank):
-        self.matrix = kkt.matrix
+        self._kkt = kkt
         self.rows = kkt.rows
         self.mode = mode
         self.engine = engine
@@ -116,6 +159,11 @@ class KktFactorization:
         self._factored = factored
         self.rank = rank
         self.order = kkt.order
+
+    @property
+    def matrix(self):
+        """K_J in sparse CSC form, built when first read."""
+        return self._kkt.matrix
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float).ravel()
@@ -137,22 +185,22 @@ class KktFactorization:
 def factorize(kkt: ReducedKkt) -> KktFactorization:
     """Factor K_J once for reuse, by LU.
 
-    The engine is dense LAPACK LU when at least a quarter of the entries of
-    K_J are nonzero, else SuperLU, and it serves the bordered matrix too.
+    The engine is dense LAPACK LU of ``kkt.toarray()`` when at least a
+    quarter of the entries of K_J are nonzero, by ``kkt.nnz``, else SuperLU
+    of ``kkt.matrix``, and it serves the bordered matrix too.
     A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]`` is
     factored, with Z a null-space basis of K_J, and the leading block of its
     solution is the minimum-norm least-squares solution.  Raises
     :class:`RankDeficiencyError` if that is singular too, which means P is
     not positive definite on the null space of ``[A; C_J]``.
     """
-    mat = kkt.matrix
-    engine = DENSE if _dense_enough(mat.nnz, kkt.order) else SPARSE
-    factored, lu = _checked_lu(mat, engine)
+    engine = DENSE if _dense_enough(kkt.nnz, kkt.order) else SPARSE
+    factored, lu = _checked_lu(kkt.toarray() if engine == DENSE else kkt.matrix, engine)
     if lu is not None:
         return KktFactorization(kkt, DIRECT, engine, lu, factored, kkt.order)
 
     Z = _null_basis(kkt)
-    bordered = sp.block_array([[mat, Z], [Z.T, None]], format="csc")
+    bordered = sp.block_array([[kkt.matrix, Z], [Z.T, None]], format="csc")
     factored, lu = _checked_lu(bordered, engine)
     if lu is None:
         raise RankDeficiencyError(
@@ -183,7 +231,7 @@ def _checked_lu(matrix, engine):
     """``(factored, lu)``: the matrix in the engine's format and its LU, with
     ``lu`` None when it fails the pivot check."""
     if engine == DENSE:
-        factored = matrix.toarray()
+        factored = matrix.toarray() if sp.issparse(matrix) else matrix
         lu = _DenseLu(factored)
         diag = np.abs(np.diagonal(lu.lu))
     else:
@@ -199,11 +247,14 @@ def _checked_lu(matrix, engine):
 class _DenseLu:
     """LAPACK LU with partial pivoting (``getrf``) of a dense matrix.
 
-    Solves apply the row permutation and two triangular solves.  LAPACK's
-    own ``getrs`` is not used: with OpenBLAS 0.3.31, threads calling it on
-    one shared factorization have aborted and crashed the interpreter,
-    while triangular solves on shared factors are safe.  ``getrf`` is
-    memory-safe on singular input and returns its zero pivots in U.
+    Solves apply the row permutation and two BLAS triangular solves
+    (``trsv``) on the Fortran-ordered factor, with none of
+    ``solve_triangular``'s argument checks and a bit-identical result.
+    LAPACK's own ``getrs`` is not used: with OpenBLAS 0.3.31, threads
+    calling it on one shared factorization have aborted and crashed the
+    interpreter, while triangular solves on shared factors are safe.
+    ``getrf`` is memory-safe on singular input and returns its zero pivots
+    in U.
     """
 
     def __init__(self, matrix):
@@ -215,10 +266,8 @@ class _DenseLu:
         self.perm = perm
 
     def solve(self, rhs):
-        y = scipy.linalg.solve_triangular(
-            self.lu, rhs[self.perm], lower=True, unit_diagonal=True, check_finite=False
-        )
-        return scipy.linalg.solve_triangular(self.lu, y, check_finite=False)
+        y = dtrsv(self.lu, rhs[self.perm], lower=1, diag=1, overwrite_x=1)
+        return dtrsv(self.lu, y, overwrite_x=1)
 
 
 def _lu_or_none(matrix):

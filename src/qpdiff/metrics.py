@@ -49,19 +49,23 @@ def residuals(problem, point) -> Residuals:
 
 def primal_dual_residuals(problem, z, lam, mu) -> tuple[float, float]:
     """``(r_p, r_d)`` alone, for callers that do not need the duality gap."""
-    r_p = 0.0
-    if problem.p:
-        r_p = float(np.abs(problem.A @ z - problem.b).max())
-    if problem.m:
-        viol = float((problem.C @ z - problem.d).max())
-        r_p = max(r_p, viol, 0.0) if problem.p else max(viol, 0.0)
+    return _primal_dual(problem, (problem.P, problem.A, problem.C), z, lam, mu)
 
-    stat = problem.P @ z + problem.q
+
+def _primal_dual(problem, operators, z, lam, mu):
+    """``(r_p, r_d)`` with every product taken through ``operators = (P, A,
+    C)``: the problem's own blocks, or dense copies of them.  A NaN in
+    either residual propagates."""
+    P, A, C = operators
+    r_p = 0.0
+    stat = P @ z + problem.q
     if problem.p:
-        stat = stat + problem.A.T @ lam
+        r_p = np.abs(A @ z - problem.b).max()
+        stat = stat + A.T @ lam
     if problem.m:
-        stat = stat + problem.C.T @ mu
-    return r_p, float(np.abs(stat).max())
+        r_p = np.maximum(r_p, (C @ z - problem.d).max())
+        stat = stat + C.T @ mu
+    return float(np.maximum(r_p, 0.0)), float(np.abs(stat).max())
 
 
 def _require_dual(val, length, name):

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
-from .identification import DEFAULT_EPS_ACTIVE, identify
+from .identification import DEFAULT_EPS_ACTIVE, _active_rows
 from .kkt import (
     DIRECT,
     KktFactorization,
@@ -38,7 +38,7 @@ from .kkt import (
     factorize,
     solve_on,
 )
-from .metrics import primal_dual_residuals, residuals
+from .metrics import _primal_dual, residuals
 from .problem import QpProblem
 
 __all__ = [
@@ -182,7 +182,8 @@ class ActiveSetBackend(SolverBackend):
     minimum-norm ``lam`` when the equality rows are dependent, and ``failed``
     when they are inconsistent.  The point carries that factorization as
     ``fact``, whose ``rows`` are the final working rows, for
-    ``differentiable_solve`` to reuse.
+    ``differentiable_solve`` to reuse.  Its residuals are taken with the
+    dense blocks the loop uses.
     """
 
     name = "active_set"
@@ -285,10 +286,11 @@ class ActiveSetBackend(SolverBackend):
             return failed
         point.mu = np.maximum(point.mu, 0.0)
         point.status, point.iterations = status, it
-        res = residuals(problem, point)
-        point.r_p, point.r_d = res.r_p, res.r_d
+        point.r_p, point.r_d = _primal_dual(
+            problem, (P, A, C), point.z, point.lam, point.mu
+        )
         # written so that a non-finite residual fails as well
-        if status == SOLVED and not max(res.r_p, res.r_d) <= settings.eps_abs:
+        if status == SOLVED and not max(point.r_p, point.r_d) <= settings.eps_abs:
             point.status = FAILED
         return point
 
@@ -310,9 +312,13 @@ class AdmmBackend(SolverBackend):
     its constraint block is eliminated, and the n x n matrix
     ``P + sigma I + G' diag(rho) G`` is factored by Cholesky; if that
     fails, P is not positive semidefinite and the solve returns ``failed``.
-    Otherwise the regularized KKT matrix is factored by sparse LU.  The
-    penalty is fixed (with a stiffer value on equality rows) and diagonal
-    data rescaling is off, so runs are deterministic given the settings.
+    On that dense path every residual check, the identification of the
+    rows J below and the residuals of a finishing point take their products
+    with the dense P and G formed for the factorization, not with the
+    sparse blocks.  Otherwise the regularized KKT matrix is factored by
+    sparse LU.  The penalty is fixed (with a stiffer value on equality
+    rows) and diagonal data rescaling is off, so runs are deterministic
+    given the settings.
 
     The solve ends on the active set.  From iteration 10 on, each residual
     check identifies the rows J the iterate holds active; when J is the same
@@ -349,13 +355,16 @@ class AdmmBackend(SolverBackend):
         rho[:p] *= self.rho_eq_scale
         rho_inv = 1.0 / rho
 
+        # the operators every residual check and identification goes through
+        ops = (problem.P, problem.A, problem.C)
         # factored raw, not through factorize: the loop needs neither
         # refinement nor a fallback, and each solve must stay cheap
         if _dense_enough(problem.P.nnz + 2 * G.nnz + n + p + m, n + p + m):
             # eliminate nu = rho*(G x - r2) from the iteration matrix and
             # factor the reduced n x n matrix P + sigma I + G' diag(rho) G
             Gd = G.toarray()
-            reduced = problem.P.toarray() + Gd.T @ (rho[:, None] * Gd)
+            ops = (problem.P.toarray(), Gd[:p], Gd[p:])
+            reduced = ops[0] + Gd.T @ (rho[:, None] * Gd)
             reduced[np.diag_indices(n)] += self.sigma
             try:
                 chol, chol_lower = cho_factor(reduced)
@@ -415,7 +424,7 @@ class AdmmBackend(SolverBackend):
             # never terminate before an iteration has refreshed the duals;
             # early checks let warm starts exit almost immediately
             if it <= 5 or it % self.check_interval == 0:
-                r_p, r_d = primal_dual_residuals(problem, x, y[:p], y[p:])
+                r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
                 if r_p <= settings.eps_abs and r_d <= settings.eps_abs:
                     status = SOLVED
                     break
@@ -425,9 +434,9 @@ class AdmmBackend(SolverBackend):
                 ):
                     break
                 if self.polish and it > 5:
-                    J = identify(problem, x, DEFAULT_EPS_ACTIVE).indices
+                    J = _held_rows(problem, ops, x)
                     if it >= next_try and np.array_equal(J, prev_J):
-                        finished = _finish(problem, J)
+                        finished = _finish(problem, ops, J)
                         if _residual(finished) <= settings.eps_abs:
                             status = SOLVED
                             break
@@ -435,9 +444,9 @@ class AdmmBackend(SolverBackend):
                         next_try = 2 * it
                     prev_J = J
         if status != SOLVED:
-            r_p, r_d = primal_dual_residuals(problem, x, y[:p], y[p:])
+            r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
         elif finished is None and self.polish:
-            finished = _finish(problem, identify(problem, x, DEFAULT_EPS_ACTIVE).indices)
+            finished = _finish(problem, ops, _held_rows(problem, ops, x))
             if not _residual(finished) < max(r_p, r_d):
                 finished = None
 
@@ -455,10 +464,15 @@ class AdmmBackend(SolverBackend):
         )
 
 
-def _finish(problem, J):
-    """ADMM's finishing point on rows J, with its residuals; None when K_J
-    cannot be factored, the solve is not finite, or a multiplier on J is
-    below -1e-9."""
+def _held_rows(problem, ops, x):
+    """The rows ``identify`` marks active at x, through ADMM's operators."""
+    return _active_rows(ops[2] @ x - problem.d, DEFAULT_EPS_ACTIVE)
+
+
+def _finish(problem, ops, J):
+    """ADMM's finishing point on rows J, with its residuals through ``ops``;
+    None when K_J cannot be factored, the solve is not finite, or a
+    multiplier on J is below -1e-9."""
     try:
         point = _point_on(problem, J)
     except RankDeficiencyError:  # P singular on the rows' null space
@@ -466,7 +480,7 @@ def _finish(problem, J):
     finite = all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu))
     if not finite or point.mu.min(initial=0.0) < -1e-9:
         return None
-    point.r_p, point.r_d = primal_dual_residuals(problem, point.z, point.lam, point.mu)
+    point.r_p, point.r_d = _primal_dual(problem, ops, point.z, point.lam, point.mu)
     return point
 
 

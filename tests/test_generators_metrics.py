@@ -57,6 +57,17 @@ class TestResiduals:
         assert gaps[0] > gaps[1] > gaps[2] or gaps[2] <= 1e-12
         assert gaps[2] <= 1e-12
 
+    @pytest.mark.parametrize("equalities", [True, False], ids=["p=1", "p=0"])
+    def test_nan_inequality_violation_propagates(self, equalities):
+        eq = dict(A=[[1.0, 1.0]], b=[1.0]) if equalities else {}
+        prob = QpProblem(np.eye(2), np.zeros(2), C=[[1.0, 0.0]], d=[np.nan], **eq)
+        point = PrimalDualPoint(
+            z=np.array([0.5, 0.5]), lam=np.zeros(prob.p), mu=np.zeros(1)
+        )
+        res = residuals(prob, point)
+        assert np.isnan(res.r_p)
+        assert res.r_d == 0.5
+
     def test_missing_duals_rejected(self):
         prob, _ = gen_simplex(3, seed=0)
         with pytest.raises(ValueError, match="lambda"):

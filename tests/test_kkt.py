@@ -163,6 +163,78 @@ def stacked_dense_qp():
     )
 
 
+def explicit_zeros_qp():
+    """A QP whose P, A and C store explicit zeros, one of them on row 0 of C."""
+    P = sp.csc_array(np.eye(3))
+    P.data[1] = 0.0
+    A = sp.csc_array(np.array([[1.0, 2.0, 0.0]]))
+    A.data[0] = 0.0
+    C = sp.csc_array(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]]))
+    C.data[0] = 0.0
+    return QpProblem(P, np.ones(3), A, [1.0], C, np.ones(3))
+
+
+DENSE_FILL_CASES = [
+    pytest.param(random_mixed_qp(8, 6, 0, seed=2), [1, 4], id="p=0"),
+    pytest.param(QpProblem(np.eye(4) + 0.5, np.ones(4), A=np.ones((1, 4)), b=[1.0]),
+                 [], id="m=0"),
+    pytest.param(random_mixed_qp(8, 6, 2, seed=3), [], id="J-empty"),
+    pytest.param(QpProblem(np.zeros((5, 5)), np.ones(5), A=np.ones((1, 5)), b=[1.0],
+                           C=-np.eye(5), d=np.zeros(5)), [0, 2, 3], id="P=0"),
+    pytest.param(gen_random_dense(150, 0), list(range(0, 150, 3)), id="dense-150"),
+    pytest.param(stacked_dense_qp(), [1, 9, 11, 15, 16, 21, 24, 29, 35, 38, 39],
+                 id="bordered"),
+    pytest.param(explicit_zeros_qp(), [0, 2], id="explicit-zeros"),
+]
+
+
+class TestDenseAssembly:
+    @pytest.mark.parametrize("prob, rows", DENSE_FILL_CASES)
+    def test_dense_fill_matches_sparse_form(self, prob, rows):
+        kkt = assemble_reduced_kkt(prob, np.array(rows, dtype=int))
+        dense, expected = kkt.toarray(), kkt.matrix.toarray()
+        assert dense.shape == expected.shape == (kkt.order, kkt.order)
+        np.testing.assert_array_equal(dense, expected)
+        assert np.array_equal(np.signbit(dense), np.signbit(expected))
+        assert dense.flags.f_contiguous and expected.flags.f_contiguous
+
+    @pytest.mark.parametrize("prob, rows", DENSE_FILL_CASES)
+    def test_block_count_is_nnz(self, prob, rows):
+        kkt = assemble_reduced_kkt(prob, np.array(rows, dtype=int))
+        assert kkt.nnz == kkt.matrix.nnz
+
+    def test_explicit_zeros_are_counted(self):
+        prob = explicit_zeros_qp()
+        assert (prob.P.nnz, prob.A.nnz, prob.C.nnz) == (3, 2, 5)
+        kkt = assemble_reduced_kkt(prob, np.array([0, 2]))
+        assert kkt.nnz == kkt.matrix.nnz == 3 + 2 * 2 + 2 * 4
+
+    def test_dense_factorize_leaves_the_sparse_form_unbuilt(self):
+        kkt = assemble_reduced_kkt(gen_random_dense(40, 1), np.arange(0, 40, 2))
+        fact = factorize(kkt)
+        assert (fact.engine, fact.mode) == (DENSE, DIRECT)
+        assert "matrix" not in vars(kkt)
+        # read on demand, and then the same object every time
+        assert fact.matrix is kkt.matrix
+        np.testing.assert_array_equal(fact.matrix.toarray(), kkt.toarray())
+
+    def test_trsv_solves_match_solve_triangular_bit_for_bit(self):
+        import scipy.linalg
+
+        from qpdiff.kkt import _DenseLu
+
+        kkt = assemble_reduced_kkt(gen_random_dense(60, 2), np.arange(20))
+        lu = _DenseLu(kkt.toarray())
+        rng = np.random.Generator(np.random.PCG64(15))
+        for _ in range(5):
+            rhs = rng.standard_normal(lu.lu.shape[0])
+            y = scipy.linalg.solve_triangular(
+                lu.lu, rhs[lu.perm], lower=True, unit_diagonal=True, check_finite=False
+            )
+            expected = scipy.linalg.solve_triangular(lu.lu, y, check_finite=False)
+            np.testing.assert_array_equal(lu.solve(rhs), expected)
+
+
 class TestEngines:
     @pytest.mark.parametrize(
         "prob, rows, mode",

@@ -425,6 +425,51 @@ class TestAdmmSolver:
         assert dense.iterations == sparse.iterations
         np.testing.assert_allclose(dense.z, sparse.z, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_checks_match_the_sparse_residuals_and_identify(
+        self, monkeypatch, seed
+    ):
+        import qpdiff.solvers as solvers
+        from qpdiff.metrics import _primal_dual, primal_dual_residuals
+
+        prob = gen_random_dense(60, seed)
+        checks, finishes = [], []
+        in_finish = []
+
+        def recording_primal_dual(problem, ops, z, lam, mu):
+            if not in_finish:
+                checks.append((ops, z.copy(), lam.copy(), mu.copy()))
+            return _primal_dual(problem, ops, z, lam, mu)
+
+        def recording_finish(problem, ops, J):
+            finishes.append((J, checks[-1][1]))
+            in_finish.append(1)
+            try:
+                return original_finish(problem, ops, J)
+            finally:
+                in_finish.pop()
+
+        original_finish = solvers._finish
+        monkeypatch.setattr(solvers, "_primal_dual", recording_primal_dual)
+        monkeypatch.setattr(solvers, "_finish", recording_finish)
+        assert solve_admm(prob).status == SOLVED
+        assert checks and finishes
+        for ops, z, lam, mu in checks:
+            # the dense path's own blocks, never the sparse ones
+            assert all(isinstance(op, np.ndarray) for op in ops)
+            dense = np.array(_primal_dual(prob, ops, z, lam, mu))
+            sparse = np.array(primal_dual_residuals(prob, z, lam, mu))
+            # relative to the size of the terms each residual sums
+            scale = np.array([
+                max(np.abs(prob.A @ z).max() + np.abs(prob.b).max(),
+                    np.abs(prob.C @ z).max() + np.abs(prob.d).max()),
+                np.abs(prob.P @ z).max() + np.abs(prob.q).max()
+                + np.abs(prob.A.T @ lam).max() + np.abs(prob.C.T @ mu).max(),
+            ])
+            assert np.all(np.abs(dense - sparse) <= 1e-12 * np.maximum(scale, sparse))
+        for J, z in finishes:
+            np.testing.assert_array_equal(J, identify(prob, z).indices)
+
     def test_indefinite_dense_problem_fails_without_raising(self):
         # P + sigma I + G' diag(rho) G has no Cholesky factor; the quasi-definite
         # sparse form would iterate to the saddle point (-1, 0.01) instead
