@@ -81,8 +81,7 @@ SUITES = ("simplex", "chain", "random-sparse", "random-dense", "two-param")
 
 
 def run_bench(suite, sizes, seeds, backends, eps_abs=1e-6, eps_active=1e-5,
-              normalize=False, refine_active=False,
-              time_limit=60.0) -> list[BenchRecord]:
+              normalize=False, time_limit=60.0) -> list[BenchRecord]:
     """One solve plus one backward per (size, seed, backend) combination.
 
     The backward gradient on z is a unit normal drawn from a per-problem
@@ -102,14 +101,14 @@ def run_bench(suite, sizes, seeds, backends, eps_abs=1e-6, eps_active=1e-5,
                     _bench_one(
                         problem_id, problem, backend, grad_z,
                         SolveSettings(eps_abs=eps_abs, time_limit=time_limit),
-                        eps_active, normalize, refine_active,
+                        eps_active, normalize,
                     )
                 )
     return records
 
 
 def _bench_one(problem_id, problem, backend, grad_z, settings, eps_active,
-               normalize, refine_active=False):
+               normalize):
     base = dict(
         problem_id=problem_id, n=problem.n, p=problem.p, m=problem.m,
         backend=backend,
@@ -117,7 +116,7 @@ def _bench_one(problem_id, problem, backend, grad_z, settings, eps_active,
     try:
         sol = differentiable_solve(
             problem, backend, settings, eps_active=eps_active,
-            normalize=normalize, refine_active=refine_active,
+            normalize=normalize,
         )
         t0 = time.perf_counter()
         grads = backward(sol, grad_z)

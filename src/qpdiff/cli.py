@@ -44,8 +44,6 @@ _FLAGS = {
                          help="active-set threshold (default 1e-5)"),
     "--normalize": dict(action="store_true",
                         help="row-normalize constraints before solving"),
-    "--refine-active-set": dict(action="store_true",
-                                help="greedy refinement of the identified active set"),
     "--seed": dict(type=int, default=0),
     "--json": dict(action="store_true", help="emit a machine-readable record"),
     "--out": dict(default=None, metavar="FILE",
@@ -53,8 +51,7 @@ _FLAGS = {
     "--time-limit": dict(type=float, default=60.0,
                          help="per-solve wall-clock limit in seconds"),
 }
-_SOLVE_FLAGS = ("--eps-abs", "--eps-active", "--normalize", "--refine-active-set",
-                "--time-limit")
+_SOLVE_FLAGS = ("--eps-abs", "--eps-active", "--normalize", "--time-limit")
 
 
 def _add_flags(parser, *names):
@@ -146,7 +143,6 @@ def cmd_solve(args):
         settings,
         eps_active=args.eps_active,
         normalize=args.normalize,
-        refine_active=args.refine_active_set,
     )
     res = residuals(problem, sol.point)
     if args.json or args.out:
@@ -202,7 +198,6 @@ def cmd_bench(args):
         eps_abs=args.eps_abs,
         eps_active=args.eps_active,
         normalize=args.normalize,
-        refine_active=args.refine_active_set,
         time_limit=args.time_limit,
     )
     out = args.out or "bench.csv"
@@ -338,7 +333,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ProblemFormatError, DimensionError, FileNotFoundError, ValueError) as exc:
+    except (ProblemFormatError, DimensionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UnknownBackendError, SolveFailedError, InfeasibleProblemError) as exc:

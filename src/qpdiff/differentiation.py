@@ -273,22 +273,29 @@ def differentiable_solve(
     settings: SolveSettings | None = None,
     eps_active: float = DEFAULT_EPS_ACTIVE,
     normalize: bool = False,
-    refine_active: bool = False,
 ) -> DifferentiableSolution:
     """Solve a QP with any registered backend and prepare its differentiation.
 
-    Pipeline: solve -> (optional constraint normalization) -> active-set
-    identification -> (optional refinement) -> reduced KKT assembly and
-    factorization -> dual recovery if the backend returned none ->
-    diagnosis.  The factorization is the backend's own when it returned one
-    for the identified rows and no row scaling is active, and is retained
-    on the returned solution for any number of subsequent forward/backward
-    calls.
+    Pipeline: (optional constraint normalization) -> solve -> active-set
+    identification -> reduced KKT assembly and factorization -> the point
+    on J, which certifies J and gives the duals if the backend returned
+    none -> diagnosis.  The factorization is the backend's own when it
+    returned one for the identified rows and no row scaling is active, and
+    is retained on the returned solution for any number of subsequent
+    forward/backward calls.
 
-    With ``normalize`` the solver and the identification see the row-scaled
-    problem (scale-invariant residuals); the factorization, duals and all
-    gradients refer to the original problem, with backend duals unscaled
-    accordingly.
+    The point on J is (z_J, lam_J, mu_J) = K_J^{-1} (-q, b, d_J), one solve
+    with the factorization.  J is certified when z_J is finite and
+    ``max(C z_J - d) <= eps_active``: the rows left out of J hold at the
+    point that J defines.  An uncertified J (a solver whose active rows
+    come back slack, such as a barrier method) is refined once with
+    :func:`qpdiff.identification.refine` and factored afresh; if it is
+    still not certified, :class:`SolveFailedError` names the worst row.
+
+    With ``normalize`` the solver, the identification and the certificate
+    see the row-scaled problem (scale-invariant residuals); the
+    factorization, duals and all gradients refer to the original problem,
+    with backend duals unscaled accordingly.
 
     A backend that does not report success raises :class:`SolveFailedError`
     with the failed point attached.
@@ -310,8 +317,6 @@ def differentiable_solve(
         )
 
     active = identify(work, point.z, eps_active)
-    if refine_active:
-        active = refine(work, point.z, active)
 
     if scaling is not None and point.has_duals:
         point = PrimalDualPoint(
@@ -335,8 +340,20 @@ def differentiable_solve(
     else:
         fact = factorize(assemble_reduced_kkt(problem, active))
 
+    z_J, lam_J, mu_J = solve_on(problem, fact, -problem.q, problem.b, problem.d)
+    if _violation(work, z_J, eps_active):
+        active = refine(work, point.z, active)
+        fact = factorize(assemble_reduced_kkt(problem, active))
+        z_J, lam_J, mu_J = solve_on(problem, fact, -problem.q, problem.b, problem.d)
+        why = _violation(work, z_J, eps_active)
+        if why:
+            raise SolveFailedError(
+                f"active set not certified: the point on the {active.size} "
+                f"identified rows {why}, also after refinement", point
+            )
+
     if not point.has_duals:
-        point.lam, point.mu = recover_duals(problem, point.z, active, fact)
+        point.lam, point.mu = lam_J, mu_J
 
     res = residuals(problem, point)
     point.r_p, point.r_d = res.r_p, res.r_d
@@ -360,3 +377,17 @@ def differentiable_solve(
         solve_ms=(t1 - t0) * 1e3,
         prepare_ms=(t2 - t1) * 1e3,
     )
+
+
+def _violation(problem, z, eps_active):
+    """Why ``z`` fails ``C z - d <= eps_active``, naming the worst row;
+    empty when it holds."""
+    if not np.isfinite(z).all():
+        return "is not finite"
+    if not problem.m:
+        return ""
+    excess = problem.C @ z - problem.d
+    j = int(np.argmax(excess))
+    if excess[j] <= eps_active:
+        return ""
+    return f"violates row {j} by {excess[j]:.3e} (eps_active {eps_active:g})"

@@ -3,10 +3,11 @@ non-differentiability diagnosis.
 
 Identification is hard thresholding of the inequality residuals
 r_j = (C z - d)_j at a tolerance eps: row j is active iff r_j >= -eps.
-The optional refinement walks the remaining rows in order of increasing
-slack and greedily accepts additions that shrink the residual of the
-reduced KKT system with the primal point held fixed; one orthogonalization
-prices every candidate.
+Refinement, which ``differentiable_solve`` runs only on a set whose point
+breaks a row left out of it, walks the remaining rows in order of
+increasing slack and greedily accepts additions that shrink the residual
+of the reduced KKT system with the primal point held fixed; one
+orthogonalization prices every candidate.
 """
 
 from __future__ import annotations

@@ -338,7 +338,12 @@ def _vector_from_json(raw, length, name, path):
         )
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
         raise ProblemFormatError(f"{path}: '{name}' has a non-numeric entry")
-    vec = np.array([float(v) for v in raw])
+    try:
+        vec = np.array([float(v) for v in raw])
+    except OverflowError:
+        raise ProblemFormatError(
+            f"{path}: '{name}' has an integer too large for a float"
+        ) from None
     if np.isnan(vec).any():
         raise ProblemFormatError(f"{path}: '{name}' has a NaN entry")
     return vec
@@ -380,7 +385,10 @@ def _matrix_from_json(raw, shape, name, path):
         prev = (j, i)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ProblemFormatError(f"{loc}: non-numeric value")
-        vals.append(float(v))
+        try:
+            vals.append(float(v))
+        except OverflowError:
+            raise ProblemFormatError(f"{loc}: integer too large for a float") from None
         if np.isnan(vals[-1]):
             raise ProblemFormatError(f"{loc}: NaN value")
         rows.append(i)

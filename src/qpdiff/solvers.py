@@ -80,8 +80,9 @@ class SolveSettings:
     time_limit: float | None = None
 
     def __post_init__(self):
-        if not self.eps_abs > 0:
-            raise ValueError("eps_abs must be positive")
+        # written so that NaN is rejected as well
+        if not 0 < self.eps_abs < np.inf:
+            raise ValueError("eps_abs must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import LinearConstraint, minimize
 
 import qpdiff
 from qpdiff import QpProblem, differentiation
+from qpdiff.solvers import SOLVED, PrimalDualPoint, SolverBackend
 
 
 def child_env(**extra):
@@ -30,6 +32,36 @@ def count_matrix_builds(monkeypatch):
 
     monkeypatch.setattr(differentiation, "_pattern_outer", counting)
     return calls
+
+
+class TrustConstrBackend(SolverBackend):
+    """scipy's ``trust-constr`` as a primal-only backend, at ``gtol = xtol = tol``.
+
+    Its inequality path is a barrier (interior-point) method, so the active
+    rows of its point come back slightly slack: a foreign solver whose
+    point thresholding alone can misread.  ``settings`` are not read.
+    """
+
+    name = "trust_constr"
+
+    def __init__(self, tol):
+        self.tol = tol
+
+    def solve(self, problem, settings):
+        P, q = problem.P.toarray(), problem.q
+        constraints = []
+        if problem.p:
+            constraints.append(LinearConstraint(problem.A.toarray(), problem.b, problem.b))
+        if problem.m:
+            constraints.append(LinearConstraint(problem.C.toarray(), -np.inf, problem.d))
+        res = minimize(
+            lambda z: 0.5 * z @ P @ z + q @ z, np.zeros(problem.n),
+            jac=lambda z: P @ z + q, hess=lambda z: P, method="trust-constr",
+            constraints=constraints,
+            options=dict(gtol=self.tol, xtol=self.tol, maxiter=10000),
+        )
+        # 1: gradient tolerance met, 2: step tolerance met
+        return PrimalDualPoint(z=res.x, status=SOLVED if res.status in (1, 2) else "failed")
 
 
 def refine_by_lstsq(problem, z, initial):

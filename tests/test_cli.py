@@ -103,14 +103,30 @@ class TestSolveCommand:
         assert record["status"] == "solved"
 
     def test_normalize_and_refine_flags(self, one_dee_file, capsys):
-        rc = main([
-            "solve", one_dee_file, "--normalize", "--refine-active-set", "--json",
-        ])
+        rc = main(["solve", one_dee_file, "--normalize", "--json"])
         out, _ = capsys.readouterr()
         assert rc == 0
         record = json.loads(out)
         assert record["active_set"] == [0]
         np.testing.assert_allclose(record["mu"], [1.0], atol=1e-9)
+        # refinement runs by itself when J is not certified; the flag is gone
+        for command in (["solve", one_dee_file], ["bench", "--suite", "simplex"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--refine-active-set"])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_eps_abs_exit_two(self, one_dee_file, capsys, value):
+        rc = main(["solve", one_dee_file, "--eps-abs", value])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert "eps_abs" in err
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        rc = main(["solve", str(tmp_path)])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("error: ")
 
 
 class TestBenchCommand:
@@ -257,7 +273,7 @@ class TestCheckGradCommand:
 @pytest.mark.parametrize("argv", [
     ["check-grad", "--suite", "simplex", "--eps-abs", "1e-12"],
     ["check-grad", "--suite", "simplex", "--time-limit", "0"],
-    ["bilevel", "--refine-active-set"],
+    ["bilevel", "--time-limit", "5"],
     ["profile", "--suite", "simplex", "--normalize"],
     ["solve", "problem.json", "--seed", "3"],
     ["bench", "--suite", "simplex", "--seed", "3"],

@@ -14,7 +14,9 @@ from qpdiff import (
     differentiable_solve,
     differentiation,
     forward_directional,
+    gen_random_dense,
     gen_simplex,
+    gen_two_param_family,
     get_backend,
     identify,
     random_direction,
@@ -30,10 +32,17 @@ from qpdiff.kkt import (
     factorize,
     solve_on,
 )
+from qpdiff.generators import TWO_PARAM_BREAKS
 from qpdiff.oracles import full_implicit_jacobian
-from qpdiff.solvers import PrimalOnlyBackend
+from qpdiff.solvers import (
+    AdmmBackend,
+    PrimalDualPoint,
+    PrimalOnlyBackend,
+    SolverBackend,
+)
 
 from helpers import (
+    TrustConstrBackend,
     complementarity_margins,
     count_matrix_builds,
     dense_equality_qp,
@@ -450,14 +459,98 @@ class TestDifferentiableSolve:
             pairing = parameter_pairing(bundle, direction)
             assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
-    def test_normalize_and_refine_compose(self):
-        prob = random_mixed_qp(5, 6, 1, seed=36)
-        sol = differentiable_solve(
-            prob, "active_set", normalize=True, refine_active=True
-        )
-        assert sol.point.status == "solved"
+    def test_normalize_and_refine_compose(self, monkeypatch):
+        # on this barrier point the row-scaled identification misses rows,
+        # so the certificate fails in the scaled frame and refinement runs
+        prob = gen_random_dense(30, 5)
+        calls = []
+        original = differentiation.refine
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(differentiation, "refine", counting)
+        sol = differentiable_solve(prob, TrustConstrBackend(1e-6), normalize=True)
+        assert len(calls) == 1
         plain = differentiable_solve(prob, "active_set")
         np.testing.assert_array_equal(sol.active.indices, plain.active.indices)
+        g = np.ones(prob.n)
+        np.testing.assert_allclose(
+            backward(sol, g).grad_q, backward(plain, g).grad_q, atol=1e-8
+        )
+
+
+class TestCertification:
+    """``differentiable_solve`` checks J by the point on J and refines only
+    when that point is infeasible."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_trust_constr_points_give_active_set_gradients(self, tol):
+        # thresholding the slack barrier points misses active rows on 8 of
+        # 10 at 1e-6 and on 3 of 10 at 1e-9
+        for seed in range(10):
+            prob = gen_random_dense(30, seed)
+            g = np.random.Generator(np.random.PCG64(seed)).standard_normal(prob.n)
+            want = backward(differentiable_solve(prob, "active_set"), g).grad_q
+            sol = differentiable_solve(prob, TrustConstrBackend(tol))
+            np.testing.assert_allclose(backward(sol, g).grad_q, want, atol=1e-4,
+                                       err_msg=f"seed {seed}")
+
+    def test_loose_admm_at_tight_threshold_returns_true_set(self):
+        # acceptance criterion 7's degraded regime: ADMM without its
+        # finishing solve, identified at 1e-7, loses truly active rows
+        loose = AdmmBackend()
+        loose.polish = False
+        settings = SolveSettings(eps_abs=1e-4)
+        b1, b2 = TWO_PARAM_BREAKS
+        rng = np.random.Generator(np.random.PCG64(7))
+        degraded = 0
+        for _ in range(10):
+            prob = gen_two_param_family(
+                rng.uniform(0.1, b1 - 0.1), rng.uniform(-0.4, b2 - 0.1)
+            )
+            tight = solve_active_set(prob, SolveSettings(eps_abs=1e-10))
+            truth = identify(prob, tight.z, 1e-5).indices
+            sol = differentiable_solve(prob, loose, settings, eps_active=1e-7)
+            degraded += not np.array_equal(
+                identify(prob, sol.point.z, 1e-7).indices, truth
+            )
+            np.testing.assert_array_equal(sol.active.indices, truth)
+        assert degraded
+
+    def test_builtin_backends_never_refine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("refine called on a built-in backend's point")
+
+        monkeypatch.setattr(differentiation, "refine", refuse)
+        for seed in range(5):
+            prob = gen_random_dense(60, seed)
+            for backend in ("admm", "active_set"):
+                assert differentiable_solve(prob, backend).point.status == "solved"
+        base = gen_simplex(300, seed=881707420)[0]
+        stated_twice = QpProblem(
+            base.P, base.q, sp.vstack([base.A, base.A]),
+            np.concatenate([base.b, base.b]), base.C, base.d,
+        )
+        assert differentiable_solve(stated_twice, "admm").point.status == "solved"
+
+    def test_point_refinement_cannot_repair_raises(self):
+        # min |z|^2 / 2 - 2 z_1 s.t. z_1 <= 1 (active), z_2 <= 0.1.  At the
+        # reported z = 0, J is empty and its point (2, 0) breaks row 0; the
+        # least slack candidate, row 1, is orthogonal to the stationarity
+        # residual, so refinement stops before reaching row 0
+        prob = QpProblem(np.eye(2), [-2.0, 0.0], C=np.eye(2), d=[1.0, 0.1])
+
+        class Stuck(SolverBackend):
+            name = "stuck"
+
+            def solve(self, problem, settings):
+                return PrimalDualPoint(z=np.zeros(2))
+
+        with pytest.raises(SolveFailedError, match="row 0 by 1.000e") as excinfo:
+            differentiable_solve(prob, Stuck())
+        np.testing.assert_array_equal(excinfo.value.point.z, [0.0, 0.0])
 
 
 def _flat(bundle, step):

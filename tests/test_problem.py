@@ -285,6 +285,25 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match=match):
             load_problem(path)
 
+    @pytest.mark.parametrize("key, match", [("q", "'q'"), ("C", r"C.triplets\[0\]")])
+    def test_integer_too_large_for_a_float_rejected_and_named(self, tmp_path, key, match):
+        obj = {
+            "n": 1, "p": 0, "m": 1,
+            "P": {"rows": 1, "cols": 1, "triplets": [[0, 0, 1.0]]},
+            "A": {"rows": 0, "cols": 1, "triplets": []},
+            "C": {"rows": 1, "cols": 1, "triplets": [[0, 0, 1.0]]},
+            "q": [0.0], "b": [], "d": [5.0],
+        }
+        huge = 10 ** 400
+        if key == "C":
+            obj["C"]["triplets"] = [[0, 0, huge]]
+        else:
+            obj[key] = [huge]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ProblemFormatError, match=match):
+            load_problem(path)
+
     def test_infinite_bound_loads(self, tmp_path):
         path = tmp_path / "inf.json"
         store_problem(QpProblem([[1.0]], [0.0], C=[[1.0]], d=[np.inf]), path)

@@ -561,6 +561,12 @@ class TestSettings:
         with pytest.raises(ValueError):
             SolveSettings(eps_abs=0.0)
 
+    @pytest.mark.parametrize("eps_abs", [np.inf, np.nan])
+    def test_tolerance_must_be_finite(self, eps_abs):
+        # at inf, admm and equality would report "solved" at infeasible points
+        with pytest.raises(ValueError, match="eps_abs"):
+            SolveSettings(eps_abs=eps_abs)
+
     def test_iteration_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveSettings(max_iterations=0)
