@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,9 +28,17 @@ from .identification import (
     refine,
 )
 from .kkt import KktFactorization, assemble_reduced_kkt, factorize, solve_on
-from .metrics import residuals
+from .metrics import primal_dual_residuals
 from .problem import QpProblem, RowScaling, is_symmetric, normalize_constraints
-from .solvers import SOLVED, PrimalDualPoint, SolveSettings, SolverBackend, get_backend
+from .solvers import (
+    SOLVED,
+    PrimalDualPoint,
+    SolveSettings,
+    SolverBackend,
+    _point_on,
+    certify,
+    get_backend,
+)
 
 __all__ = [
     "ParamDirection",
@@ -159,8 +167,8 @@ def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
     """
     if not np.array_equal(active.indices, fact.rows):
         raise ValueError("fact is a factorization on rows other than the active set")
-    _, lam, mu = solve_on(problem, fact, -problem.q, problem.b, problem.d)
-    return lam, mu
+    point = _point_on(problem, active.indices, fact)
+    return point.lam, point.mu
 
 
 def forward_directional(sol: DifferentiableSolution, direction: ParamDirection):
@@ -285,17 +293,20 @@ def differentiable_solve(
     forward/backward calls.
 
     The point on J is (z_J, lam_J, mu_J) = K_J^{-1} (-q, b, d_J), one solve
-    with the factorization.  J is certified when z_J is finite and
-    ``max(C z_J - d) <= eps_active``: the rows left out of J hold at the
-    point that J defines.  An uncertified J (a solver whose active rows
-    come back slack, such as a barrier method) is refined once with
-    :func:`qpdiff.identification.refine` and factored afresh; if it is
-    still not certified, :class:`SolveFailedError` names the worst row.
+    with the factorization.  J is certified when that point is finite,
+    breaks no row by more than ``eps_active``, and, on a ``direct`` K_J,
+    has no multiplier on J below ``-eps_active``
+    (:func:`qpdiff.solvers.certify`).  An uncertified J (slack active rows
+    from a barrier method, or a slack row taken in by a loose threshold) is
+    refined once with :func:`qpdiff.identification.refine` and factored
+    afresh; if it is still not certified, :class:`SolveFailedError` names
+    the worst row.
 
-    With ``normalize`` the solver, the identification and the certificate
-    see the row-scaled problem (scale-invariant residuals); the
-    factorization, duals and all gradients refer to the original problem,
-    with backend duals unscaled accordingly.
+    With ``normalize`` the solver, the identification, the certificate and
+    the diagnosis see the row-scaled problem (scale-invariant residuals,
+    multipliers times the row norms); the factorization, duals and all
+    gradients refer to the original problem, with backend duals unscaled
+    accordingly.
 
     A backend that does not report success raises :class:`SolveFailedError`
     with the failed point attached.
@@ -318,34 +329,25 @@ def differentiable_solve(
 
     active = identify(work, point.z, eps_active)
 
-    if scaling is not None and point.has_duals:
-        point = PrimalDualPoint(
-            z=point.z,
-            lam=point.lam / scaling.eq_scales if problem.p else point.lam,
-            mu=point.mu / scaling.ineq_scales if problem.m else point.mu,
-            status=point.status,
-            r_p=point.r_p,
-            r_d=point.r_d,
-            iterations=point.iterations,
-        )
+    if scaling is not None:
+        # the backend's duals and factorization belong to the scaled problem
+        point = replace(point, fact=None)
+        if point.has_duals:
+            point.lam = point.lam / scaling.eq_scales
+            point.mu = point.mu / scaling.ineq_scales
 
     # the backend's own K_J factorization, when it factored the same rows of
-    # the same (unscaled) problem, is bit-identical to a fresh one
-    if (
-        scaling is None
-        and point.fact is not None
-        and np.array_equal(active.indices, point.fact.rows)
-    ):
-        fact = point.fact
-    else:
+    # the same problem, is bit-identical to a fresh one
+    fact = point.fact
+    if fact is None or not np.array_equal(active.indices, fact.rows):
         fact = factorize(assemble_reduced_kkt(problem, active))
 
-    z_J, lam_J, mu_J = solve_on(problem, fact, -problem.q, problem.b, problem.d)
-    if _violation(work, z_J, eps_active):
+    on_J = _point_on(problem, active.indices, fact)
+    if certify(work, _in_frame(on_J, scaling), eps_active):
         active = refine(work, point.z, active)
-        fact = factorize(assemble_reduced_kkt(problem, active))
-        z_J, lam_J, mu_J = solve_on(problem, fact, -problem.q, problem.b, problem.d)
-        why = _violation(work, z_J, eps_active)
+        fresh = factorize(assemble_reduced_kkt(problem, active))
+        on_J = _point_on(problem, active.indices, fresh)
+        why = certify(work, _in_frame(on_J, scaling), eps_active)
         if why:
             raise SolveFailedError(
                 f"active set not certified: the point on the {active.size} "
@@ -353,25 +355,17 @@ def differentiable_solve(
             )
 
     if not point.has_duals:
-        point.lam, point.mu = lam_J, mu_J
+        point.lam, point.mu = on_J.lam, on_J.mu
+    point.r_p, point.r_d = primal_dual_residuals(problem, point.z, point.lam, point.mu)
 
-    res = residuals(problem, point)
-    point.r_p, point.r_d = res.r_p, res.r_d
-
-    # diagnosis in the same (possibly scale-invariant) frame as identification
-    diag_point = point
-    if scaling is not None and problem.m:
-        diag_point = PrimalDualPoint(
-            z=point.z, lam=point.lam, mu=point.mu * scaling.ineq_scales
-        )
-    diag = diagnose(work, diag_point, active, eps_active)
+    diag = diagnose(work, _in_frame(point, scaling), active, eps_active)
     t2 = time.perf_counter()
 
     return DifferentiableSolution(
         problem=problem,
         point=point,
         active=active,
-        fact=fact,
+        fact=on_J.fact,
         diagnosis=diag,
         scaling=scaling,
         solve_ms=(t1 - t0) * 1e3,
@@ -379,15 +373,9 @@ def differentiable_solve(
     )
 
 
-def _violation(problem, z, eps_active):
-    """Why ``z`` fails ``C z - d <= eps_active``, naming the worst row;
-    empty when it holds."""
-    if not np.isfinite(z).all():
-        return "is not finite"
-    if not problem.m:
-        return ""
-    excess = problem.C @ z - problem.d
-    j = int(np.argmax(excess))
-    if excess[j] <= eps_active:
-        return ""
-    return f"violates row {j} by {excess[j]:.3e} (eps_active {eps_active:g})"
+def _in_frame(point, scaling):
+    """``point`` with mu, the only duals the certificate and the diagnosis
+    read, in the row-scaled frame where J was identified."""
+    if scaling is None:
+        return point
+    return replace(point, mu=point.mu * scaling.ineq_scales)

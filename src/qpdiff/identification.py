@@ -4,7 +4,7 @@ non-differentiability diagnosis.
 Identification is hard thresholding of the inequality residuals
 r_j = (C z - d)_j at a tolerance eps: row j is active iff r_j >= -eps.
 Refinement, which ``differentiable_solve`` runs only on a set whose point
-breaks a row left out of it, walks the remaining rows in order of
+is not certified, walks the remaining rows in order of
 increasing slack and greedily accepts additions that shrink the residual
 of the reduced KKT system with the primal point held fixed; one
 orthogonalization prices every candidate.
@@ -42,9 +42,6 @@ class ActiveSet:
     @property
     def size(self):
         return int(self.indices.size)
-
-    def __contains__(self, j):
-        return bool(np.isin(j, self.indices))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ def residuals(problem, point) -> Residuals:
     if problem.p:
         gap += float(problem.b @ lam)
     if problem.m:
-        gap += float(problem.d @ mu)
+        held = mu != 0.0  # inf * 0 on an infinite bound would read NaN
+        gap += float(problem.d[held] @ mu[held])
     r_g = abs(gap)
 
     return Residuals(r_p, r_d, r_g)

@@ -63,9 +63,10 @@ def brute_force_solve(problem) -> PrimalDualPoint:
     d = problem.d
     n, p, m = problem.n, problem.p, problem.m
 
+    # an infinite bound never binds, so it sets no scale
     scale = 1.0 + max(
         np.abs(q).max(initial=0.0), np.abs(b).max(initial=0.0),
-        np.abs(d).max(initial=0.0),
+        np.abs(d[np.isfinite(d)]).max(initial=0.0),
     )
     solve_tol = 1e-9 * scale
     feas_tol = 1e-9 * scale

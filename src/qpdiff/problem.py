@@ -98,11 +98,6 @@ class QpProblem:
         self.p = p
         self.m = m
 
-    def objective(self, z):
-        """0.5 z'Pz + q'z at a point z."""
-        z = np.asarray(z, dtype=float)
-        return 0.5 * float(z @ (self.P @ z)) + float(self.q @ z)
-
     def data_equal(self, other):
         """Exact structural and numerical equality of all six blocks."""
         if (self.n, self.p, self.m) != (other.n, other.p, other.m):

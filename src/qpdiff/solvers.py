@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +38,7 @@ from .kkt import (
     factorize,
     solve_on,
 )
-from .metrics import _primal_dual, residuals
+from .metrics import _primal_dual, primal_dual_residuals
 from .problem import QpProblem
 
 __all__ = [
@@ -70,8 +70,8 @@ class SolveSettings:
 
     ``eps_abs`` bounds the achieved primal and dual residuals in infinity
     norm.  The exact backends reach working precision or fail: ``active_set``
-    fails when a residual exceeds it, and ``equality`` fails when an
-    inequality is violated by more than ``max(eps_abs, 1e-9)``.
+    fails when a residual exceeds it, and ``equality`` fails when
+    :func:`certify` rejects its point at ``max(eps_abs, 1e-9)``.
     """
 
     eps_abs: float = 1e-6
@@ -133,8 +133,8 @@ class EqualityBackend(SolverBackend):
     reuse.  A singular K_J (dependent equality rows, or P singular on
     null(A)) raises :class:`RankDeficiencyError`.  If the equality-relaxed
     optimum happens to satisfy C z <= d it is the true optimum with mu = 0;
-    otherwise, or when the point or a residual is not finite, the solve
-    fails.
+    otherwise, or when the point is not finite, :func:`certify` rejects it
+    and the solve fails.
     """
 
     name = "equality"
@@ -143,12 +143,8 @@ class EqualityBackend(SolverBackend):
         point = _point_on(problem, np.zeros(0, dtype=int))
         if point.fact.mode != DIRECT:
             raise RankDeficiencyError("equality KKT matrix is singular")
-        res = residuals(problem, point)
-        point.r_p, point.r_d = res.r_p, res.r_d
-        finite = np.isfinite(point.z).all() and np.isfinite([res.r_p, res.r_d]).all()
-        violation = (problem.C @ point.z - problem.d).max(initial=0.0)
-        # written so that a non-finite point or residual fails as well
-        if not (finite and violation <= max(settings.eps_abs, 1e-9)):
+        point.r_p, point.r_d = primal_dual_residuals(problem, point.z, point.lam, point.mu)
+        if certify(problem, point, max(settings.eps_abs, 1e-9)):
             point.status = FAILED
         return point
 
@@ -221,7 +217,8 @@ class ActiveSetBackend(SolverBackend):
         x = -solve_triangular(L, Q @ g, lower=True, trans="T")
         LinvC = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
 
-        feas_tol = 1e-9 * (1.0 + float(np.abs(d).max(initial=0.0)))
+        # an infinite bound never binds, so it sets no scale
+        feas_tol = 1e-9 * (1.0 + float(np.abs(d[np.isfinite(d)]).max(initial=0.0)))
         work: list[int] = []  # working inequality rows, ascending
         y = np.zeros(m)  # multipliers of the working rows and of row j
         j = None  # the violated row being added
@@ -265,6 +262,9 @@ class ActiveSetBackend(SolverBackend):
                 add = False
             else:
                 t_full = (C[j] @ x - d[j]) / -cdx
+                if not np.isfinite(t_full):
+                    status = FAILED  # a bound of -inf: no point holds row j
+                    break
                 add = t_full <= t
                 t = min(t, t_full)
                 x = x + t * dx
@@ -497,13 +497,36 @@ def solve_admm(problem, settings=None):
 # --- helpers ------------------------------------------------------------------
 
 
-def _point_on(problem, J):
-    """The point on rows J from one factorization of K_J, carrying the
-    factorization (and with it J) as ``fact``; raises
-    :class:`RankDeficiencyError` when K_J cannot be factored."""
-    fact = factorize(assemble_reduced_kkt(problem, J))
+def _point_on(problem, J, fact=None):
+    """The point K_J^-1 (-q, b, d_J) on rows J, by one solve with ``fact``,
+    a factorization of K_J, or with a fresh one, which raises
+    :class:`RankDeficiencyError` when K_J cannot be factored.  The point
+    carries the factorization, and with it J, as ``fact``."""
+    if fact is None:
+        fact = factorize(assemble_reduced_kkt(problem, J))
     z, lam, mu = solve_on(problem, fact, -problem.q, problem.b, problem.d)
     return PrimalDualPoint(z=z, lam=lam, mu=mu, fact=fact)
+
+
+def certify(problem, point, eps):
+    """Why ``point``, the point on the rows J of ``point.fact``, is not a
+    KKT point of ``problem`` to within ``eps``, naming the worst row; empty
+    when it is.  It fails when it is not finite, breaks a row by more than
+    ``eps``, or, on a ``direct`` K_J, whose duals are unique, has a
+    multiplier on J below ``-eps``.  The minimum-norm duals of a bordered
+    K_J can be negative on a right J, so their sign is not read."""
+    if not all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu)):
+        return "is not finite"
+    if problem.m:
+        excess = problem.C @ point.z - problem.d
+        j = int(np.argmax(excess))  # the first NaN, if there is one
+        # written so that a NaN excess (a NaN bound) fails as well
+        if not excess[j] <= eps:
+            return f"violates row {j} by {excess[j]:.3e} (eps {eps:g})"
+        j = int(np.argmin(point.mu))  # mu is zero off J
+        if point.fact.mode == DIRECT and point.mu[j] < -eps:
+            return f"gives row {j} the multiplier {point.mu[j]:.3e} (eps {eps:g})"
+    return ""
 
 
 class PrimalOnlyBackend(SolverBackend):
@@ -519,15 +542,7 @@ class PrimalOnlyBackend(SolverBackend):
 
     def solve(self, problem, settings):
         point = self.inner.solve(problem, settings)
-        return PrimalDualPoint(
-            z=point.z,
-            lam=None,
-            mu=None,
-            status=point.status,
-            r_p=point.r_p,
-            r_d=point.r_d,
-            iterations=point.iterations,
-        )
+        return replace(point, lam=None, mu=None, fact=None)
 
 
 # --- registry -----------------------------------------------------------------

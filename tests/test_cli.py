@@ -91,6 +91,17 @@ class TestSolveCommand:
         assert rc == 2
         assert f"'{key}'" in err
 
+    @pytest.mark.parametrize("solver", [[], ["--solver", "admm"]], ids=["default", "admm"])
+    def test_infinite_bound(self, tmp_path, capsys, solver):
+        path = tmp_path / "inf.json"
+        store_problem(
+            QpProblem(np.eye(2), [-2.0, -2.0], C=np.eye(2), d=[np.inf, 1.0]), path
+        )
+        rc = main(["solve", str(path), *solver])
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        assert "r_g=0.000e+00" in out
+
     def test_failed_backend_exit_three(self, one_dee_file, capsys):
         rc = main(["solve", one_dee_file, "--solver", "equality"])
         assert rc == 3

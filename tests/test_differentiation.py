@@ -46,6 +46,7 @@ from helpers import (
     complementarity_margins,
     count_matrix_builds,
     dense_equality_qp,
+    dims_for_seed,
     parameter_pairing,
     random_mixed_qp,
 )
@@ -483,7 +484,8 @@ class TestDifferentiableSolve:
 
 class TestCertification:
     """``differentiable_solve`` checks J by the point on J and refines only
-    when that point is infeasible."""
+    when that point is infeasible or, on a direct K_J, has a negative
+    multiplier."""
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_trust_constr_points_give_active_set_gradients(self, tol):
@@ -551,6 +553,48 @@ class TestCertification:
         with pytest.raises(SolveFailedError, match="row 0 by 1.000e") as excinfo:
             differentiable_solve(prob, Stuck())
         np.testing.assert_array_equal(excinfo.value.point.z, [0.0, 0.0])
+
+    def test_refined_set_with_negative_multiplier_raises(self):
+        # identification gives [4]; refinement adds rows 0 and 2, and the
+        # point on [0, 2, 4] is feasible, but row 2 is slack at the optimum
+        # and its unique multiplier on that J is -1.244e-2
+        n, m, p = dims_for_seed(211)
+        prob = random_mixed_qp(n, m, p, seed=211)
+        loose = AdmmBackend()
+        loose.polish = False
+        with pytest.raises(SolveFailedError, match="gives row 2 the multiplier -1.244e-02"):
+            differentiable_solve(prob, loose, SolveSettings(eps_abs=1e-2), eps_active=1e-7)
+
+    @pytest.mark.parametrize("seed, row", [(0, 23), (1, 32), (4, 44)])
+    def test_loose_threshold_adds_a_row_with_negative_multiplier(self, seed, row):
+        # the threshold 1.0 takes in a slack row, so the derivative would be
+        # that of another QP
+        with pytest.raises(SolveFailedError, match=f"gives row {row} the multiplier -"):
+            differentiable_solve(gen_random_dense(60, seed), "admm", eps_active=1.0)
+
+    def test_multipliers_judged_in_scaled_frame(self):
+        # min |z|^2 / 2 s.t. s z_1 <= s c, reported at z = (c, 0): holding
+        # the row gives mu = -c / s, which is -c in the row-scaled frame
+        class Held(SolverBackend):
+            name = "held"
+
+            def __init__(self, c):
+                self.c = c
+
+            def solve(self, problem, settings):
+                return PrimalDualPoint(z=np.array([self.c, 0.0]))
+
+        for s, c, fails_scaled in ((1e-3, 1e-4, False), (1e3, 1e-2, True)):
+            prob = QpProblem(np.eye(2), np.zeros(2), C=[[s, 0.0]], d=[s * c])
+            for normalize in (False, True):
+                if normalize == fails_scaled:
+                    with pytest.raises(SolveFailedError, match="row 0 the multiplier"):
+                        differentiable_solve(prob, Held(c), eps_active=1e-3,
+                                             normalize=normalize)
+                else:
+                    sol = differentiable_solve(prob, Held(c), eps_active=1e-3,
+                                               normalize=normalize)
+                    np.testing.assert_allclose(sol.point.mu, [-c / s])
 
 
 def _flat(bundle, step):

@@ -4,6 +4,7 @@ import pytest
 from qpdiff import (
     PrimalDualPoint,
     QpProblem,
+    Residuals,
     SolveSettings,
     TWO_PARAM_BOX,
     TWO_PARAM_BREAKS,
@@ -35,6 +36,15 @@ class TestResiduals:
         assert res.r_d == 0.0
         # gap terms: z'Pz = 0.5, q'z = 0, d'mu = -0.5
         assert res.r_g == 0.0
+
+    def test_gap_finite_with_infinite_bound(self):
+        # d'mu summed over every row read inf * 0 = NaN on the unheld row
+        prob = QpProblem(np.eye(2), [-2.0, -2.0], C=np.eye(2), d=[np.inf, 1.0])
+        point = PrimalDualPoint(
+            z=np.array([2.0, 1.0]), lam=np.zeros(0), mu=np.array([0.0, 1.0])
+        )
+        # gap terms: z'Pz = 5, q'z = -6, d'mu = 1
+        assert residuals(prob, point) == Residuals(0.0, 0.0, 0.0)
 
     def test_equality_violation_measured(self):
         prob, _ = gen_simplex(3, seed=0)

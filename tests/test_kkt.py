@@ -17,7 +17,7 @@ from qpdiff import (
     identify,
     solve_active_set,
 )
-from qpdiff.errors import RankDeficiencyError
+from qpdiff.errors import RankDeficiencyError, SolveFailedError
 from qpdiff.kkt import DENSE, DIRECT, LEAST_SQUARES, SPARSE, solve_on
 
 from helpers import child_env, random_mixed_qp
@@ -497,17 +497,19 @@ class TestFactorizationReuse:
         assert len(calls) == 0
         assert sol.fact is sol.point.fact
 
-        # another frame, no backend factorization, or other rows: factor afresh
+        # another frame, or no backend factorization: factor afresh
         for kwargs in (
             dict(backend="admm", normalize=True),
             dict(backend=PrimalOnlyBackend(get_backend("admm"))),
-            dict(backend="admm", eps_active=1.0),
         ):
             calls.clear()
             other = differentiable_solve(prob, **kwargs)
             assert len(calls) == 1, kwargs
             assert other.fact is not other.point.fact
-        assert other.active.size > sol.active.size
+        # other rows: the loose threshold adds row 23, whose unique
+        # multiplier on that J is negative, so J is not certified
+        with pytest.raises(SolveFailedError, match="row 23"):
+            differentiable_solve(prob, "admm", eps_active=1.0)
 
         fresh = dataclasses.replace(
             sol, fact=factorize(assemble_reduced_kkt(prob, sol.active))

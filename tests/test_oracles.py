@@ -48,6 +48,15 @@ class TestBruteForce:
         np.testing.assert_allclose(point.z, np.linalg.solve(P, -q), atol=1e-9)
         assert identify(prob, point.z).size == 0
 
+    def test_infinite_bound(self):
+        # an infinite bound made the feasibility tolerance infinite, so the
+        # infeasible unconstrained point (2, 2) was accepted
+        prob = QpProblem(np.eye(2), [-2.0, -2.0], C=np.eye(2), d=[np.inf, 1.0])
+        point = brute_force_solve(prob)
+        np.testing.assert_allclose(point.z, [2.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(point.mu, [0.0, 1.0], atol=1e-12)
+        assert point.r_p == 0.0
+
     def test_simplex_clipping_matches_active_set_solver(self):
         prob = simplex_problem([0.9, 0.9, 0.9])
         brute = brute_force_solve(prob)

@@ -25,7 +25,16 @@ from qpdiff import (
     solve_admm,
 )
 from qpdiff.errors import RankDeficiencyError
-from qpdiff.solvers import FAILED, SOLVED, AdmmBackend, EqualityBackend, SolverBackend
+from qpdiff.kkt import DIRECT, LEAST_SQUARES
+from qpdiff.solvers import (
+    FAILED,
+    SOLVED,
+    AdmmBackend,
+    EqualityBackend,
+    SolverBackend,
+    _point_on,
+    certify,
+)
 
 from helpers import child_env, parameter_pairing, random_mixed_qp
 
@@ -105,6 +114,18 @@ class TestActiveSetSolver:
         assert point.status == SOLVED
         np.testing.assert_allclose(point.z, [-1.0], atol=1e-12)
         np.testing.assert_allclose(point.mu, [1.0], atol=1e-12)
+
+    def test_infinite_bound(self):
+        # an infinite bound made the feasibility tolerance infinite, so the
+        # infeasible start (2, 2) passed and the solve failed on r_p = 1
+        prob = QpProblem(np.eye(2), [-2.0, -2.0], C=np.eye(2), d=[np.inf, 1.0])
+        for point in (solve_active_set(prob), solve_admm(prob)):
+            assert point.status == SOLVED
+            np.testing.assert_allclose(point.z, [2.0, 1.0], atol=1e-12)
+            np.testing.assert_allclose(point.mu, [0.0, 1.0], atol=1e-12)
+        # a bound of -inf is infeasible
+        prob = QpProblem(np.eye(2), [-2.0, -2.0], C=np.eye(2), d=[-np.inf, 1.0])
+        assert solve_active_set(prob).status == FAILED
 
     def test_two_dimensional_symmetric(self):
         prob = QpProblem(np.eye(2), np.zeros(2), C=[[-1.0, -1.0]], d=[-1.0])
@@ -541,11 +562,45 @@ class TestEqualityBackend:
 
     @pytest.mark.parametrize("key", ["q", "d"])
     def test_fails_on_nan_data(self, key):
-        # a NaN q gives a NaN point, a NaN d a NaN primal residual
+        # a NaN q gives a NaN point, a NaN d a NaN row excess
         data = {"q": [0.0], "d": [5.0], key: [np.nan]}
         prob = QpProblem([[1.0]], data["q"], C=[[1.0]], d=data["d"])
         point = EqualityBackend().solve(prob, SolveSettings())
         assert point.status == "failed"
+
+
+class TestCertify:
+    # min |z|^2 / 2 - z_1 / 2 s.t. z_1 <= 1, stated once or twice: the
+    # optimum (0.5, 0) is interior, so holding the row gives it mu < 0
+    @staticmethod
+    def held_row(times):
+        return QpProblem(np.eye(2), [-0.5, 0.0], C=[[1.0, 0.0]] * times,
+                         d=[1.0] * times)
+
+    def test_negative_unique_multiplier_fails(self):
+        point = _point_on(self.held_row(1), [0])
+        assert point.fact.mode == DIRECT
+        assert certify(self.held_row(1), point, 1e-9) == (
+            "gives row 0 the multiplier -5.000e-01 (eps 1e-09)"
+        )
+        assert certify(self.held_row(1), point, 1.0) == ""
+
+    def test_minimum_norm_multiplier_sign_is_not_read(self):
+        # the duplicated row makes K_J singular; its minimum-norm duals
+        # (-0.25, -0.25) could be negative on a right J as well
+        prob = self.held_row(2)
+        point = _point_on(prob, [0, 1])
+        assert point.fact.mode == LEAST_SQUARES
+        np.testing.assert_allclose(point.mu, [-0.25, -0.25])
+        assert certify(prob, point, 1e-9) == ""
+
+    def test_row_violation_and_non_finite_point_fail(self):
+        prob = self.held_row(1)
+        point = _point_on(prob, [])
+        point.z = np.array([2.0, 0.0])
+        assert certify(prob, point, 1e-9).startswith("violates row 0 by 1.000e+00")
+        point.z = np.array([np.nan, 0.0])
+        assert certify(prob, point, 1e-9) == "is not finite"
 
 
 class TestImports:
