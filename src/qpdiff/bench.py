@@ -25,8 +25,9 @@ from .generators import (
     gen_simplex,
     gen_two_param_family,
 )
+from .identification import DEFAULT_EPS_ACTIVE
 from .metrics import residuals
-from .solvers import SolveSettings
+from .solvers import DEFAULT_TIME_LIMIT, SolveSettings
 
 __all__ = ["BenchRecord", "SUITES", "make_problem", "run_bench", "summarize",
            "write_csv"]
@@ -80,8 +81,9 @@ def make_problem(suite: str, size: int, seed: int):
 SUITES = ("simplex", "chain", "random-sparse", "random-dense", "two-param")
 
 
-def run_bench(suite, sizes, seeds, backends, eps_abs=1e-6, eps_active=1e-5,
-              normalize=False, time_limit=60.0) -> list[BenchRecord]:
+def run_bench(suite, sizes, seeds, backends, eps_abs=SolveSettings.eps_abs,
+              eps_active=DEFAULT_EPS_ACTIVE, normalize=False,
+              time_limit=DEFAULT_TIME_LIMIT) -> list[BenchRecord]:
     """One solve plus one backward per (size, seed, backend) combination.
 
     The backward gradient on z is a unit normal drawn from a per-problem

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .differentiation import ParamDirection, backward, differentiable_solve
 from .errors import QpdiffError
+from .identification import DEFAULT_EPS_ACTIVE
 from .problem import QpProblem
 from .solvers import SolveSettings
 
@@ -37,8 +38,8 @@ class BilevelConfig:
     max_iterations: int = 500
     target: float = 1e-10
     backend: str = "active_set"
-    eps_abs: float = 1e-6
-    eps_active: float = 1e-5
+    eps_abs: float = SolveSettings.eps_abs
+    eps_active: float = DEFAULT_EPS_ACTIVE
     warm_start: bool = False
 
     def __post_init__(self):

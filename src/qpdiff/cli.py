@@ -12,7 +12,12 @@ import numpy as np
 from . import __version__
 from .bench import SUITES, make_problem, run_bench, summarize, write_csv
 from .bilevel import run_bilevel, toy_bilevel_config
-from .diagnostics import check_gradients, fastest_per_tolerance, profile_backends
+from .diagnostics import (
+    GRADIENT_REL_TOL,
+    check_gradients,
+    fastest_per_tolerance,
+    profile_backends,
+)
 from .differentiation import differentiable_solve
 from .errors import (
     DegeneracyError,
@@ -24,9 +29,10 @@ from .errors import (
     UnknownBackendError,
 )
 from .generators import gen_chain
+from .identification import DEFAULT_EPS_ACTIVE
 from .metrics import residuals
 from .problem import load_problem
-from .solvers import SolveSettings, list_backends
+from .solvers import DEFAULT_TIME_LIMIT, SolveSettings, list_backends
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -38,17 +44,17 @@ _FLAGS = {
     "--solver": dict(default=None,
                      help="backend name, or comma list where a list makes sense "
                           "(default: active_set; profile defaults to all)"),
-    "--eps-abs": dict(type=float, default=1e-6,
-                      help="absolute residual tolerance (default 1e-6)"),
-    "--eps-active": dict(type=float, default=1e-5,
-                         help="active-set threshold (default 1e-5)"),
+    "--eps-abs": dict(type=float, default=SolveSettings.eps_abs,
+                      help="absolute residual tolerance (default %(default)g)"),
+    "--eps-active": dict(type=float, default=DEFAULT_EPS_ACTIVE,
+                         help="active-set threshold (default %(default)g)"),
     "--normalize": dict(action="store_true",
                         help="row-normalize constraints before solving"),
     "--seed": dict(type=int, default=0),
     "--json": dict(action="store_true", help="emit a machine-readable record"),
     "--out": dict(default=None, metavar="FILE",
                   help="write the command's artifact to FILE"),
-    "--time-limit": dict(type=float, default=60.0,
+    "--time-limit": dict(type=float, default=DEFAULT_TIME_LIMIT,
                          help="per-solve wall-clock limit in seconds"),
 }
 _SOLVE_FLAGS = ("--eps-abs", "--eps-active", "--normalize", "--time-limit")
@@ -280,7 +286,7 @@ def cmd_check_grad(args):
             if check.flagged_columns:
                 print(f"  excluded (active-set change): {check.flagged_columns}")
             print(f"{'PASS' if check.passed else 'FAIL'}: max rel error "
-                  f"{check.max_rel_error:.3e} (tolerance 1e-4)")
+                  f"{check.max_rel_error:.3e} (tolerance {GRADIENT_REL_TOL:g})")
     return EXIT_OK if check.passed or check.skipped else 1
 
 

@@ -20,7 +20,7 @@ from .generators import TWO_PARAM_BOX, gen_two_param_family
 from .kkt import condition_estimate
 from .metrics import residuals
 from .oracles import finite_difference_jacobian, full_implicit_jacobian, full_implicit_matrix
-from .solvers import SOLVED, SolveSettings, get_backend
+from .solvers import DEFAULT_TIME_LIMIT, SOLVED, SolveSettings, get_backend
 
 __all__ = [
     "profile_backends",
@@ -30,9 +30,12 @@ __all__ = [
     "conditioning_report",
 ]
 
+# the largest relative gradient error check_gradients passes by default
+GRADIENT_REL_TOL = 1e-4
+
 
 def profile_backends(problem, backends, tolerances=(1e-8, 1e-5, 1e-2),
-                     time_limit=60.0) -> list[dict]:
+                     time_limit=DEFAULT_TIME_LIMIT) -> list[dict]:
     """Run every backend at every tolerance regime and report achieved accuracy.
 
     A cell "meets" its regime when the recomputed residuals are within the
@@ -125,7 +128,7 @@ class GradientCheck:
 
 
 def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
-                    rel_tol=1e-4, matrix_entries=4) -> GradientCheck:
+                    rel_tol=GRADIENT_REL_TOL, matrix_entries=4) -> GradientCheck:
     """Verify backward gradients against independent oracles.
 
     Compares, for a random scalar loss g'z: the (q, b, d) gradients against a

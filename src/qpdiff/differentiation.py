@@ -27,7 +27,7 @@ from .identification import (
     identify,
     refine,
 )
-from .kkt import KktFactorization, assemble_reduced_kkt, factorize, solve_on
+from .kkt import KktFactorization, solve_on
 from .metrics import primal_dual_residuals
 from .problem import QpProblem, RowScaling, is_symmetric, normalize_constraints
 from .solvers import (
@@ -131,8 +131,8 @@ class DifferentiableSolution:
     ``point`` always carries duals.  ``fact`` is the single reduced-KKT
     factorization shared by dual recovery and all derivative solves; its
     ``rows`` equal ``active.indices``.  It is the backend's own
-    (``point.fact``) when the backend factored K_J on the rows identified
-    here, and a fresh one otherwise.  The solver's primal z
+    (``point.fact``) when the backend's point is the point on the rows
+    identified here, and a fresh one otherwise.  The solver's primal z
     is kept as-is rather than overwritten by the KKT solve, so backend
     inaccuracy stays visible to diagnostics.
     Treated as immutable once built: concurrent forward/backward calls on
@@ -285,17 +285,17 @@ def differentiable_solve(
     """Solve a QP with any registered backend and prepare its differentiation.
 
     Pipeline: (optional constraint normalization) -> solve -> active-set
-    identification -> reduced KKT assembly and factorization -> the point
-    on J, which certifies J and gives the duals if the backend returned
-    none -> diagnosis.  The factorization is the backend's own when it
-    returned one for the identified rows and no row scaling is active, and
-    is retained on the returned solution for any number of subsequent
-    forward/backward calls.
+    identification -> the point on J with its factorization, which
+    certifies J and gives the duals if the backend returned none ->
+    diagnosis.  The factorization is retained on the returned solution for
+    any number of subsequent forward/backward calls.
 
-    The point on J is (z_J, lam_J, mu_J) = K_J^{-1} (-q, b, d_J), one solve
-    with the factorization.  J is certified when that point is finite,
-    breaks no row by more than ``eps_active``, and, on a ``direct`` K_J,
-    has no multiplier on J below ``-eps_active``
+    The point on J is (z_J, lam_J, mu_J) = K_J^{-1} (-q, b, d_J): the
+    backend's own, certified as it is, when it carries duals and the
+    factorization of exactly the identified rows and no row scaling is
+    active; else one solve with a fresh factorization.  J is certified when
+    that point is finite, breaks no row by more than ``eps_active``, and,
+    on a ``direct`` K_J, has no multiplier on J below ``-eps_active``
     (:func:`qpdiff.solvers.certify`).  An uncertified J (slack active rows
     from a barrier method, or a slack row taken in by a loose threshold) is
     refined once with :func:`qpdiff.identification.refine` and factored
@@ -336,17 +336,15 @@ def differentiable_solve(
             point.lam = point.lam / scaling.eq_scales
             point.mu = point.mu / scaling.ineq_scales
 
-    # the backend's own K_J factorization, when it factored the same rows of
-    # the same problem, is bit-identical to a fresh one
+    # the backend's point on these rows is, bit for bit, a fresh point on J
     fact = point.fact
-    if fact is None or not np.array_equal(active.indices, fact.rows):
-        fact = factorize(assemble_reduced_kkt(problem, active))
-
-    on_J = _point_on(problem, active.indices, fact)
+    if point.has_duals and fact is not None and np.array_equal(active.indices, fact.rows):
+        on_J = point
+    else:
+        on_J = _point_on(problem, active.indices)
     if certify(work, _in_frame(on_J, scaling), eps_active):
         active = refine(work, point.z, active)
-        fresh = factorize(assemble_reduced_kkt(problem, active))
-        on_J = _point_on(problem, active.indices, fresh)
+        on_J = _point_on(problem, active.indices)
         why = certify(work, _in_frame(on_J, scaling), eps_active)
         if why:
             raise SolveFailedError(

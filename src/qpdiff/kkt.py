@@ -12,13 +12,15 @@ iteration on dense data, which factors a reduced n x n matrix by Cholesky,
 this module is the only place such systems are built and solved.  Its
 consumers are the ADMM iteration matrix on sparse data (K_J on every row
 plus a diagonal shift) and, through :func:`solve_on`, every solve on a row
-set J: the equality backend (J empty), the active-set and ADMM finishing
-solves on their final rows, dual recovery, and the forward and backward
-derivatives.  A factorization carries its rows J, so :func:`solve_on` is
-the one place that gathers a right-hand side onto J and scatters the
-result back to length m.  One factorization of K_J serves a backend's
-finishing solve, dual recovery and every derivative solve for the same
-(problem, J) pair.  A K_J with at least a quarter of its entries nonzero,
+set J: the point on J, formed by ``solvers._point_on``, the one caller of
+:func:`factorize`, for the equality backend (J empty), the finishing
+solve that ends the active-set and ADMM backends, and
+``differentiable_solve`` when it cannot reuse the backend's point; dual
+recovery; and the forward and backward derivatives.  A factorization
+carries its rows J, so :func:`solve_on` is the one place that gathers a
+right-hand side onto J and scatters the result back to length m.  One
+factorization of K_J, with the point on J, serves every consumer for the
+same (problem, J) pair.  A K_J with at least a quarter of its entries nonzero,
 counted from the problem blocks, is filled dense straight from them and
 factored by LAPACK LU, with solves by BLAS triangular solves; any other is
 assembled in sparse form and factored by SuperLU.  The sparse form of a

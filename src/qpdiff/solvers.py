@@ -63,6 +63,9 @@ SOLVED = "solved"
 MAX_ITER = "max_iter"
 FAILED = "failed"
 
+# seconds; the per-solve wall-clock limit of the command line and the bench
+DEFAULT_TIME_LIMIT = 60.0
+
 
 @dataclass
 class SolveSettings:
@@ -72,6 +75,8 @@ class SolveSettings:
     norm.  The exact backends reach working precision or fail: ``active_set``
     fails when a residual exceeds it, and ``equality`` fails when
     :func:`certify` rejects its point at ``max(eps_abs, 1e-9)``.
+    ``time_limit`` is a positive wall-clock bound in seconds on the
+    iterative backends; None means no limit.
     """
 
     eps_abs: float = 1e-6
@@ -85,18 +90,20 @@ class SolveSettings:
             raise ValueError("eps_abs must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError("time_limit must be positive, or None for no limit")
 
 
 @dataclass
 class PrimalDualPoint:
     """Primal solution with optional duals and achieved residuals.
 
-    ``fact`` is the factorization of the exact reduced KKT matrix that
-    produced the point, when the backend made one (equality; active set;
-    ADMM, when its finishing solve is accepted).  Its ``rows`` are the
-    inequality rows that final solve held tight: the active-set backend's
-    working rows, or the rows J of the ADMM finishing solve.
-    ``differentiable_solve`` reuses it when it identifies the same rows.
+    ``fact`` is the factorization of the exact reduced KKT matrix K_J
+    whose solve is the point, when the backend made one (equality; active
+    set; ADMM, when its finishing solve is accepted).  Its ``rows`` are the
+    rows J that solve held tight: the active-set backend's working rows, or
+    the rows of the ADMM finishing solve.  ``differentiable_solve`` reuses
+    it, and the point too when it has duals, when it identifies the same rows.
     """
 
     z: np.ndarray
@@ -174,19 +181,22 @@ class ActiveSetBackend(SolverBackend):
     The QR of ``L^-1 A'`` is column pivoted and keeps only the equality rows
     whose ``|R_ii|`` clear the rank cut, so dependent equality rows drop out
     of the loop.  The start comes from the same factors, by two triangular
-    solves and two products with Q.  The answer is one reduced-KKT solve on
-    all equality rows and the final working rows through ``qpdiff.kkt``: the
-    minimum-norm ``lam`` when the equality rows are dependent, and ``failed``
-    when they are inconsistent.  The point carries that factorization as
-    ``fact``, whose ``rows`` are the final working rows, for
-    ``differentiable_solve`` to reuse.  Its residuals are taken with the
-    dense blocks the loop uses.
+    solves and two products with Q.  The answer is :func:`_finish` on the
+    final working rows, as in ADMM, with residuals from the loop's dense
+    blocks: one reduced-KKT solve on all equality rows and those rows, with
+    the minimum-norm ``lam`` when the equality rows are dependent; it fails
+    when they are inconsistent or ``_finish`` rejects the point.  The point
+    carries that factorization as ``fact``, whose ``rows`` are the final
+    working rows; ``differentiable_solve`` reuses both.  NaN or infinite
+    data, other than a +inf bound, fails before anything is factored.
     """
 
     name = "active_set"
 
     def solve(self, problem, settings):
         t_start = time.perf_counter()
+        if not _finite_data(problem):
+            return _failed(problem)
         P = problem.P.toarray()
         q = problem.q
         A = problem.A.toarray()
@@ -194,16 +204,13 @@ class ActiveSetBackend(SolverBackend):
         C = problem.C.toarray()
         d = problem.d
         n, p, m = problem.n, problem.p, problem.m
-        failed = PrimalDualPoint(
-            z=np.full(n, np.nan), lam=np.zeros(p), mu=np.zeros(m), status=FAILED
-        )
 
         try:
             # every step stays in null(A), where P + A'A equals P; it is
             # positive definite exactly when P is positive definite there
             L = cholesky(P + A.T @ A, lower=True)
         except np.linalg.LinAlgError:
-            return failed
+            return _failed(problem)
         # full QR of L^-1 [A' C_W'], one column per equality row the pivoted
         # QR keeps (the rp above the rank cut) and per working row
         Q, R, piv = qr(solve_triangular(L, A.T, lower=True), pivoting=True)
@@ -262,9 +269,6 @@ class ActiveSetBackend(SolverBackend):
                 add = False
             else:
                 t_full = (C[j] @ x - d[j]) / -cdx
-                if not np.isfinite(t_full):
-                    status = FAILED  # a bound of -inf: no point holds row j
-                    break
                 add = t_full <= t
                 t = min(t, t_full)
                 x = x + t * dx
@@ -281,17 +285,11 @@ class ActiveSetBackend(SolverBackend):
                 del work[at]
 
         # the answer, through the factorization differentiation reuses
-        try:
-            point = _point_on(problem, np.asarray(work, dtype=int))
-        except RankDeficiencyError:
-            return failed
-        point.mu = np.maximum(point.mu, 0.0)
+        point = _finish(problem, (P, A, C), np.asarray(work, dtype=int))
+        if point is None:
+            return _failed(problem)
         point.status, point.iterations = status, it
-        point.r_p, point.r_d = _primal_dual(
-            problem, (P, A, C), point.z, point.lam, point.mu
-        )
-        # written so that a non-finite residual fails as well
-        if status == SOLVED and not max(point.r_p, point.r_d) <= settings.eps_abs:
+        if status == SOLVED and not _residual(point) <= settings.eps_abs:
             point.status = FAILED
         return point
 
@@ -330,9 +328,11 @@ class AdmmBackend(SolverBackend):
     iteration k the next comes no earlier than iteration 2k, so a set that
     never finishes costs few factorizations.  When the iteration converges
     on its own, the same solve runs once on the final iterate and is kept
-    only when it also lowers the larger of the two residuals.  An accepted
-    point carries the factorization of K_J as ``fact``, whose ``rows`` are J.
-    ``polish = False`` turns the finishing solve off.
+    only when it also lowers the larger of the two residuals.  Both are
+    :func:`_finish`, as in the active-set backend, and an accepted point is
+    returned as it is.  ``polish = False`` turns the finishing solve off.
+    NaN or infinite data, other than a +inf bound, fails before anything
+    is factored.
     """
 
     name = "admm"
@@ -347,6 +347,8 @@ class AdmmBackend(SolverBackend):
     def solve(self, problem, settings):
         n, p, m = problem.n, problem.p, problem.m
         t_start = time.perf_counter()
+        if not _finite_data(problem):
+            return _failed(problem)
 
         G = sp.vstack([problem.A, problem.C], format="csc")
         lower = np.concatenate([problem.b, np.full(m, -np.inf)])
@@ -370,9 +372,7 @@ class AdmmBackend(SolverBackend):
             try:
                 chol, chol_lower = cho_factor(reduced)
             except np.linalg.LinAlgError:  # P is not positive semidefinite
-                return PrimalDualPoint(
-                    z=np.full(n, np.nan), lam=np.zeros(p), mu=np.zeros(m), status=FAILED
-                )
+                return _failed(problem)
 
             def step(r1, r2):
                 # potrs directly: cho_solve's argument checks add ~10 us a
@@ -409,7 +409,6 @@ class AdmmBackend(SolverBackend):
             y = np.zeros(p + m)
 
         status = MAX_ITER
-        finished = None
         prev_J = None
         next_try = 0
         it = 0
@@ -439,21 +438,17 @@ class AdmmBackend(SolverBackend):
                     if it >= next_try and np.array_equal(J, prev_J):
                         finished = _finish(problem, ops, J)
                         if _residual(finished) <= settings.eps_abs:
-                            status = SOLVED
-                            break
-                        finished = None
+                            finished.iterations = it
+                            return finished
                         next_try = 2 * it
                     prev_J = J
         if status != SOLVED:
             r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
-        elif finished is None and self.polish:
+        elif self.polish:
             finished = _finish(problem, ops, _held_rows(problem, ops, x))
-            if not _residual(finished) < max(r_p, r_d):
-                finished = None
-
-        if finished is not None:
-            finished.iterations = it
-            return finished
+            if _residual(finished) < max(r_p, r_d):
+                finished.iterations = it
+                return finished
         return PrimalDualPoint(
             z=x,
             lam=y[:p].copy(),
@@ -471,9 +466,9 @@ def _held_rows(problem, ops, x):
 
 
 def _finish(problem, ops, J):
-    """ADMM's finishing point on rows J, with its residuals through ``ops``;
-    None when K_J cannot be factored, the solve is not finite, or a
-    multiplier on J is below -1e-9."""
+    """The finishing point on rows J of ADMM and of the active-set exit,
+    with its residuals through ``ops``; None when K_J cannot be factored,
+    the solve is not finite, or a multiplier on J is below -1e-9."""
     try:
         point = _point_on(problem, J)
     except RankDeficiencyError:  # P singular on the rows' null space
@@ -483,6 +478,20 @@ def _finish(problem, ops, J):
         return None
     point.r_p, point.r_d = _primal_dual(problem, ops, point.z, point.lam, point.mu)
     return point
+
+
+def _finite_data(problem):
+    """Whether an iterative backend can start on ``problem``: every entry of
+    P, q, A, b and C is finite, and no bound in d is NaN or -inf.  A +inf
+    bound never binds, so it is allowed."""
+    blocks = (problem.P.data, problem.q, problem.A.data, problem.b, problem.C.data)
+    return all(np.isfinite(v).all() for v in blocks) and (problem.d > -np.inf).all()
+
+
+def _failed(problem):
+    """The point of a backend that cannot solve ``problem``."""
+    return PrimalDualPoint(z=np.full(problem.n, np.nan), lam=np.zeros(problem.p),
+                           mu=np.zeros(problem.m), status=FAILED)
 
 
 def _residual(point):

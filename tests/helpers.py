@@ -34,6 +34,20 @@ def count_matrix_builds(monkeypatch):
     return calls
 
 
+def count_fresh_points(monkeypatch):
+    """Patch ``differentiation._point_on`` to record each call; returns that
+    list.  ``differentiable_solve`` calls it only to factor K_J afresh."""
+    calls = []
+    original = differentiation._point_on
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(differentiation, "_point_on", counting)
+    return calls
+
+
 class TrustConstrBackend(SolverBackend):
     """scipy's ``trust-constr`` as a primal-only backend, at ``gtol = xtol = tol``.
 

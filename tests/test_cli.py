@@ -133,6 +133,14 @@ class TestSolveCommand:
         assert rc == 2
         assert "eps_abs" in err
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_time_limit_not_positive_exit_two(self, one_dee_file, capsys, value):
+        # unchecked, NaN would mean no limit and -1 would end with max_iter (exit 3)
+        rc = main(["solve", one_dee_file, "--time-limit", value])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert "time_limit" in err
+
     def test_directory_exit_two(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path)])
         _, err = capsys.readouterr()

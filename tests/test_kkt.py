@@ -20,7 +20,7 @@ from qpdiff import (
 from qpdiff.errors import RankDeficiencyError, SolveFailedError
 from qpdiff.kkt import DENSE, DIRECT, LEAST_SQUARES, SPARSE, solve_on
 
-from helpers import child_env, random_mixed_qp
+from helpers import child_env, count_fresh_points, random_mixed_qp
 
 
 def one_dee():
@@ -423,18 +423,11 @@ class TestConditionEstimate:
 
 class TestFactorizationReuse:
     def test_single_factorization_serves_all_solves(self, monkeypatch):
-        import qpdiff.differentiation as differentiation
         from qpdiff import backward, differentiable_solve, forward_directional
         from qpdiff.differentiation import ParamDirection
         from qpdiff.solvers import PrimalOnlyBackend, get_backend
 
-        calls = []
-
-        def counting_factorize(*args, **kwargs):
-            calls.append(1)
-            return factorize(*args, **kwargs)
-
-        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        calls = count_fresh_points(monkeypatch)
         prob = random_mixed_qp(6, 6, 1, seed=10)
         sol = differentiable_solve(prob, PrimalOnlyBackend(get_backend("active_set")))
         assert len(calls) == 1
@@ -444,32 +437,18 @@ class TestFactorizationReuse:
         assert len(calls) == 1
 
     def test_active_set_factorization_is_reused(self, monkeypatch):
-        import qpdiff.differentiation as differentiation
         from qpdiff import differentiable_solve, gen_random_dense
 
-        calls = []
-
-        def counting_factorize(*args, **kwargs):
-            calls.append(1)
-            return factorize(*args, **kwargs)
-
-        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        calls = count_fresh_points(monkeypatch)
         sol = differentiable_solve(gen_random_dense(60, 0), "active_set")
         np.testing.assert_array_equal(sol.active.indices, sol.point.fact.rows)
         assert len(calls) == 0
         assert sol.fact is sol.point.fact
 
     def test_equality_factorization_is_reused(self, monkeypatch):
-        import qpdiff.differentiation as differentiation
         from qpdiff import differentiable_solve
 
-        calls = []
-
-        def counting_factorize(*args, **kwargs):
-            calls.append(1)
-            return factorize(*args, **kwargs)
-
-        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        calls = count_fresh_points(monkeypatch)
         # the equality row binds and the inequality is slack at z = (0.5, 0.5)
         prob = QpProblem(np.eye(2), np.zeros(2), A=[[1.0, 1.0]], b=[1.0],
                          C=[[1.0, 0.0]], d=[5.0])
@@ -478,20 +457,46 @@ class TestFactorizationReuse:
         assert len(calls) == 0
         assert sol.fact is sol.point.fact
 
+    @pytest.mark.parametrize("backend, prob", [
+        ("active_set", gen_random_dense(60, 0)),
+        ("admm", gen_random_dense(60, 0)),
+        ("equality", QpProblem(np.eye(2), np.zeros(2), A=[[1.0, 1.0]], b=[1.0],
+                               C=[[1.0, 0.0]], d=[5.0])),
+    ])
+    def test_reused_point_is_not_solved_again(self, monkeypatch, backend, prob):
+        from qpdiff import differentiable_solve
+        from qpdiff.kkt import KktFactorization
+        from qpdiff.solvers import SolverBackend, get_backend
+
+        solves = []
+        original = KktFactorization.solve
+
+        def counting(fact, rhs):
+            solves.append(1)
+            return original(fact, rhs)
+
+        monkeypatch.setattr(KktFactorization, "solve", counting)
+        inner = get_backend(backend)
+
+        class CountAfterReturn(SolverBackend):
+            name = backend
+
+            def solve(self, problem, settings):
+                point = inner.solve(problem, settings)
+                solves.clear()
+                return point
+
+        sol = differentiable_solve(prob, CountAfterReturn())
+        assert sol.fact is sol.point.fact
+        assert solves == []
+
     def test_admm_factorization_is_reused(self, monkeypatch):
         import dataclasses
 
-        import qpdiff.differentiation as differentiation
         from qpdiff import backward, differentiable_solve, gen_random_dense
         from qpdiff.solvers import PrimalOnlyBackend, get_backend
 
-        calls = []
-
-        def counting_factorize(*args, **kwargs):
-            calls.append(1)
-            return factorize(*args, **kwargs)
-
-        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        calls = count_fresh_points(monkeypatch)
         prob = gen_random_dense(60, 0)
         sol = differentiable_solve(prob, "admm")
         assert len(calls) == 0

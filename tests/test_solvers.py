@@ -36,7 +36,7 @@ from qpdiff.solvers import (
     certify,
 )
 
-from helpers import child_env, parameter_pairing, random_mixed_qp
+from helpers import child_env, count_fresh_points, parameter_pairing, random_mixed_qp
 
 
 def run_fresh_python(code, **env):
@@ -369,7 +369,6 @@ class TestAdmmSolver:
     def test_finish_rejected_on_negative_minimum_norm_duals(self, monkeypatch):
         # the equality row stated twice makes K_J singular; the minimum-norm
         # duals of the finishing solve are negative at this degenerate vertex
-        import qpdiff.differentiation as differentiation
         from qpdiff import differentiable_solve, random_direction
         from qpdiff.kkt import LEAST_SQUARES
 
@@ -383,13 +382,7 @@ class TestAdmmSolver:
         assert point.mu.min() >= -1e-9
         assert point.fact is None
 
-        calls = []
-
-        def counting_factorize(*args, **kwargs):
-            calls.append(1)
-            return factorize(*args, **kwargs)
-
-        monkeypatch.setattr(differentiation, "factorize", counting_factorize)
+        calls = count_fresh_points(monkeypatch)
         sol = differentiable_solve(prob, "admm")
         assert len(calls) == 1
         assert sol.fact.mode == LEAST_SQUARES
@@ -625,6 +618,36 @@ class TestSettings:
     def test_iteration_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("time_limit", [np.nan, 0.0, -1.0])
+    def test_time_limit_must_be_positive(self, time_limit):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolveSettings(time_limit=time_limit)
+
+
+def _spoiled(block):
+    """A small solvable QP with one entry of ``block`` set non-finite."""
+    P, q = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0])
+    A, b = np.array([[1.0, 1.0]]), np.array([0.5])
+    C, d = np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([0.2, 1.0])
+    if block == "P":
+        P[0, 0] = np.nan
+    elif block == "q":
+        q[1] = np.nan
+    else:
+        d[0] = -np.inf
+    return QpProblem(P, q, A, b, C, d)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("block", ["P", "q", "d"])
+    @pytest.mark.parametrize("solve", [solve_admm, solve_active_set])
+    def test_fails_before_the_first_iteration(self, solve, block):
+        # a NaN in P or q, or a bound of -inf that no point can hold
+        point = solve(_spoiled(block))
+        assert point.status == FAILED
+        assert point.iterations == 0
+        assert point.fact is None
 
 
 class TestRegistry:
