@@ -28,7 +28,6 @@ from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import splu
 
 from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
-from .identification import DEFAULT_EPS_ACTIVE, _active_rows
 from .kkt import (
     DIRECT,
     KktFactorization,
@@ -88,8 +87,10 @@ class SolveSettings:
         # written so that NaN is rejected as well
         if not 0 < self.eps_abs < np.inf:
             raise ValueError("eps_abs must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # NaN would mean 0 ADMM iterations, and 2.5 no integer cap
+        cap = self.max_iterations
+        if not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise ValueError("max_iterations must be an integer, at least 1")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive, or None for no limit")
 
@@ -141,12 +142,15 @@ class EqualityBackend(SolverBackend):
     null(A)) raises :class:`RankDeficiencyError`.  If the equality-relaxed
     optimum happens to satisfy C z <= d it is the true optimum with mu = 0;
     otherwise, or when the point is not finite, :func:`certify` rejects it
-    and the solve fails.
+    and the solve fails.  NaN or infinite data, other than a +inf bound,
+    fails before anything is factored.
     """
 
     name = "equality"
 
     def solve(self, problem, settings):
+        if not _finite_data(problem):
+            return _failed(problem)
         point = _point_on(problem, np.zeros(0, dtype=int))
         if point.fact.mode != DIRECT:
             raise RankDeficiencyError("equality KKT matrix is singular")
@@ -311,23 +315,24 @@ class AdmmBackend(SolverBackend):
     its constraint block is eliminated, and the n x n matrix
     ``P + sigma I + G' diag(rho) G`` is factored by Cholesky; if that
     fails, P is not positive semidefinite and the solve returns ``failed``.
-    On that dense path every residual check, the identification of the
-    rows J below and the residuals of a finishing point take their products
-    with the dense P and G formed for the factorization, not with the
-    sparse blocks.  Otherwise the regularized KKT matrix is factored by
-    sparse LU.  The penalty is fixed (with a stiffer value on equality
-    rows) and diagonal data rescaling is off, so runs are deterministic
-    given the settings.
+    On that dense path every residual check and the residuals of a
+    finishing point take their products with the dense P and G formed for
+    the factorization, not with the sparse blocks.  Otherwise the
+    regularized KKT matrix is factored by sparse LU.  The penalty is fixed
+    (with a stiffer value on equality rows) and diagonal data rescaling is
+    off, so runs are deterministic given the settings.
 
     The solve ends on the active set.  From iteration 10 on, each residual
-    check identifies the rows J the iterate holds active; when J is the same
-    as at the previous check, one exact reduced-KKT solve on J is tried
-    through the same layer differentiation uses.  It is accepted, and the
-    loop stops, when the result is finite, its multipliers on J are at least
-    -1e-9, and both residuals pass ``eps_abs``.  After a rejected try at
-    iteration k the next comes no earlier than iteration 2k, so a set that
+    check guesses J from the duals, as OSQP's polish does: the inequality
+    rows whose slack ``d - zs`` in the split variable is below their
+    multiplier ``y``.  When J is the same as at the previous check, one
+    exact reduced-KKT solve on J is tried through the same layer
+    differentiation uses.  It is accepted, and the loop stops, when the
+    result is finite, its multipliers on J are at least -1e-9, and both
+    residuals pass ``eps_abs``.  After a rejected try at iteration k the
+    next comes no earlier than iteration ``int(1.5 k)``, so a set that
     never finishes costs few factorizations.  When the iteration converges
-    on its own, the same solve runs once on the final iterate and is kept
+    on its own, the same solve runs once on the final guess and is kept
     only when it also lowers the larger of the two residuals.  Both are
     :func:`_finish`, as in the active-set backend, and an accepted point is
     returned as it is.  ``polish = False`` turns the finishing solve off.
@@ -434,18 +439,19 @@ class AdmmBackend(SolverBackend):
                 ):
                     break
                 if self.polish and it > 5:
-                    J = _held_rows(problem, ops, x)
+                    J = np.flatnonzero(problem.d - zs[p:] < y[p:])
                     if it >= next_try and np.array_equal(J, prev_J):
                         finished = _finish(problem, ops, J)
                         if _residual(finished) <= settings.eps_abs:
                             finished.iterations = it
                             return finished
-                        next_try = 2 * it
+                        next_try = int(1.5 * it)
                     prev_J = J
         if status != SOLVED:
             r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
         elif self.polish:
-            finished = _finish(problem, ops, _held_rows(problem, ops, x))
+            J = np.flatnonzero(problem.d - zs[p:] < y[p:])
+            finished = _finish(problem, ops, J)
             if _residual(finished) < max(r_p, r_d):
                 finished.iterations = it
                 return finished
@@ -458,11 +464,6 @@ class AdmmBackend(SolverBackend):
             r_d=r_d,
             iterations=it,
         )
-
-
-def _held_rows(problem, ops, x):
-    """The rows ``identify`` marks active at x, through ADMM's operators."""
-    return _active_rows(ops[2] @ x - problem.d, DEFAULT_EPS_ACTIVE)
 
 
 def _finish(problem, ops, J):

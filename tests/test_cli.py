@@ -91,6 +91,14 @@ class TestSolveCommand:
         assert rc == 2
         assert f"'{key}'" in err
 
+    def test_infinite_entry_of_P_equality_exit_three(self, tmp_path, capsys):
+        # the load accepts it; bad data is a failed solve (3), not singular (4)
+        path = tmp_path / "inf_p.json"
+        store_problem(QpProblem([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], A=[[1.0, 1.0]],
+                                b=[1.0], C=[[1.0, 0.0]], d=[5.0]), path)
+        rc = main(["solve", str(path), "--solver", "equality"])
+        assert rc == 3
+
     @pytest.mark.parametrize("solver", [[], ["--solver", "admm"]], ids=["default", "admm"])
     def test_infinite_bound(self, tmp_path, capsys, solver):
         path = tmp_path / "inf.json"

@@ -449,14 +449,23 @@ class TestAdmmSolver:
         prob = gen_random_dense(60, seed)
         checks, finishes = [], []
         in_finish = []
+        split = []  # the latest split variable zs, which only np.clip forms
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def clip(self, *args):
+                split[:] = [np.clip(*args)]
+                return split[0]
 
         def recording_primal_dual(problem, ops, z, lam, mu):
             if not in_finish:
-                checks.append((ops, z.copy(), lam.copy(), mu.copy()))
+                checks.append((ops, z.copy(), lam.copy(), mu.copy(), split[0]))
             return _primal_dual(problem, ops, z, lam, mu)
 
         def recording_finish(problem, ops, J):
-            finishes.append((J, checks[-1][1]))
+            finishes.append((J, checks[-1]))
             in_finish.append(1)
             try:
                 return original_finish(problem, ops, J)
@@ -466,9 +475,10 @@ class TestAdmmSolver:
         original_finish = solvers._finish
         monkeypatch.setattr(solvers, "_primal_dual", recording_primal_dual)
         monkeypatch.setattr(solvers, "_finish", recording_finish)
+        monkeypatch.setattr(solvers, "np", RecordingNumpy())
         assert solve_admm(prob).status == SOLVED
         assert checks and finishes
-        for ops, z, lam, mu in checks:
+        for ops, z, lam, mu, _ in checks:
             # the dense path's own blocks, never the sparse ones
             assert all(isinstance(op, np.ndarray) for op in ops)
             dense = np.array(_primal_dual(prob, ops, z, lam, mu))
@@ -481,8 +491,43 @@ class TestAdmmSolver:
                 + np.abs(prob.A.T @ lam).max() + np.abs(prob.C.T @ mu).max(),
             ])
             assert np.all(np.abs(dense - sparse) <= 1e-12 * np.maximum(scale, sparse))
-        for J, z in finishes:
-            np.testing.assert_array_equal(J, identify(prob, z).indices)
+        for J, (_, _, _, mu, zs) in finishes:
+            # the dual guess at the check before: slack below the multiplier
+            np.testing.assert_array_equal(J, np.flatnonzero(prob.d - zs[prob.p:] < mu))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rejected_finish_backs_off_by_half(self, monkeypatch, seed):
+        import qpdiff.solvers as solvers
+        from qpdiff.metrics import _primal_dual
+
+        checks, tries = [], []
+
+        def counting_primal_dual(*args):
+            checks.append(1)
+            return _primal_dual(*args)
+
+        def rejecting_finish(problem, ops, J):
+            tries.append(len(checks))  # the check it follows, counted from 1
+            return None
+
+        monkeypatch.setattr(solvers, "_primal_dual", counting_primal_dual)
+        monkeypatch.setattr(solvers, "_finish", rejecting_finish)
+        point = solve_admm(gen_random_dense(60, seed))
+        # ended by its residual check: the converged exit's finish is rejected too
+        assert point.status == SOLVED and point.fact is None
+        assert tries[-1] == len(checks)
+        every = AdmmBackend.check_interval
+        check_its = [
+            k for k in range(1, point.iterations + 1) if k <= 5 or k % every == 0
+        ]
+        assert len(check_its) == len(checks)
+        tried = [check_its[c - 1] for c in tries[:-1]]
+        assert len(tried) >= 3
+        for k, later in zip(tried, tried[1:]):
+            assert later >= int(1.5 * k)
+        assert len(tried) <= np.log(point.iterations) / np.log(1.5) + 2
+        # sooner than a doubling backoff would allow
+        assert any(later < 2 * k for k, later in zip(tried, tried[1:]))
 
     def test_indefinite_dense_problem_fails_without_raising(self):
         # P + sigma I + G' diag(rho) G has no Cholesky factor; the quasi-definite
@@ -561,6 +606,15 @@ class TestEqualityBackend:
         point = EqualityBackend().solve(prob, SolveSettings())
         assert point.status == "failed"
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_P_fails_before_factoring(self, entry):
+        # bad data fails; it is not reported as a singular K_J
+        prob = QpProblem([[entry, 0.0], [0.0, 1.0]], [1.0, 1.0], A=[[1.0, 1.0]],
+                         b=[1.0], C=[[1.0, 0.0]], d=[5.0])
+        point = EqualityBackend().solve(prob, SolveSettings())
+        assert point.status == FAILED
+        assert point.fact is None
+
 
 class TestCertify:
     # min |z|^2 / 2 - z_1 / 2 s.t. z_1 <= 1, stated once or twice: the
@@ -618,6 +672,12 @@ class TestSettings:
     def test_iteration_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveSettings(max_iterations=0)
+
+    @pytest.mark.parametrize("budget", [np.nan, 2.5])
+    def test_iteration_budget_must_be_an_integer(self, budget):
+        # NaN would run no ADMM iteration and cap active_set at NaN
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolveSettings(max_iterations=budget)
 
     @pytest.mark.parametrize("time_limit", [np.nan, 0.0, -1.0])
     def test_time_limit_must_be_positive(self, time_limit):
