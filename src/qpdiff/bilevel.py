@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .differentiation import ParamDirection, backward, differentiable_solve
 from .errors import QpdiffError
 from .identification import DEFAULT_EPS_ACTIVE
-from .problem import QpProblem
+from .problem import QpProblem, _is_int
 from .solvers import SolveSettings
 
 __all__ = ["BilevelConfig", "BilevelResult", "run_bilevel", "toy_bilevel_config"]
@@ -29,7 +29,8 @@ class BilevelConfig:
     """Inner problem template and outer-loop hyperparameters.
 
     ``problem`` holds the base right-hand side d0; the decision variable
-    theta enters as d(theta) = d0 + theta.
+    theta enters as d(theta) = d0 + theta.  ``max_iterations`` is an integer
+    of at least 0 outer steps, and ``target`` a finite loss.
     """
 
     problem: QpProblem
@@ -45,6 +46,10 @@ class BilevelConfig:
     def __post_init__(self):
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
+        if not _is_int(self.max_iterations) or self.max_iterations < 0:
+            raise ValueError("max_iterations must be an integer, at least 0")
+        if not np.isfinite(self.target):
+            raise ValueError("target must be finite")
         self.theta0 = np.asarray(self.theta0, dtype=float).ravel()
         if self.theta0.shape[0] != self.problem.m:
             raise ValueError("theta0 must have one entry per inequality row")

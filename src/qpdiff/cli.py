@@ -271,7 +271,7 @@ def cmd_check_grad(args):
                 "notice": check.notice,
                 "max_rel_error": check.max_rel_error,
                 "block_errors": check.block_errors,
-                "forward_vs_implicit": check.forward_vs_implicit,
+                "forward_vs_implicit": check.block_errors.get("forward_vs_implicit", np.nan),
                 "flagged": check.flagged_columns,
             },
             args,

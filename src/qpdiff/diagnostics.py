@@ -32,6 +32,8 @@ __all__ = [
 
 # the largest relative gradient error check_gradients passes by default
 GRADIENT_REL_TOL = 1e-4
+# stored entries of each of P, A and C that check_gradients samples
+MATRIX_ENTRIES = 4
 
 
 def profile_backends(problem, backends, tolerances=(1e-8, 1e-5, 1e-2),
@@ -70,16 +72,12 @@ def profile_backends(problem, backends, tolerances=(1e-8, 1e-5, 1e-2),
 
 def fastest_per_tolerance(cells) -> dict:
     """Name of the fastest backend meeting each tolerance (None if nobody does)."""
-    out = {}
+    best = {}
     for cell in cells:
-        tol = cell["tolerance"]
-        if not cell["meets"]:
-            out.setdefault(tol, None)
-            continue
-        best = out.get(tol)
-        if best is None or cell["solve_ms"] < best[1]:
-            out[tol] = (cell["backend"], cell["solve_ms"])
-    return {tol: (v[0] if isinstance(v, tuple) else None) for tol, v in out.items()}
+        prev = best.setdefault(cell["tolerance"], None)
+        if cell["meets"] and (prev is None or cell["solve_ms"] < prev["solve_ms"]):
+            best[cell["tolerance"]] = cell
+    return {tol: None if cell is None else cell["backend"] for tol, cell in best.items()}
 
 
 def random_direction(problem, rng, blocks=("P", "q", "A", "b", "C", "d")
@@ -116,29 +114,38 @@ def random_direction(problem, rng, blocks=("P", "q", "A", "b", "C", "d")
 
 @dataclass
 class GradientCheck:
-    """Outcome of comparing the backward pass against independent oracles."""
+    """Outcome of comparing the backward pass against independent oracles.
+
+    ``block_errors`` holds the largest relative error of each group (``qbd``,
+    ``P``, ``A``, ``C``, ``forward_vs_implicit``); ``max_rel_error`` is their
+    maximum, NaN if any is.  ``flagged_columns`` are labelled ``qbd[k]`` or
+    ``P[i,j]``.
+    """
 
     passed: bool
     skipped: bool = False
     notice: str = ""
     max_rel_error: float = float("nan")
     block_errors: dict = field(default_factory=dict)
-    forward_vs_implicit: float = float("nan")
     flagged_columns: list = field(default_factory=list)
 
 
 def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
-                    rel_tol=GRADIENT_REL_TOL, matrix_entries=4) -> GradientCheck:
+                    rel_tol=GRADIENT_REL_TOL) -> GradientCheck:
     """Verify backward gradients against independent oracles.
 
-    Compares, for a random scalar loss g'z: the (q, b, d) gradients against a
-    full central-difference Jacobian, a sample of stored (P, A, C) entries
-    against per-entry differences, and a random forward directional
-    derivative against the unreduced implicit system.  Columns where the
+    For a random scalar loss g'z, each parameter group gets one
+    central-difference Jacobian (step ``h``, finite and positive) whose
+    columns are every entry of (q, b, d), or ``MATRIX_ENTRIES`` sampled
+    stored entries of P, A or C; a random forward directional derivative is
+    compared against the unreduced implicit system.  Columns where the
     finite-difference samples change active set are excluded from the pass
     criterion and reported.  Weakly active problems are skipped with a
     notice.
     """
+    # written so that NaN is rejected as well
+    if not 0 < h < np.inf:
+        raise ValueError("h must be finite and positive")
     sol = differentiable_solve(problem, backend)
     if sol.diagnosis.weakly_active.size:
         return GradientCheck(
@@ -155,63 +162,52 @@ def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
     block_errors = {}
     flagged = []
 
-    # dense parameters (q, b, d) against a full finite-difference Jacobian
-    fd = finite_difference_jacobian(
-        lambda th: ParamDirection(
-            dq=th[:n], db=th[n : n + p], dd=th[n + p :]
-        ).apply(problem, 1.0),
-        np.zeros(n + p + m), h, backend,
-    )
-    fd_loss_grad = fd.matrix[:n].T @ g_z
-    analytic = np.concatenate([bundle.grad_q, bundle.grad_b, bundle.grad_d])
-    keep = np.setdiff1d(np.arange(n + p + m), fd.flagged_columns)
-    flagged.extend(f"qbd[{k}]" for k in fd.flagged_columns)
-    if keep.size:
-        block_errors["qbd"] = _rel_err(analytic[keep], fd_loss_grad[keep])
+    def compare(name, labels, direction, analytic):
+        """One finite-difference Jacobian over a group's columns; the
+        columns it flags are reported and left out."""
+        fd = finite_difference_jacobian(
+            lambda th: direction(th).apply(problem, 1.0),
+            np.zeros(len(labels)), h, backend,
+        )
+        flagged.extend(labels[k] for k in fd.flagged_columns)
+        keep = np.setdiff1d(np.arange(len(labels)), fd.flagged_columns)
+        if keep.size:
+            fd_loss_grad = fd.matrix[:n].T @ g_z
+            block_errors[name] = _rel_err(analytic[keep], fd_loss_grad[keep])
 
-    # sampled stored entries of P, A, C
-    for name, mat, grad in (("P", problem.P, bundle.grad_P),
-                            ("A", problem.A, bundle.grad_A),
-                            ("C", problem.C, bundle.grad_C)):
+    compare("qbd", [f"qbd[{k}]" for k in range(n + p + m)],
+            lambda th: ParamDirection(dq=th[:n], db=th[n : n + p], dd=th[n + p :]),
+            np.concatenate([bundle.grad_q, bundle.grad_b, bundle.grad_d]))
+    # sampled stored entries E_k of P, A, C, moved together as sum_k th_k E_k
+    for name, mat in (("P", problem.P), ("A", problem.A), ("C", problem.C)):
         if mat.nnz == 0:
             continue
         coo = sp.coo_array(mat)
-        picks = rng.choice(coo.nnz, size=min(matrix_entries, coo.nnz), replace=False)
-        errs = []
+        picks = rng.choice(coo.nnz, size=min(MATRIX_ENTRIES, coo.nnz), replace=False)
+        labels, units = [], []
         for k in picks:
             i, j = int(coo.row[k]), int(coo.col[k])
-            entry = sp.coo_array(([1.0], ([i], [j])), shape=mat.shape)
-            if name == "P" and i != j:
-                entry = entry + sp.coo_array(([1.0], ([j], [i])), shape=mat.shape)
-            direction = ParamDirection(**{f"d{name}": sp.csc_array(entry)})
-            col = finite_difference_jacobian(
-                lambda th, direction=direction: direction.apply(problem, th[0]),
-                np.zeros(1), h, backend,
-            )
-            if col.flagged_columns:
-                flagged.append(f"{name}[{i},{j}]")
-                continue
-            fd_val = float(col.matrix[:n, 0] @ g_z)
-            an_val = float(grad[i, j])
-            if name == "P" and i != j:
-                an_val *= 2.0
-            errs.append(_rel_err(np.array([an_val]), np.array([fd_val])))
-        if errs:
-            block_errors[name] = max(errs)
+            unit = sp.csc_array(([1.0], ([i], [j])), shape=mat.shape)
+            labels.append(f"{name}[{i},{j}]")
+            # a P entry moves with its mirror
+            units.append(unit + unit.T if name == "P" and i != j else unit)
+        grad = getattr(bundle, f"grad_{name}")
+        compare(name, labels,
+                lambda th: ParamDirection(**{f"d{name}": sum(t * E for t, E in zip(th, units))}),
+                np.array([grad.multiply(E).sum() for E in units]))
 
     # forward directional derivative against the unreduced implicit system
     direction = random_direction(problem, rng)
     fwd = np.concatenate(forward_directional(sol, direction))
     imp = np.concatenate(full_implicit_jacobian(problem, sol.point, direction))
-    forward_vs_implicit = _rel_err(fwd, imp)
-    block_errors["forward_vs_implicit"] = forward_vs_implicit
+    block_errors["forward_vs_implicit"] = _rel_err(fwd, imp)
 
-    max_err = max(block_errors.values())
+    # np.max, unlike max, keeps a NaN wherever it is
+    max_err = float(np.max(list(block_errors.values())))
     return GradientCheck(
         passed=max_err <= rel_tol,
         max_rel_error=max_err,
         block_errors=block_errors,
-        forward_vs_implicit=forward_vs_implicit,
         flagged_columns=flagged,
     )
 

@@ -29,7 +29,7 @@ from .identification import (
 )
 from .kkt import KktFactorization, solve_on
 from .metrics import primal_dual_residuals
-from .problem import QpProblem, RowScaling, is_symmetric, normalize_constraints
+from .problem import QpProblem, is_symmetric, normalize_constraints
 from .solvers import (
     SOLVED,
     PrimalDualPoint,
@@ -144,7 +144,6 @@ class DifferentiableSolution:
     active: ActiveSet
     fact: KktFactorization
     diagnosis: DifferentiabilityDiagnosis
-    scaling: RowScaling | None = None
     solve_ms: float = 0.0
     prepare_ms: float = 0.0
 
@@ -365,7 +364,6 @@ def differentiable_solve(
         active=active,
         fact=on_J.fact,
         diagnosis=diag,
-        scaling=scaling,
         solve_ms=(t1 - t0) * 1e3,
         prepare_ms=(t2 - t1) * 1e3,
     )

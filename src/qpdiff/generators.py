@@ -123,8 +123,6 @@ def _sparse_gaussian(rows, cols, rng, density=5e-4):
         # distinct repair columns keep the repaired rows linearly independent,
         # which matters at small sizes where most rows are repairs
         repair_cols = rng.permutation(cols)[: empty.size]
-        if empty.size > cols:
-            repair_cols = rng.integers(0, cols, empty.size)
         repair = sp.coo_array(
             (rng.standard_normal(empty.size), (empty, repair_cols)),
             shape=(rows, cols),

@@ -69,13 +69,8 @@ def identify(problem, z, eps_active: float = DEFAULT_EPS_ACTIVE) -> ActiveSet:
         raise ValueError(f"z has length {z.shape[0]}, expected {problem.n}")
     res = problem.C @ z - problem.d if problem.m else np.zeros(0)
     return ActiveSet(
-        indices=_active_rows(res, eps_active), eps=eps_active, residuals=res
+        indices=np.flatnonzero(res >= -eps_active), eps=eps_active, residuals=res
     )
-
-
-def _active_rows(res, eps_active):
-    """The rows whose inequality residual ``res`` is at least -eps_active."""
-    return np.flatnonzero(res >= -eps_active)
 
 
 def diagnose(problem, point, active: ActiveSet, eps_active: float | None = None,

@@ -321,8 +321,9 @@ def _int_field(obj, key, path):
 
 
 def _is_int(v):
-    """A JSON integer; ``bool`` is an ``int`` in Python, so it is excluded."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """A Python or numpy integer; ``bool`` is an ``int`` in Python, so it is
+    excluded."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _vector_from_json(raw, length, name, path):

@@ -38,7 +38,7 @@ from .kkt import (
     solve_on,
 )
 from .metrics import _primal_dual, primal_dual_residuals
-from .problem import QpProblem
+from .problem import QpProblem, _is_int
 
 __all__ = [
     "SOLVED",
@@ -87,9 +87,8 @@ class SolveSettings:
         # written so that NaN is rejected as well
         if not 0 < self.eps_abs < np.inf:
             raise ValueError("eps_abs must be finite and positive")
-        # NaN would mean 0 ADMM iterations, and 2.5 no integer cap
-        cap = self.max_iterations
-        if not isinstance(cap, (int, np.integer)) or cap < 1:
+        # NaN would mean 0 ADMM iterations, 2.5 no integer cap and True 1
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer, at least 1")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive, or None for no limit")

@@ -271,6 +271,16 @@ class TestProfileCommand:
         assert out.count("active_set") >= 3
         assert "fastest at" in out
 
+    def test_problem_file(self, one_dee_file, capsys):
+        rc = main(["profile", "--problem", one_dee_file, "--solver", "active_set",
+                   "--tolerances", "1e-8", "--json"])
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["problem"] == one_dee_file
+        assert [c["backend"] for c in payload["cells"]] == ["active_set"]
+        assert payload["fastest"] == {"1e-08": "active_set"}
+
     def test_json_output(self, capsys):
         rc = main([
             "profile", "--suite", "simplex", "--size", "30",
@@ -283,6 +293,26 @@ class TestProfileCommand:
 
 
 class TestCheckGradCommand:
+    def test_json_keys(self, capsys):
+        rc = main(["check-grad", "--suite", "simplex", "--size", "5", "--json"])
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "problem", "passed", "skipped", "notice", "max_rel_error",
+            "block_errors", "forward_vs_implicit", "flagged",
+        }
+        assert payload["passed"] is True
+        assert payload["forward_vs_implicit"] == payload["block_errors"]["forward_vs_implicit"]
+
+    @pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+    def test_step_not_finite_and_positive_exit_two(self, capsys, value):
+        # unchecked, 0 printed "max rel error nan" (exit 1) and NaN failed the solve (exit 3)
+        rc = main(["check-grad", "--suite", "simplex", "--size", "5", f"--h={value}"])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert "h must be" in err
+
     def test_simplex_passes(self, capsys):
         rc = main(["check-grad", "--suite", "simplex", "--size", "5"])
         out, err = capsys.readouterr()
@@ -321,6 +351,23 @@ class TestBilevelCommand:
         assert err == ""
         assert "converged" in out
         assert "loss=" in out
+
+    def test_failed_inner_solve_exit_three(self, capsys):
+        # the equality backend cannot hold the demo's active inequalities
+        rc = main(["bilevel", "--solver", "equality"])
+        out, _ = capsys.readouterr()
+        assert rc == 3
+        assert "iteration 0: inner solve failed" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-iters", "-1"], ["--target", "nan"], ["--target", "inf"],
+    ])
+    def test_bad_outer_option_exit_two(self, argv, capsys):
+        # unchecked, --max-iters -1 exited 3 and a NaN target was never reached
+        rc = main(["bilevel", *argv])
+        _, err = capsys.readouterr()
+        assert rc == 2
+        assert ("max_iterations" if "--max-iters" in argv else "target") in err
 
     def test_json_payload(self, capsys):
         rc = main(["bilevel", "--json"])

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+import qpdiff.diagnostics as diagnostics
 from qpdiff import (
     BilevelConfig,
     QpProblem,
@@ -40,6 +42,20 @@ class TestProfile:
         ranking = fastest_per_tolerance(cells)
         assert ranking[1e-5] == "active_set"
 
+    def test_fastest_keeps_the_first_of_a_tie_and_none_where_nobody_meets(self):
+        def cell(backend, tol, ms, meets):
+            return dict(backend=backend, tolerance=tol, solve_ms=ms, meets=meets)
+
+        cells = [
+            cell("a", 1e-2, 1.0, False), cell("x", 1e-8, 3.0, True),
+            cell("b", 1e-2, np.nan, False), cell("fast-but-unmet", 1e-8, 0.5, False),
+            cell("y", 1e-8, 3.0, True), cell("z", 1e-5, 5.0, True),
+            cell("w", 1e-5, 2.0, True),
+        ]
+        ranking = fastest_per_tolerance(cells)
+        assert ranking == {1e-2: None, 1e-8: "x", 1e-5: "w"}
+        assert list(ranking) == [1e-2, 1e-8, 1e-5]
+
 
 class TestCheckGradients:
     def test_simplex_passes(self):
@@ -58,6 +74,47 @@ class TestCheckGradients:
         check = check_gradients(prob)
         assert check.skipped
         assert "weakly active" in check.notice
+
+    def test_one_finite_difference_jacobian_per_parameter_group(self, monkeypatch):
+        calls = []
+        real = diagnostics.finite_difference_jacobian
+
+        def counting(param_map, theta0, *args):
+            calls.append(theta0.size)
+            return real(param_map, theta0, *args)
+
+        monkeypatch.setattr(diagnostics, "finite_difference_jacobian", counting)
+        prob, _ = gen_simplex(5, seed=0)
+        check = check_gradients(prob)
+        # (q, b, d), then four sampled entries each of P, A and C
+        assert calls == [prob.n + prob.p + prob.m, 4, 4, 4]
+        assert set(check.block_errors) == {"qbd", "P", "A", "C", "forward_vs_implicit"}
+
+    def test_nan_in_a_matrix_block_fails(self, monkeypatch):
+        # the (q, b, d) call is first; every later call returns NaN differences
+        real = diagnostics.finite_difference_jacobian
+        calls = []
+
+        def spoiled(*args):
+            fd = real(*args)
+            if calls:
+                fd.matrix[:] = np.nan
+            calls.append(1)
+            return fd
+
+        monkeypatch.setattr(diagnostics, "finite_difference_jacobian", spoiled)
+        prob, _ = gen_simplex(5, seed=0)
+        check = check_gradients(prob)
+        assert len(calls) > 1
+        assert np.isnan(check.block_errors["P"])
+        assert np.isnan(check.max_rel_error)
+        assert check.passed is False
+
+    @pytest.mark.parametrize("h", [0.0, -1e-6, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        prob, _ = gen_simplex(5, seed=0)
+        with pytest.raises(ValueError, match="h must be"):
+            check_gradients(prob, h=h)
 
 
 class TestBilevel:
@@ -82,6 +139,17 @@ class TestBilevel:
         res = run_bilevel(cfg)
         assert res.halvings  # step halving was exercised
         assert all(a >= b - 1e-15 for a, b in zip(res.losses, res.losses[1:]))
+
+    @pytest.mark.parametrize("budget", [-1, 2.5, np.nan, True])
+    def test_iteration_budget_must_be_an_integer_at_least_zero(self, budget):
+        with pytest.raises(ValueError, match="max_iterations"):
+            toy_bilevel_config(max_iterations=budget)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_target_must_be_finite(self, target):
+        # a NaN target is never reached, so the run would not stop on it
+        with pytest.raises(ValueError, match="target"):
+            toy_bilevel_config(target=target)
 
     def test_warm_start_round_trip(self):
         cfg = toy_bilevel_config(backend="admm", warm_start=True, max_iterations=5)

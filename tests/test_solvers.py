@@ -673,9 +673,10 @@ class TestSettings:
         with pytest.raises(ValueError):
             SolveSettings(max_iterations=0)
 
-    @pytest.mark.parametrize("budget", [np.nan, 2.5])
+    @pytest.mark.parametrize("budget", [np.nan, 2.5, True])
     def test_iteration_budget_must_be_an_integer(self, budget):
-        # NaN would run no ADMM iteration and cap active_set at NaN
+        # NaN would run no ADMM iteration and cap active_set at NaN; True,
+        # an int in Python, would run one
         with pytest.raises(ValueError, match="max_iterations"):
             SolveSettings(max_iterations=budget)
 
