@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -119,7 +120,7 @@ def build_parser():
 
 
 def _emit(payload, args):
-    text = json.dumps(payload, indent=1, default=_jsonable)
+    text = _json_text(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -127,12 +128,27 @@ def _emit(payload, args):
         print(text)
 
 
+def _json_text(payload):
+    """Strict JSON (RFC 8259) of ``payload``: NaN and +-inf are written as
+    null, where ``json.dumps`` alone writes the bare tokens ``NaN`` and
+    ``Infinity``."""
+    return json.dumps(_jsonable(payload), indent=1, allow_nan=False)
+
+
 def _jsonable(obj):
+    """``obj`` with numpy arrays and scalars as Python lists and numbers, and
+    every non-finite float as None."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _vec(v, max_entries=16):
@@ -210,7 +226,7 @@ def cmd_bench(args):
     write_csv(records, out)
     summary = summarize(records)
     if args.json:
-        print(json.dumps(summary, indent=1, default=_jsonable))
+        print(_json_text(summary))
     else:
         print(f"wrote {len(records)} records to {out}")
         for row in summary:

@@ -26,7 +26,10 @@ factored by LAPACK LU, with solves by BLAS triangular solves; any other is
 assembled in sparse form and factored by SuperLU.  The sparse form of a
 dense K_J is built only when something reads it.  A singular K_J is
 bordered with a basis of its null space and factored by the same engine,
-so its solves return the minimum-norm least-squares solution.
+so its solves return the minimum-norm least-squares solution.  The basis
+comes from M = [A' C_J'] in sparse form: its column singletons, such as the
+columns of bound rows, are eliminated first in passes over the nonzeros,
+and only the rest of M is densified for a pivoted QR.
 """
 
 from __future__ import annotations
@@ -300,23 +303,85 @@ def _null_basis(kkt: ReducedKkt):
     """Sparse basis of {(0, y) : [A; C_J]' y = 0}: with P positive definite,
     the null space of K_J, one column per null vector.
 
-    Pivoted QR of M = [A' C_J'] gives M[:, perm] = Q R; the columns of
-    [-R11^-1 R12; I], scattered by perm into the dual rows, span null(M).
-    Entries of R11^-1 R12 at or below the rank cut are rounding noise;
-    dropping them keeps the bordered matrix as sparse as the dependencies.
+    M = [A' C_J'] is reduced in three steps, all at one rank cut,
+    max(shape)·eps times the largest column norm of M (the |R_11| of a
+    pivoted QR of M).
+    1. Column singletons are pivoted out of the sparse M.  A column with one
+       live nonzero above the cut is pivoted there, one column per row and
+       pass; pivot rows and columns leave the live set, and passes repeat
+       until none is left.  Each entry of M is visited O(1) times.
+    2. The rest, M[R, S], is dense: pivoted QR gives M[R, S][:, perm] = Q R,
+       and the columns of [-R11^-1 R12; I], scattered by perm, span its null
+       space.  Entries of R11^-1 R12 at or below the cut are rounding noise;
+       dropping them keeps the bordered matrix as sparse as the dependencies.
+    3. The singleton entries of each null vector follow by back-substitution,
+       last pass first: M[R, singletons] is zero, the pivots of one pass
+       form a diagonal block and earlier passes sit above later ones.
+    With no singletons, step 2 is a pivoted QR of all of M.
     """
     n = kkt.n
-    M = kkt.matrix[:n, n:].toarray()
-    R, perm = scipy.linalg.qr(M, mode="r", pivoting=True)
-    diag = np.abs(np.diagonal(R))
-    cut = _rank_cut(diag, M.shape)
-    rank = int((diag > cut).sum())
-    W = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
-    W[np.abs(W) <= cut] = 0.0
-    W = sp.coo_array(np.vstack([-W, np.eye(M.shape[1] - rank)]))
-    return sp.csc_array(
-        (W.data, (n + perm[W.row], W.col)), shape=(kkt.order, W.shape[1])
-    )
+    M = kkt.matrix[:n, n:]
+    M.eliminate_zeros()
+    Mr = M.tocsr()
+    k = M.shape[1]
+    cut = _rank_cut(np.sqrt(np.bincount(Mr.indices, Mr.data**2, minlength=k)), M.shape)
+
+    row_live = np.ones(n, dtype=bool)
+    col_live = np.ones(k, dtype=bool)
+    count = np.diff(M.indptr)
+    passes = []
+    cand = np.flatnonzero(count == 1)
+    while cand.size:
+        at, _ = _entries(M.indptr, cand)
+        at = at[row_live[M.indices[at]]]  # one live entry per candidate
+        rows, vals = M.indices[at], M.data[at]
+        big = np.abs(vals) > cut
+        cand, rows, vals = cand[big], rows[big], vals[big]
+        # one column per row: the largest pivot, the first column on a tie
+        order = np.lexsort((-np.abs(vals), rows))
+        first = order[np.unique(rows[order], return_index=True)[1]]
+        cols, rows, vals = cand[first], rows[first], vals[first]
+        passes.append((rows, cols, vals))
+        row_live[rows] = False
+        col_live[cols] = False
+        touched, hits = np.unique(Mr.indices[_entries(Mr.indptr, rows)[0]],
+                                  return_counts=True)
+        count[touched] -= hits
+        cand = touched[(count[touched] == 1) & col_live[touched]]
+
+    R, S = np.flatnonzero(row_live), np.flatnonzero(col_live)
+    at, col = _entries(M.indptr, S)
+    live = row_live[M.indices[at]]
+    rest = np.zeros((R.size, S.size))
+    rest[np.searchsorted(R, M.indices[at[live]]), col[live]] = M.data[at[live]]
+    perm, rank, W = np.arange(S.size), 0, np.zeros((0, S.size))
+    if rest.size:
+        Rq, perm = scipy.linalg.qr(rest, mode="r", pivoting=True)
+        rank = int((np.abs(np.diagonal(Rq)) > cut).sum())
+        W = scipy.linalg.solve_triangular(Rq[:rank, :rank], Rq[:rank, rank:])
+        W[np.abs(W) <= cut] = 0.0
+    Y = np.zeros((k, S.size - rank))
+    Y[S[perm[:rank]]] = -W
+    Y[S[perm[rank:]], np.arange(S.size - rank)] = 1.0
+    for rows, cols, vals in reversed(passes):
+        block = -(Mr[rows] @ Y) / vals[:, None]
+        block[np.abs(block) <= cut] = 0.0
+        Y[cols] = block
+    # Y' in CSR form is the basis in CSC form, rows shifted by n
+    col, row = np.nonzero(Y.T)
+    indptr = np.searchsorted(col, np.arange(Y.shape[1] + 1))
+    return sp.csc_array((Y[row, col], n + row, indptr), shape=(kkt.order, Y.shape[1]))
+
+
+def _entries(indptr, picks):
+    """Positions of the stored entries of the compressed rows or columns
+    ``picks``, in the order of ``picks``, and for each the index in ``picks``
+    of its row or column."""
+    lo = indptr[picks]
+    lens = indptr[picks + 1] - lo
+    ends = np.cumsum(lens)
+    at = np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + lens, lens)
+    return at, np.repeat(np.arange(picks.size), lens)
 
 
 def condition_estimate(matrix) -> float:

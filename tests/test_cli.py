@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qpdiff import QpProblem, store_problem
+from qpdiff import cli
 from qpdiff.bench import run_bench
 from qpdiff.cli import main
 
@@ -304,6 +305,23 @@ class TestCheckGradCommand:
         }
         assert payload["passed"] is True
         assert payload["forward_vs_implicit"] == payload["block_errors"]["forward_vs_implicit"]
+
+    def test_json_is_strict_when_the_check_is_skipped(self, monkeypatch, capsys):
+        # the one row is tight with a zero multiplier, so the check is skipped
+        # and its errors are NaN, which strict JSON writes as null
+        weak = QpProblem([[1.0]], [0.0], C=[[1.0]], d=[0.0])
+        monkeypatch.setattr(cli, "make_problem", lambda *args: ("weakly active", weak))
+        rc = main(["check-grad", "--suite", "simplex", "--json"])
+        out, _ = capsys.readouterr()
+        assert rc == 0
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["skipped"] is True
+        assert payload["max_rel_error"] is None
+        assert payload["forward_vs_implicit"] is None
 
     @pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
     def test_step_not_finite_and_positive_exit_two(self, capsys, value):

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
@@ -18,9 +19,14 @@ from qpdiff import (
     solve_active_set,
 )
 from qpdiff.errors import RankDeficiencyError, SolveFailedError
-from qpdiff.kkt import DENSE, DIRECT, LEAST_SQUARES, SPARSE, solve_on
+from qpdiff.kkt import DENSE, DIRECT, LEAST_SQUARES, SPARSE, _null_basis, solve_on
 
-from helpers import child_env, count_fresh_points, random_mixed_qp
+from helpers import (
+    child_env,
+    count_fresh_points,
+    random_mixed_qp,
+    simplex_projection_sort,
+)
 
 
 def one_dee():
@@ -126,6 +132,31 @@ class TestFactorize:
             err = np.linalg.norm(fact.solve(rhs) - expected)
             assert err <= 1e-10 * np.linalg.norm(expected)
 
+    def test_redundant_simplex_of_order_ten_thousand(self):
+        # the sum-to-one row stated twice, at the closed-form solution: about
+        # 10^4 active bound rows, so a dense M = [A' C_J'] would take 800 MB
+        base, x = gen_simplex(10_000, 0)
+        prob = QpProblem(base.P, base.q, sp.vstack([base.A, base.A]),
+                         np.concatenate([base.b, base.b]), base.C, base.d)
+        rows = identify(prob, simplex_projection_sort(x), 1e-9).indices
+        kkt = assemble_reduced_kkt(prob, rows)
+        fact = factorize(kkt)
+        assert fact.mode == LEAST_SQUARES
+        assert kkt.order - fact.rank == 1
+        assert abs(kkt.matrix @ _null_basis(kkt)).max() <= 1e-12
+        # oracle: the nonsingular K_J of the simplex with one sum row, solved
+        # with the averaged dual right-hand side, as above
+        n = base.n
+        reduced = assemble_reduced_kkt(base, rows).matrix
+        rng = np.random.Generator(np.random.PCG64(8))
+        rhs = rng.standard_normal(kkt.order)
+        top, first, second, bot = rhs[:n], rhs[n], rhs[n + 1], rhs[n + 2 :]
+        xy = spsolve(reduced, np.concatenate([top, [0.5 * (first + second)], bot]))
+        half = 0.5 * xy[n : n + 1]
+        expected = np.concatenate([xy[:n], half, half, xy[n + 1 :]])
+        err = np.linalg.norm(fact.solve(rhs) - expected)
+        assert err <= 1e-10 * np.linalg.norm(expected)
+
     def test_structurally_singular_matrix_never_reaches_superlu(self, monkeypatch):
         # both equality rows touch only z1, so K_J has no perfect matching;
         # K_J (order 12, 14 nonzeros) is sparse enough for SuperLU, yet only
@@ -152,6 +183,77 @@ class TestFactorize:
         prob = QpProblem([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], C=[[1.0, 0.0]], d=[0.0])
         with pytest.raises(RankDeficiencyError):
             factorize(assemble_reduced_kkt(prob, np.array([0])))
+
+
+def _chain_qp():
+    """Bound rows chained over four singleton passes (rows 5, 4, 3, 2), and a
+    row equal to the equality row plus every chain row, so that the null
+    vector is back-substituted through all four passes."""
+    e = np.eye(6)
+    a = np.random.Generator(np.random.PCG64(3)).uniform(3.0, 4.0, 6)
+    chain = [2 * e[5], e[4] - 3 * e[5], 0.5 * e[3] - e[4], e[2] - 2 * e[3]]
+    C = np.vstack(chain + [a + sum(chain)])
+    return QpProblem(np.eye(6), np.ones(6), A=[a], b=[1.0], C=C, d=np.zeros(5))
+
+
+def _null_basis_case(name):
+    """(problem, J, the shapes of the dense blocks the pivoted QR sees)."""
+    e = np.eye(4)
+    if name == "chain":
+        return _chain_qp(), np.arange(5), [(2, 2)]
+    if name == "bound-stated-twice":
+        # x0 >= 0 twice: two singleton columns on row 0; one is pivoted and
+        # the other is left to the QR with no live row
+        prob = QpProblem(np.eye(4), np.ones(4), A=np.ones((1, 4)), b=[1.0],
+                         C=-e[[0, 0, 1]], d=np.zeros(3))
+        return prob, np.arange(3), [(2, 2)]
+    if name == "pivot-below-cut":
+        # the 1e-20 column is a singleton on row 0, but not above the cut
+        prob = QpProblem(np.eye(3), np.ones(3), A=np.ones((1, 3)), b=[1.0],
+                         C=[[1e-20, 0, 0], [0, 1, 0]], d=np.zeros(2))
+        return prob, np.arange(2), [(2, 2)]
+    if name == "no-rows-left":
+        prob = QpProblem(np.eye(2), np.ones(2), A=[[1.0, 1.0]], b=[1.0],
+                         C=np.eye(2), d=np.zeros(2))
+        return prob, np.arange(2), []
+    # no columns left: e0, then e1 - e0 on the second pass; M has full rank
+    prob = QpProblem(np.eye(3), np.ones(3), C=[[1, 0, 0], [-1, 1, 0]], d=np.zeros(2))
+    return prob, np.arange(2), []
+
+
+class TestNullBasis:
+    @pytest.mark.parametrize(
+        "name",
+        ["chain", "bound-stated-twice", "pivot-below-cut", "no-rows-left", "no-columns-left"],
+    )
+    def test_spans_the_null_space_and_solves_minimum_norm(self, monkeypatch, name):
+        prob, rows, qr_shapes = _null_basis_case(name)
+        seen = []
+        qr = scipy.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            seen.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+        kkt = assemble_reduced_kkt(prob, rows)
+        Z = _null_basis(kkt).toarray()
+        assert seen == qr_shapes
+        n = kkt.n
+        M = kkt.matrix[:n, n:].toarray()
+        N = scipy.linalg.null_space(M)
+        assert not Z[:n].any()
+        Y = Z[n:]
+        assert Y.shape[1] == N.shape[1]
+        np.testing.assert_allclose(N @ (N.T @ Y), Y, atol=1e-12)
+        assert np.linalg.matrix_rank(Y) == Y.shape[1]
+        assert np.abs(M @ Y).max(initial=0.0) <= 1e-14
+
+        fact = factorize(kkt)
+        assert fact.mode == (LEAST_SQUARES if N.shape[1] else DIRECT)
+        rhs = np.random.Generator(np.random.PCG64(4)).standard_normal(kkt.order)
+        expected, *_ = np.linalg.lstsq(kkt.matrix.toarray(), rhs, rcond=None)
+        np.testing.assert_allclose(fact.solve(rhs), expected, atol=1e-10)
 
 
 def stacked_dense_qp():
