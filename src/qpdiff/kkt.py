@@ -23,13 +23,19 @@ factorization of K_J, with the point on J, serves every consumer for the
 same (problem, J) pair.  A K_J with at least a quarter of its entries nonzero,
 counted from the problem blocks, is filled dense straight from them and
 factored by LAPACK LU, with solves by BLAS triangular solves; any other is
-assembled in sparse form and factored by SuperLU.  The sparse form of a
-dense K_J is built only when something reads it.  A singular K_J is
+factored by SuperLU.  Every sparse saddle matrix, K_J, its bordered form
+and ADMM's shifted matrix, comes from one builder, :func:`_saddle`, which
+fills the CSC arrays straight from the compressed columns of P, A and C by
+``indptr`` arithmetic, with no COO form, block assembly or sparse sum; only
+the rows of A and C_J are found by a stable sort of their row indices.  The
+sparse form of a dense K_J is built only when something reads it.  A
+singular K_J is
 bordered with a basis of its null space and factored by the same engine,
 so its solves return the minimum-norm least-squares solution.  The basis
-comes from M = [A' C_J'] in sparse form: its column singletons, such as the
-columns of bound rows, are eliminated first in passes over the nonzeros,
-and only the rest of M is densified for a pivoted QR.
+comes from M = [A' C_J'] in sparse form, gathered by the same builder: its
+column singletons, such as the columns of bound rows, are eliminated first
+in passes over the nonzeros, and only the rest of M is densified for a
+pivoted QR.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ SPARSE = "sparse"
 _PIVOT_RTOL = 1e-12
 # a matrix with at least this share of its entries nonzero is factored dense
 _DENSE_FILL = 0.25
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _dense_enough(nnz, order):
@@ -77,9 +84,9 @@ class ReducedKkt:
 
     ``nnz`` is counted from the blocks.  ``toarray()`` fills the dense K_J
     straight from them, in Fortran order like ``matrix.toarray()``;
-    ``matrix``, the sparse CSC form with sorted indices, is built the first
-    time it is read.  A dense factorization reads it only to border a
-    singular K_J.
+    ``matrix``, the sparse CSC form with sorted indices, is filled
+    from them by :func:`_saddle` the first time it is read.  A dense
+    factorization never reads it.
     """
 
     problem: object
@@ -106,12 +113,7 @@ class ReducedKkt:
 
     @cached_property
     def matrix(self) -> sp.csc_array:
-        P, A, C = self.problem.P, self.problem.A, self.problem.C
-        CJ = sp.csr_array(C)[self.rows]
-        mat = sp.block_array([[P, A.T, CJ.T], [A, None, None], [CJ, None, None]],
-                             format="csc")
-        mat.sort_indices()
-        return mat
+        return _saddle(self.problem, self.rows)
 
     def toarray(self):
         """The dense K_J, equal to ``matrix.toarray()`` in values and order."""
@@ -138,6 +140,129 @@ def assemble_reduced_kkt(problem, active) -> ReducedKkt:
             f"active-set index out of range [0, {problem.m}): {indices}"
         )
     return ReducedKkt(problem=problem, rows=indices)
+
+
+def _saddle(problem, rows, shift=None, border=None) -> sp.csc_array:
+    """The saddle matrix [[P + D_n, A', C_J'], [A, D_p, 0], [C_J, 0, D_J]]
+    on rows J = ``rows`` (ascending), in CSC form with sorted indices of
+    the type scipy would choose, filled straight from the compressed blocks
+    of ``problem``.
+
+    ``shift`` is the diagonal D, of length n + p + |J|; without it the
+    result is K_J, with every stored entry of the blocks, explicit zeros
+    too.  A shifted matrix, like the sparse sum it stands for, stores no
+    zero, and D_n merges into P's diagonal whether P stores it or not.
+    With ``border``, a null basis Z, the result is [[K, Z], [Z', 0]].
+    Column j < n holds P's column, then A's column and C's column at J;
+    column n + i holds row i of [A; C_J], then D's entry, then row n + i
+    of Z; Z's columns come last.  Each piece is sorted already, and its rows
+    come before the next piece's, so nothing is sorted here.
+    """
+    n, p = problem.n, problem.p
+    order = n + p + rows.size
+    width = order + (0 if border is None else border.shape[1])
+    P = problem.P
+    by_col, by_row = _gathers(problem, rows)
+    blocks = [(0, P.data, P.indices, P.indptr)]
+    if shift is not None:
+        # P's column split around its diagonal, which takes D_n's entry
+        col = np.repeat(np.arange(n), np.diff(P.indptr))
+        on = P.indices == col
+        diag = shift[:n].copy()
+        diag[col[on]] += P.data[on]
+        blocks = [(0, *_kept(P.data, P.indices, P.indptr, P.indices < col)),
+                  (0, diag, np.arange(n), np.arange(n + 1)),
+                  (0, *_kept(P.data, P.indices, P.indptr, P.indices > col))]
+    blocks += [(0, val, idx + n, ptr) for _, val, idx, ptr in by_col]
+    blocks += [(n + first, val, idx, ptr) for first, val, idx, ptr in by_row]
+    if shift is not None:
+        blocks.append((n, shift[n:], np.arange(n, order), np.arange(order - n + 1)))
+    if border is not None:
+        Zr = border.tocsr()
+        blocks += [(0, Zr.data, Zr.indices + order, Zr.indptr),
+                   (order, border.data, border.indices, border.indptr)]
+    arrays = _stack((width, width), blocks)
+    if shift is not None:
+        arrays = _nonzero(*arrays)
+    mat = sp.csc_array(arrays, shape=(width, width))
+    mat.has_canonical_format = True
+    return mat
+
+
+def _gathers(problem, rows):
+    """The rows [A; C_J] as blocks for :func:`_stack`, twice: by its n
+    columns, with row i of A at row i and row J[t] of C at row p + t, and
+    by its rows, as the p + |J| columns of [A' C_J'].  The columns are
+    A's and C's, C's filtered to J; the rows are their transposes."""
+    A, C, p = problem.A, problem.C, problem.p
+    at = np.full(problem.m, -1)
+    at[rows] = np.arange(rows.size)
+    at = at[C.indices]  # the position in J of each entry's row, -1 off J
+    CJ = _kept(C.data, at, C.indptr, at >= 0)
+    by_col = [(0, A.data, A.indices, A.indptr), (0, CJ[0], p + CJ[1], CJ[2])]
+    by_row = [(0, *_transposed(A.data, A.indices, A.indptr, p)),
+              (p, *_transposed(*CJ, rows.size))]
+    return by_col, by_row
+
+
+def _transposed(data, indices, indptr, rows):
+    """The compressed arrays of the transpose of a matrix with ``rows``
+    rows: a stable sort of the indices keeps each new major line in the old
+    major order, so its indices come out sorted, as scipy's conversion
+    gives them."""
+    order = np.argsort(indices, kind="stable")
+    major = np.repeat(np.arange(indptr.size - 1), indptr[1:] - indptr[:-1])
+    ptr = np.zeros(rows + 1, dtype=indptr.dtype)
+    np.cumsum(np.bincount(indices, minlength=rows), out=ptr[1:])
+    return data[order], major[order], ptr
+
+
+def _stack(shape, blocks):
+    """``(data, indices, indptr)`` of the CSC matrix of ``shape`` whose
+    column j holds, in turn, the entries of column j of each block.
+
+    A block is ``(first, data, indices, indptr)``: compressed columns from
+    column ``first`` on, with ``indptr[0] == 0``, whose indices are already
+    rows of the result.  The entries land by ``indptr`` arithmetic alone;
+    the result is sorted when,
+    in every column, the rows of each block are sorted and come before those
+    of the next.
+    """
+    spans = [slice(first, first + ptr.size - 1) for first, _, _, ptr in blocks]
+    lens = [ptr[1:] - ptr[:-1] for *_, ptr in blocks]
+    counts = np.zeros(shape[1], dtype=np.int64)
+    for span, count in zip(spans, lens):
+        counts[span] += count
+    nnz = int(counts.sum())
+    dtype = _index_dtype(nnz, shape)
+    indptr = np.zeros(shape[1] + 1, dtype=dtype)
+    np.cumsum(counts, out=indptr[1:])
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=dtype)
+    start = indptr[:-1].copy()  # where each column's next entry lands
+    for (_, val, idx, ptr), span, count in zip(blocks, spans, lens):
+        dest = np.arange(ptr[-1]) + np.repeat(start[span] - ptr[:-1], count)
+        data[dest] = val[: ptr[-1]]
+        indices[dest] = idx[: ptr[-1]]
+        start[span] += count
+    return data, indices, indptr
+
+
+def _index_dtype(nnz, shape):
+    """The index type scipy gives a compressed matrix: int32 when ``nnz``
+    and ``shape`` fit in it, else int64."""
+    return np.int32 if max(nnz, *shape) <= _INT32_MAX else np.int64
+
+
+def _kept(data, indices, indptr, keep):
+    """The entries ``keep`` (a mask) of compressed arrays, in their order."""
+    before = np.zeros(keep.size + 1, dtype=indptr.dtype)  # kept entries before each
+    np.cumsum(keep, out=before[1:])
+    return data[keep], indices[keep], before[indptr]
+
+
+def _nonzero(data, indices, indptr):
+    """Compressed arrays without their explicit zeros."""
+    return _kept(data, indices, indptr, data != 0)
 
 
 class KktFactorization:
@@ -193,8 +318,9 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     The engine is dense LAPACK LU of ``kkt.toarray()`` when at least a
     quarter of the entries of K_J are nonzero, by ``kkt.nnz``, else SuperLU
     of ``kkt.matrix``, and it serves the bordered matrix too.
-    A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]`` is
-    factored, with Z a null-space basis of K_J, and the leading block of its
+    A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]``,
+    filled from the problem blocks and Z by :func:`_saddle`, is factored,
+    with Z a null-space basis of K_J, and the leading block of its
     solution is the minimum-norm least-squares solution.  Raises
     :class:`RankDeficiencyError` if that is singular too, which means P is
     not positive definite on the null space of ``[A; C_J]``.
@@ -205,8 +331,7 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
         return KktFactorization(kkt, DIRECT, engine, lu, factored, kkt.order)
 
     Z = _null_basis(kkt)
-    bordered = sp.block_array([[kkt.matrix, Z], [Z.T, None]], format="csc")
-    factored, lu = _checked_lu(bordered, engine)
+    factored, lu = _checked_lu(_saddle(kkt.problem, kkt.rows, border=Z), engine)
     if lu is None:
         raise RankDeficiencyError(
             "reduced KKT matrix is singular: P is not positive definite on null([A; C_J])"
@@ -319,11 +444,11 @@ def _null_basis(kkt: ReducedKkt):
        form a diagonal block and earlier passes sit above later ones.
     With no singletons, step 2 is a pivoted QR of all of M.
     """
-    n = kkt.n
-    M = kkt.matrix[:n, n:]
-    M.eliminate_zeros()
-    Mr = M.tocsr()
-    k = M.shape[1]
+    n, k = kkt.n, kkt.order - kkt.n
+    by_col, by_row = _gathers(kkt.problem, kkt.rows)
+    M = sp.csc_array(_nonzero(*_stack((n, k), by_row)), shape=(n, k))
+    # the columns of [A; C_J] are the rows of M
+    Mr = sp.csr_array(_nonzero(*_stack((k, n), by_col)), shape=(n, k))
     cut = _rank_cut(np.sqrt(np.bincount(Mr.indices, Mr.data**2, minlength=k)), M.shape)
 
     row_live = np.ones(n, dtype=bool)
@@ -370,7 +495,10 @@ def _null_basis(kkt: ReducedKkt):
     # Y' in CSR form is the basis in CSC form, rows shifted by n
     col, row = np.nonzero(Y.T)
     indptr = np.searchsorted(col, np.arange(Y.shape[1] + 1))
-    return sp.csc_array((Y[row, col], n + row, indptr), shape=(kkt.order, Y.shape[1]))
+    shape = (kkt.order, Y.shape[1])
+    dtype = _index_dtype(row.size, shape)
+    return sp.csc_array((Y[row, col], (n + row).astype(dtype), indptr.astype(dtype)),
+                        shape=shape)
 
 
 def _entries(indptr, picks):

@@ -50,22 +50,24 @@ def residuals(problem, point) -> Residuals:
 
 def primal_dual_residuals(problem, z, lam, mu) -> tuple[float, float]:
     """``(r_p, r_d)`` alone, for callers that do not need the duality gap."""
-    return _primal_dual(problem, (problem.P, problem.A, problem.C), z, lam, mu)
+    A, C = problem.A, problem.C
+    return _primal_dual(problem, (problem.P, A, C, A.T, C.T), z, lam, mu)
 
 
 def _primal_dual(problem, operators, z, lam, mu):
     """``(r_p, r_d)`` with every product taken through ``operators = (P, A,
-    C)``: the problem's own blocks, or dense copies of them.  A NaN in
+    C, A', C')``: the problem's own blocks, or dense copies of them, with
+    transposes formed once by a caller that checks many points.  A NaN in
     either residual propagates."""
-    P, A, C = operators
+    P, A, C, At, Ct = operators
     r_p = 0.0
     stat = P @ z + problem.q
     if problem.p:
         r_p = np.abs(A @ z - problem.b).max()
-        stat = stat + A.T @ lam
+        stat = stat + At @ lam
     if problem.m:
         r_p = np.maximum(r_p, (C @ z - problem.d).max())
-        stat = stat + C.T @ mu
+        stat = stat + Ct @ mu
     return float(np.maximum(r_p, 0.0)), float(np.abs(stat).max())
 
 

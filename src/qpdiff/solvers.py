@@ -33,6 +33,7 @@ from .kkt import (
     KktFactorization,
     _dense_enough,
     _rank_cut,
+    _saddle,
     assemble_reduced_kkt,
     factorize,
     solve_on,
@@ -288,7 +289,7 @@ class ActiveSetBackend(SolverBackend):
                 del work[at]
 
         # the answer, through the factorization differentiation reuses
-        point = _finish(problem, (P, A, C), np.asarray(work, dtype=int))
+        point = _finish(problem, (P, A, C, A.T, C.T), np.asarray(work, dtype=int))
         if point is None:
             return _failed(problem)
         point.status, point.iterations = status, it
@@ -317,7 +318,10 @@ class AdmmBackend(SolverBackend):
     On that dense path every residual check and the residuals of a
     finishing point take their products with the dense P and G formed for
     the factorization, not with the sparse blocks.  Otherwise the
-    regularized KKT matrix is factored by sparse LU.  The penalty is fixed
+    regularized KKT matrix is filled in CSC form straight from the problem
+    blocks by ``kkt._saddle``, with the shift merged into P's diagonal, and
+    factored by sparse LU; its residual checks use the sparse blocks, with
+    A' and C' formed once per solve.  The penalty is fixed
     (with a stiffer value on equality rows) and diagonal data rescaling is
     off, so runs are deterministic given the settings.
 
@@ -362,15 +366,13 @@ class AdmmBackend(SolverBackend):
         rho[:p] *= self.rho_eq_scale
         rho_inv = 1.0 / rho
 
-        # the operators every residual check and identification goes through
-        ops = (problem.P, problem.A, problem.C)
         # factored raw, not through factorize: the loop needs neither
         # refinement nor a fallback, and each solve must stay cheap
         if _dense_enough(problem.P.nnz + 2 * G.nnz + n + p + m, n + p + m):
             # eliminate nu = rho*(G x - r2) from the iteration matrix and
             # factor the reduced n x n matrix P + sigma I + G' diag(rho) G
             Gd = G.toarray()
-            ops = (problem.P.toarray(), Gd[:p], Gd[p:])
+            ops = (problem.P.toarray(), Gd[:p], Gd[p:], Gd[:p].T, Gd[p:].T)
             reduced = ops[0] + Gd.T @ (rho[:, None] * Gd)
             reduced[np.diag_indices(n)] += self.sigma
             try:
@@ -388,10 +390,10 @@ class AdmmBackend(SolverBackend):
                 return x, rho * (Gd @ x - r2)
 
         else:
-            lu = splu(sp.csc_matrix(
-                assemble_reduced_kkt(problem, np.arange(m)).matrix
-                + sp.diags_array(np.concatenate([np.full(n, self.sigma), -rho_inv]))
-            ))
+            # every residual check goes through the blocks, transposes formed once
+            ops = (problem.P, problem.A, problem.C, problem.A.T, problem.C.T)
+            lu = splu(_saddle(problem, np.arange(m),
+                              np.concatenate([np.full(n, self.sigma), -rho_inv])))
 
             def step(r1, r2):
                 sol = lu.solve(np.concatenate([r1, r2]))

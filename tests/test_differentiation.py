@@ -614,18 +614,20 @@ class TestThreadSafety:
             pytest.param("admm", "duplicated", LEAST_SQUARES, DENSE,
                          id="admm-duplicated-rows"),
             pytest.param("admm", "simplex", DIRECT, SPARSE, id="admm-sparse"),
+            pytest.param("admm", "redundant-simplex", LEAST_SQUARES, SPARSE,
+                         id="admm-sparse-bordered"),
         ],
     )
     def test_shared_solution_matches_serial(self, backend, case, mode, engine):
         n_threads, repeats = 8, 20
         prob = random_mixed_qp(12, 10, 2, seed=77)
-        if case == "duplicated":  # every equality row stated twice
+        if case in ("simplex", "redundant-simplex"):
+            prob = gen_simplex(200, 0)[0]
+        if case in ("duplicated", "redundant-simplex"):  # equality rows stated twice
             prob = QpProblem(
                 prob.P, prob.q, sp.vstack([prob.A, prob.A]),
                 np.concatenate([prob.b, prob.b]), prob.C, prob.d,
             )
-        elif case == "simplex":
-            prob = gen_simplex(200, 0)[0]
         sol = differentiable_solve(prob, backend)
         assert (sol.fact.mode, sol.fact.engine) == (mode, engine)
         rng = np.random.Generator(np.random.PCG64(78))
@@ -657,6 +659,55 @@ class TestThreadSafety:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert mismatches == []
+
+    def test_threads_solving_one_shared_sparse_problem(self):
+        # each round's threads start together on a fresh problem, so state
+        # that a solve kept on the problem would be raced on
+        n_threads, rounds = 8, 10
+        simplex = gen_simplex(200, 0)[0]
+
+        def redundant_simplex():
+            return QpProblem(simplex.P, simplex.q, sp.vstack([simplex.A, simplex.A]),
+                             np.concatenate([simplex.b, simplex.b]), simplex.C, simplex.d)
+
+        g = np.random.Generator(np.random.PCG64(80)).standard_normal(simplex.n)
+
+        def outputs(prob):
+            sol = differentiable_solve(prob, "admm")
+            assert (sol.fact.mode, sol.fact.engine) == (LEAST_SQUARES, SPARSE)
+            return sol.point.z, sol.active.indices, sol.backward(g).grad_q
+
+        expected = outputs(redundant_simplex())
+        mismatches, errors, stuck = [], [], []
+
+        def worker(shared, barrier, k):
+            try:
+                barrier.wait(timeout=60)
+                got = outputs(shared)
+                if not all(np.array_equal(a, b) for a, b in zip(got, expected)):
+                    mismatches.append(k)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                shared, barrier = redundant_simplex(), threading.Barrier(n_threads)
+                threads = [
+                    threading.Thread(target=worker, args=(shared, barrier, k))
+                    for k in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                stuck += [t for t in threads if t.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert stuck == []
         assert errors == []
         assert mismatches == []
 

@@ -19,7 +19,16 @@ from qpdiff import (
     solve_active_set,
 )
 from qpdiff.errors import RankDeficiencyError, SolveFailedError
-from qpdiff.kkt import DENSE, DIRECT, LEAST_SQUARES, SPARSE, _null_basis, solve_on
+from qpdiff.kkt import (
+    DENSE,
+    DIRECT,
+    LEAST_SQUARES,
+    SPARSE,
+    _null_basis,
+    _saddle,
+    solve_on,
+)
+from qpdiff.solvers import AdmmBackend
 
 from helpers import (
     child_env,
@@ -335,6 +344,104 @@ class TestDenseAssembly:
             )
             expected = scipy.linalg.solve_triangular(lu.lu, y, check_finite=False)
             np.testing.assert_array_equal(lu.solve(rhs), expected)
+
+
+def block_array_saddle(prob, rows):
+    """K_J assembled by ``sp.block_array``: the reference for the builder."""
+    CJ = sp.csr_array(prob.C)[np.asarray(rows, dtype=int)]
+    mat = sp.block_array([[prob.P, prob.A.T, CJ.T], [prob.A, None, None],
+                          [CJ, None, None]], format="csc")
+    mat.sort_indices()
+    return mat
+
+
+def assert_same_csc(built, expected):
+    """Bit for bit: the arrays, their index type, and sorted indices."""
+    assert built.format == expected.format == "csc"
+    assert built.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(built, name), getattr(expected, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert np.array_equal(np.signbit(built.data), np.signbit(expected.data))
+    assert built.indices.dtype == np.int32
+    assert built.has_sorted_indices and expected.has_sorted_indices
+
+
+def redundant_simplex(n):
+    """``gen_simplex(n, 0)`` with its sum row stated twice, and the rows
+    active at its solution."""
+    base, x = gen_simplex(n, 0)
+    prob = QpProblem(base.P, base.q, sp.vstack([base.A, base.A]),
+                     np.concatenate([base.b, base.b]), base.C, base.d)
+    return prob, identify(prob, simplex_projection_sort(x), 1e-9).indices
+
+
+def missing_diagonal_qp():
+    """A sparse QP whose P stores no entry on columns 1 and 4, with an
+    explicit zero in P, A and C."""
+    n = 8
+    P = sp.lil_array((n, n))
+    for j in (0, 2, 3, 5, 6, 7):
+        P[j, j] = 2.0
+    P[1, 4] = P[4, 1] = 0.5
+    P[0, 7] = P[7, 0] = 1.0
+    P = sp.csc_array(P)
+    P.data[P.data == 1.0] = 0.0
+    A = sp.csc_array(np.array([[1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]))
+    A.data[1] = 0.0
+    C = sp.csc_array(np.vstack([-np.eye(n), np.eye(n)]))
+    C.data[3] = 0.0
+    return QpProblem(P, np.ones(n), A, [1.0], C, np.ones(2 * n))
+
+
+class TestSaddleBuilder:
+    @pytest.mark.parametrize("prob, rows", DENSE_FILL_CASES)
+    def test_reduced_kkt_matches_block_array(self, prob, rows):
+        kkt = assemble_reduced_kkt(prob, np.array(rows, dtype=int))
+        assert_same_csc(kkt.matrix, block_array_saddle(prob, rows))
+
+    @pytest.mark.parametrize("case", ["redundant-simplex", "stacked-dense"])
+    def test_bordered_matches_block_array(self, case):
+        if case == "redundant-simplex":
+            prob, rows = redundant_simplex(300)
+        else:
+            prob = stacked_dense_qp()
+            rows = identify(prob, solve_active_set(prob).z).indices
+        kkt = assemble_reduced_kkt(prob, rows)
+        Z = _null_basis(kkt)
+        assert Z.shape[1] > 0
+        expected = sp.block_array([[block_array_saddle(prob, rows), Z], [Z.T, None]],
+                                  format="csc")
+        assert_same_csc(_saddle(prob, rows, border=Z), expected)
+        fact = factorize(kkt)
+        assert fact.mode == LEAST_SQUARES
+        if fact.engine == SPARSE:  # the matrix SuperLU factored
+            assert_same_csc(fact._factored, expected)
+
+    def test_admm_matrix_matches_the_shifted_block_array(self, monkeypatch):
+        import qpdiff.solvers as solvers
+
+        prob = missing_diagonal_qp()
+        assert (prob.P.diagonal() == 0).sum() == 2
+        factored = []
+
+        def recording_splu(matrix, *args, **kwargs):
+            factored.append(matrix)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "splu", recording_splu)
+        solvers.solve_admm(prob, solvers.SolveSettings(max_iterations=1))
+        rho = np.full(prob.p + prob.m, AdmmBackend.rho)
+        rho[: prob.p] *= AdmmBackend.rho_eq_scale
+        shift = np.concatenate([np.full(prob.n, AdmmBackend.sigma), -1.0 / rho])
+        K = block_array_saddle(prob, np.arange(prob.m))
+        expected = sp.csc_array(K + sp.diags_array(shift))
+        # the sum drops the six explicit zeros of K and fills its diagonal
+        assert (K.data == 0).sum() == 6 and (K.diagonal() == 0).sum() == 2 + 17
+        assert expected.nnz == K.nnz - 6 + 19 and expected.diagonal().all()
+        assert len(factored) == 1
+        assert_same_csc(factored[0], expected)
 
 
 class TestEngines:
