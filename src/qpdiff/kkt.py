@@ -22,20 +22,20 @@ right-hand side onto J and scatters the result back to length m.  One
 factorization of K_J, with the point on J, serves every consumer for the
 same (problem, J) pair.  A K_J with at least a quarter of its entries nonzero,
 counted from the problem blocks, is filled dense straight from them and
-factored by LAPACK LU, with solves by BLAS triangular solves; any other is
-factored by SuperLU.  Every sparse saddle matrix, K_J, its bordered form
-and ADMM's shifted matrix, comes from one builder, :func:`_saddle`, which
-fills the CSC arrays straight from the compressed columns of P, A and C by
-``indptr`` arithmetic, with no COO form, block assembly or sparse sum; only
-the rows of A and C_J are found by a stable sort of their row indices.  The
-sparse form of a dense K_J is built only when something reads it.  A
-singular K_J is
-bordered with a basis of its null space and factored by the same engine,
-so its solves return the minimum-norm least-squares solution.  The basis
-comes from M = [A' C_J'] in sparse form, gathered by the same builder: its
-column singletons, such as the columns of bound rows, are eliminated first
-in passes over the nonzeros, and only the rest of M is densified for a
-pivoted QR.
+factored in place by LAPACK LU, with solves by BLAS triangular solves; any
+other is factored by SuperLU.  Only the LU is kept, and every solve is one
+LU solve.  Every sparse saddle matrix, K_J, its bordered form and ADMM's
+shifted matrix, comes from one builder, :func:`_saddle`, which fills the
+CSC arrays straight from the compressed columns of P, A and C by
+``indptr`` arithmetic, with no COO form, block assembly or sparse sum;
+only the rows of A and C_J are found by a stable sort of their row
+indices.  The sparse form of a dense K_J is built only
+when something reads it.  A singular K_J is bordered with a basis of its
+null space and factored by the same engine, so its solves return the
+minimum-norm least-squares solution.  The basis comes from M = [A' C_J']
+in sparse form, gathered by the same builder: its column singletons, such
+as the columns of bound rows, are eliminated first in passes over the
+nonzeros, and only the rest of M is densified for a pivoted QR.
 """
 
 from __future__ import annotations
@@ -273,20 +273,19 @@ class KktFactorization:
     solves return the minimum-norm least-squares solution.  ``engine`` is
     ``"dense"`` (LAPACK LU of the dense K_J, solved by ``trsv``) or
     ``"sparse"`` (SuperLU).  ``rank`` is the rank of K_J.  ``matrix`` is
-    K_J in sparse form, built when first read.  Because K_J is symmetric,
+    K_J in sparse form, built when first read.  Only the LU is kept, and
+    each solve is one LU solve.  Because K_J is symmetric,
     the same code path serves forward and adjoint solves.
     Instances are immutable after construction; concurrent solves are safe,
     and threads that race on the first read of ``matrix`` get equal arrays.
     """
 
-    def __init__(self, kkt, mode, engine, lu, factored, rank):
+    def __init__(self, kkt, mode, engine, lu, rank):
         self._kkt = kkt
         self.rows = kkt.rows
         self.mode = mode
         self.engine = engine
         self._lu = lu
-        # the exact matrix ``lu`` factors: K_J, or K_J bordered by its null basis
-        self._factored = factored
         self.rank = rank
         self.order = kkt.order
 
@@ -301,44 +300,43 @@ class KktFactorization:
             raise ValueError(
                 f"rhs has length {rhs.shape[0]}, expected {self.order}"
             )
-        rhs = np.concatenate([rhs, np.zeros(self._factored.shape[0] - self.order)])
-        x = self._lu.solve(rhs)
-        # up to three steps of iterative refinement against the exact matrix
-        for _ in range(3):
-            resid = rhs - self._factored @ x
-            if np.abs(resid).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(rhs).max(initial=0.0)):
-                break
-            x = x + self._lu.solve(resid)
-        return x[: self.order]
+        # a bordered matrix has one more row per column of Z, with zero rhs
+        rhs = np.concatenate([rhs, np.zeros(self.order - self.rank)])
+        return self._lu.solve(rhs)[: self.order]
 
 
 def factorize(kkt: ReducedKkt) -> KktFactorization:
     """Factor K_J once for reuse, by LU.
 
-    The engine is dense LAPACK LU of ``kkt.toarray()`` when at least a
-    quarter of the entries of K_J are nonzero, by ``kkt.nnz``, else SuperLU
-    of ``kkt.matrix``, and it serves the bordered matrix too.
-    A K_J that fails the pivot check is bordered: ``[[K_J, Z], [Z', 0]]``,
-    filled from the problem blocks and Z by :func:`_saddle`, is factored,
-    with Z a null-space basis of K_J, and the leading block of its
-    solution is the minimum-norm least-squares solution.  Raises
-    :class:`RankDeficiencyError` if that is singular too, which means P is
-    not positive definite on the null space of ``[A; C_J]``.
+    The engine is dense LAPACK LU of ``kkt.toarray()``, factored in place,
+    when at least a quarter of the entries of K_J are nonzero, by
+    ``kkt.nnz``, else SuperLU of ``kkt.matrix``, and it serves the bordered
+    matrix too.  A K_J that fails the pivot check is bordered:
+    ``[[K_J, Z], [Z', 0]]``, filled from the problem blocks and Z by
+    :func:`_saddle`, is factored, with Z a null-space basis of K_J, and the
+    leading block of its solution is the minimum-norm least-squares
+    solution.  Raises :class:`RankDeficiencyError` if Z is empty or the
+    bordered matrix fails the check too: P is not positive definite on the
+    null space of ``[A; C_J]``, or rows of ``[A; C_J]`` are so nearly
+    dependent that K_J fails the check while ``[A; C_J]`` has full
+    numerical rank.
     """
     engine = DENSE if _dense_enough(kkt.nnz, kkt.order) else SPARSE
-    factored, lu = _checked_lu(kkt.toarray() if engine == DENSE else kkt.matrix, engine)
+    lu = _checked_lu(kkt.toarray() if engine == DENSE else kkt.matrix, engine)
     if lu is not None:
-        return KktFactorization(kkt, DIRECT, engine, lu, factored, kkt.order)
+        return KktFactorization(kkt, DIRECT, engine, lu, kkt.order)
 
     Z = _null_basis(kkt)
-    factored, lu = _checked_lu(_saddle(kkt.problem, kkt.rows, border=Z), engine)
+    if Z.shape[1]:
+        lu = _checked_lu(_saddle(kkt.problem, kkt.rows, border=Z), engine)
     if lu is None:
         raise RankDeficiencyError(
-            "reduced KKT matrix is singular: P is not positive definite on null([A; C_J])"
+            "reduced KKT matrix is singular: P is not positive definite on "
+            "null([A; C_J]), or rows of [A; C_J] are nearly dependent (K_J's "
+            f"pivot ratio is below {_PIVOT_RTOL:g} while [A; C_J] has full "
+            "numerical rank)"
         )
-    return KktFactorization(
-        kkt, LEAST_SQUARES, engine, lu, factored, kkt.order - Z.shape[1]
-    )
+    return KktFactorization(kkt, LEAST_SQUARES, engine, lu, kkt.order - Z.shape[1])
 
 
 def solve_on(problem, fact: KktFactorization, top, mid, bot):
@@ -358,24 +356,23 @@ def solve_on(problem, fact: KktFactorization, top, mid, bot):
 
 
 def _checked_lu(matrix, engine):
-    """``(factored, lu)``: the matrix in the engine's format and its LU, with
-    ``lu`` None when it fails the pivot check."""
+    """The engine's LU of ``matrix``, or None when it fails the pivot check.
+    A dense array is factored in place, a sparse one filled in Fortran order."""
     if engine == DENSE:
-        factored = matrix.toarray() if sp.issparse(matrix) else matrix
-        lu = _DenseLu(factored)
+        lu = _DenseLu(matrix.toarray(order="F") if sp.issparse(matrix) else matrix)
         diag = np.abs(np.diagonal(lu.lu))
     else:
-        factored = matrix
         lu = _lu_or_none(matrix)
         if lu is None:
-            return factored, None
+            return None
         diag = np.abs(lu.U.diagonal())
     ok = diag.size and np.all(np.isfinite(diag)) and diag.min() > _PIVOT_RTOL * diag.max()
-    return factored, (lu if ok else None)
+    return lu if ok else None
 
 
 class _DenseLu:
-    """LAPACK LU with partial pivoting (``getrf``) of a dense matrix.
+    """LAPACK LU with partial pivoting (``getrf``) of a dense matrix, in
+    place when the matrix is a Fortran-ordered float array.
 
     Solves apply the row permutation and two BLAS triangular solves
     (``trsv``) on the Fortran-ordered factor, with none of
@@ -388,7 +385,7 @@ class _DenseLu:
     """
 
     def __init__(self, matrix):
-        self.lu, piv, _ = scipy.linalg.lapack.dgetrf(matrix)
+        self.lu, piv, _ = scipy.linalg.lapack.dgetrf(matrix, overwrite_a=1)
         # getrf swaps row i with row piv[i], in turn; apply them once here
         perm = np.arange(matrix.shape[0])
         for i, j in enumerate(piv):

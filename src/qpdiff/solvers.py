@@ -366,8 +366,7 @@ class AdmmBackend(SolverBackend):
         rho[:p] *= self.rho_eq_scale
         rho_inv = 1.0 / rho
 
-        # factored raw, not through factorize: the loop needs neither
-        # refinement nor a fallback, and each solve must stay cheap
+        # factored raw, not through factorize: the loop needs no fallback
         if _dense_enough(problem.P.nnz + 2 * G.nnz + n + p + m, n + p + m):
             # eliminate nu = rho*(G x - r2) from the iteration matrix and
             # factor the reduced n x n matrix P + sigma I + G' diag(rho) G
@@ -473,7 +472,7 @@ def _finish(problem, ops, J):
     the solve is not finite, or a multiplier on J is below -1e-9."""
     try:
         point = _point_on(problem, J)
-    except RankDeficiencyError:  # P singular on the rows' null space
+    except RankDeficiencyError:  # P singular on null([A; C_J]), or rows nearly dependent
         return None
     finite = all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu))
     if not finite or point.mu.min(initial=0.0) < -1e-9:

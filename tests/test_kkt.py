@@ -11,6 +11,7 @@ from qpdiff import (
     QpProblem,
     assemble_reduced_kkt,
     condition_estimate,
+    differentiable_solve,
     factorize,
     full_implicit_matrix,
     gen_random_dense,
@@ -28,7 +29,7 @@ from qpdiff.kkt import (
     _saddle,
     solve_on,
 )
-from qpdiff.solvers import AdmmBackend
+from qpdiff.solvers import AdmmBackend, solve_admm
 
 from helpers import (
     child_env,
@@ -192,6 +193,31 @@ class TestFactorize:
         prob = QpProblem([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], C=[[1.0, 0.0]], d=[0.0])
         with pytest.raises(RankDeficiencyError):
             factorize(assemble_reduced_kkt(prob, np.array([0])))
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-7, 1e-9])
+    def test_nearly_dependent_rows_raise_after_one_lu(self, angle, monkeypatch):
+        # P is positive definite, but rows 0 and 1 are nearly parallel: K_J
+        # fails the pivot check while [A; C_J] has full numerical rank, so
+        # there is no null vector to border with and nothing to factor again
+        import qpdiff.kkt as kkt_module
+
+        calls = []
+
+        def counting_splu(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(kkt_module, "splu", counting_splu)
+        P = np.diag([1.0, 2.0, 3.0, 4.0])
+        C = np.array([[1.0, 0, 0, 0], [1.0, angle, 0, 0], [0, 0, 1.0, 0]])
+        z0 = np.array([1.0, 0, 1.0, 0])
+        prob = QpProblem(P, -(P @ z0 + C.T @ [1.0, 2.0, 0.5]), C=C, d=C @ z0)
+        causes = r"not positive definite on null\(\[A; C_J\]\).*nearly dependent"
+        with pytest.raises(RankDeficiencyError, match=causes):
+            factorize(assemble_reduced_kkt(prob, np.arange(3)))
+        assert calls == [(7, 7)]
+        with pytest.raises(RankDeficiencyError, match=causes):
+            differentiable_solve(prob, "active_set")
 
 
 def _chain_qp():
@@ -402,7 +428,16 @@ class TestSaddleBuilder:
         assert_same_csc(kkt.matrix, block_array_saddle(prob, rows))
 
     @pytest.mark.parametrize("case", ["redundant-simplex", "stacked-dense"])
-    def test_bordered_matches_block_array(self, case):
+    def test_bordered_matches_block_array(self, case, monkeypatch):
+        import qpdiff.kkt as kkt_module
+
+        factored = []
+
+        def recording_splu(matrix, *args, **kwargs):
+            factored.append(matrix)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(kkt_module, "splu", recording_splu)
         if case == "redundant-simplex":
             prob, rows = redundant_simplex(300)
         else:
@@ -416,8 +451,8 @@ class TestSaddleBuilder:
         assert_same_csc(_saddle(prob, rows, border=Z), expected)
         fact = factorize(kkt)
         assert fact.mode == LEAST_SQUARES
-        if fact.engine == SPARSE:  # the matrix SuperLU factored
-            assert_same_csc(fact._factored, expected)
+        if fact.engine == SPARSE:  # the matrix SuperLU factored last
+            assert_same_csc(factored[-1], expected)
 
     def test_admm_matrix_matches_the_shifted_block_array(self, monkeypatch):
         import qpdiff.solvers as solvers
@@ -487,6 +522,42 @@ class TestEngines:
             expected = pinv @ rhs
             err = np.linalg.norm(fact.solve(rhs) - expected)
             assert err <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("engine, fill", [(DENSE, 0.0), (SPARSE, np.inf)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_lu_solve_per_right_hand_side(self, seed, engine, fill, monkeypatch):
+        import qpdiff.kkt as kkt_module
+
+        calls = []
+
+        class CountingLu:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+            def solve(self, rhs):
+                calls.append(1)
+                return self._lu.solve(rhs)
+
+        prob = gen_random_dense(200, seed)
+        kkt = assemble_reduced_kkt(prob, identify(prob, solve_admm(prob).z))
+        dense_lu = kkt_module._DenseLu
+        monkeypatch.setattr(kkt_module, "_DenseLu", lambda m: CountingLu(dense_lu(m)))
+        monkeypatch.setattr(kkt_module, "splu", lambda m: CountingLu(splu(m)))
+        monkeypatch.setattr(kkt_module, "_DENSE_FILL", fill)
+        fact = factorize(kkt)
+        assert (fact.engine, fact.mode) == (engine, DIRECT)
+        K = kkt.toarray()
+        norm_K = np.abs(K).sum(axis=1).max()
+        rng = np.random.Generator(np.random.PCG64(16))
+        for k in range(1, 6):
+            rhs = rng.standard_normal(kkt.order)
+            x = fact.solve(rhs)
+            assert len(calls) == k
+            err = np.abs(K @ x - rhs).max()
+            assert err <= 1e-15 * (norm_K * np.abs(x).max() + np.abs(rhs).max())
 
     def test_shared_dense_factorization_survives_threaded_solves(self):
         # LAPACK's getrs has aborted the interpreter when threads shared one
