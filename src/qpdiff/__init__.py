@@ -82,14 +82,11 @@ from .solvers import (
     AdmmBackend,
     EqualityBackend,
     PrimalDualPoint,
-    PrimalOnlyBackend,
     SolveSettings,
     SolverBackend,
     get_backend,
     list_backends,
     register_backend,
-    solve_active_set,
-    solve_admm,
 )
 
 import types as _types

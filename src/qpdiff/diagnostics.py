@@ -30,10 +30,12 @@ __all__ = [
     "conditioning_report",
 ]
 
-# the largest relative gradient error check_gradients passes by default
+# the largest relative gradient error check_gradients passes
 GRADIENT_REL_TOL = 1e-4
 # stored entries of each of P, A and C that check_gradients samples
 MATRIX_ENTRIES = 4
+# share of each side of TWO_PARAM_BOX that conditioning_report leaves out
+CONDITIONING_MARGIN = 0.05
 
 
 def profile_backends(problem, backends, tolerances=(1e-8, 1e-5, 1e-2),
@@ -80,12 +82,13 @@ def fastest_per_tolerance(cells) -> dict:
     return {tol: None if cell is None else cell["backend"] for tol, cell in best.items()}
 
 
-def random_direction(problem, rng, blocks=("P", "q", "A", "b", "C", "d")
-                     ) -> ParamDirection:
-    """Random parameter direction confined to the problem's sparsity patterns.
+def random_direction(problem, rng) -> ParamDirection:
+    """Random parameter direction on all six blocks, confined to the
+    problem's sparsity patterns.
 
-    The P-block direction is symmetrized so it stays a valid curvature
-    perturbation.
+    Draws, in order: P (when it stores entries), q, A, b, C and d (each
+    when its block is nonempty).  The P-block direction is symmetrized so
+    it stays a valid curvature perturbation.
     """
 
     def on_pattern(mat):
@@ -95,19 +98,18 @@ def random_direction(problem, rng, blocks=("P", "q", "A", "b", "C", "d")
             shape=mat.shape,
         )
 
-    dP = dq = dA = db = dC = dd = None
-    if "P" in blocks and problem.P.nnz:
+    dP = dA = db = dC = dd = None
+    if problem.P.nnz:
         raw = on_pattern(problem.P)
         dP = sp.csc_array((raw + raw.T) * 0.5)
-    if "q" in blocks:
-        dq = rng.standard_normal(problem.n)
-    if "A" in blocks and problem.A.nnz:
+    dq = rng.standard_normal(problem.n)
+    if problem.A.nnz:
         dA = sp.csc_array(on_pattern(problem.A))
-    if "b" in blocks and problem.p:
+    if problem.p:
         db = rng.standard_normal(problem.p)
-    if "C" in blocks and problem.C.nnz:
+    if problem.C.nnz:
         dC = sp.csc_array(on_pattern(problem.C))
-    if "d" in blocks and problem.m:
+    if problem.m:
         dd = rng.standard_normal(problem.m)
     return ParamDirection(dP=dP, dq=dq, dA=dA, db=db, dC=dC, dd=dd)
 
@@ -130,8 +132,7 @@ class GradientCheck:
     flagged_columns: list = field(default_factory=list)
 
 
-def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
-                    rel_tol=GRADIENT_REL_TOL) -> GradientCheck:
+def check_gradients(problem, backend="active_set", h=1e-6, seed=0) -> GradientCheck:
     """Verify backward gradients against independent oracles.
 
     For a random scalar loss g'z, each parameter group gets one
@@ -140,8 +141,9 @@ def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
     stored entries of P, A or C; a random forward directional derivative is
     compared against the unreduced implicit system.  Columns where the
     finite-difference samples change active set are excluded from the pass
-    criterion and reported.  Weakly active problems are skipped with a
-    notice.
+    criterion and reported.  The check passes when the largest relative
+    error is at most ``GRADIENT_REL_TOL``.  Weakly active problems are
+    skipped with a notice.
     """
     # written so that NaN is rejected as well
     if not 0 < h < np.inf:
@@ -205,7 +207,7 @@ def check_gradients(problem, backend="active_set", h=1e-6, seed=0,
     # np.max, unlike max, keeps a NaN wherever it is
     max_err = float(np.max(list(block_errors.values())))
     return GradientCheck(
-        passed=max_err <= rel_tol,
+        passed=max_err <= GRADIENT_REL_TOL,
         max_rel_error=max_err,
         block_errors=block_errors,
         flagged_columns=flagged,
@@ -217,24 +219,24 @@ def _rel_err(a, b):
     return float((np.abs(a - b) / denom).max(initial=0.0))
 
 
-def conditioning_report(n_samples=20, seed=0, backend="active_set",
-                        margin=0.05) -> list[dict]:
+def conditioning_report(n_samples=20, seed=0) -> list[dict]:
     """Condition numbers of the full and reduced sensitivity systems.
 
-    Samples the two-parameter family inside its box (shrunk by ``margin`` to
-    stay away from region boundaries), solves each instance, and estimates
-    the condition number of the unreduced implicit matrix and of the reduced
-    KKT matrix.
+    Samples the two-parameter family inside its box (shrunk by
+    ``CONDITIONING_MARGIN`` to stay away from region boundaries), solves
+    each instance with ``active_set``, and estimates the condition number
+    of the unreduced implicit matrix and of the reduced KKT matrix.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     (t1_lo, t1_hi), (t2_lo, t2_hi) = TWO_PARAM_BOX
-    w1, w2 = t1_hi - t1_lo, t2_hi - t2_lo
+    w1 = CONDITIONING_MARGIN * (t1_hi - t1_lo)
+    w2 = CONDITIONING_MARGIN * (t2_hi - t2_lo)
     records = []
     for _ in range(n_samples):
-        theta1 = rng.uniform(t1_lo + margin * w1, t1_hi - margin * w1)
-        theta2 = rng.uniform(t2_lo + margin * w2, t2_hi - margin * w2)
+        theta1 = rng.uniform(t1_lo + w1, t1_hi - w1)
+        theta2 = rng.uniform(t2_lo + w2, t2_hi - w2)
         problem = gen_two_param_family(theta1, theta2)
-        sol = differentiable_solve(problem, backend)
+        sol = differentiable_solve(problem, "active_set")
         records.append(
             dict(
                 theta1=theta1,

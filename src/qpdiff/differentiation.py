@@ -28,7 +28,7 @@ from .identification import (
     refine,
 )
 from .kkt import KktFactorization, solve_on
-from .metrics import primal_dual_residuals
+from .metrics import _blocks, _primal_dual
 from .problem import QpProblem, is_symmetric, normalize_constraints
 from .solvers import (
     SOLVED,
@@ -135,8 +135,8 @@ class DifferentiableSolution:
     identified here, and a fresh one otherwise.  The solver's primal z
     is kept as-is rather than overwritten by the KKT solve, so backend
     inaccuracy stays visible to diagnostics.
-    Treated as immutable once built: concurrent forward/backward calls on
-    one solution are safe.
+    Treated as immutable once built: concurrent :func:`forward_directional`
+    and :func:`backward` calls on one solution are safe.
     """
 
     problem: QpProblem
@@ -146,12 +146,6 @@ class DifferentiableSolution:
     diagnosis: DifferentiabilityDiagnosis
     solve_ms: float = 0.0
     prepare_ms: float = 0.0
-
-    def forward(self, direction: ParamDirection):
-        return forward_directional(self, direction)
-
-    def backward(self, grad_z, grad_lam=None, grad_mu=None):
-        return backward(self, grad_z, grad_lam, grad_mu)
 
 
 def recover_duals(problem, z, active: ActiveSet, fact: KktFactorization):
@@ -287,7 +281,8 @@ def differentiable_solve(
     identification -> the point on J with its factorization, which
     certifies J and gives the duals if the backend returned none ->
     diagnosis.  The factorization is retained on the returned solution for
-    any number of subsequent forward/backward calls.
+    any number of subsequent :func:`forward_directional` and
+    :func:`backward` calls.
 
     The point on J is (z_J, lam_J, mu_J) = K_J^{-1} (-q, b, d_J): the
     backend's own, certified as it is, when it carries duals and the
@@ -353,7 +348,7 @@ def differentiable_solve(
 
     if not point.has_duals:
         point.lam, point.mu = on_J.lam, on_J.mu
-    point.r_p, point.r_d = primal_dual_residuals(problem, point.z, point.lam, point.mu)
+    point.r_p, point.r_d = _primal_dual(problem, _blocks(problem), point.z, point.lam, point.mu)
 
     diag = diagnose(work, _in_frame(point, scaling), active, eps_active)
     t2 = time.perf_counter()

@@ -397,8 +397,9 @@ class _DenseLu:
         return dtrsv(self.lu, y, overwrite_x=1)
 
 
-def _lu_or_none(matrix):
-    """Sparse LU of ``matrix``, or None when it is singular to SuperLU.
+def _lu_or_none(matrix, **options):
+    """Sparse LU of ``matrix`` by ``splu(matrix, **options)``, or None when
+    it is singular to SuperLU.
 
     A structurally singular matrix is refused before SuperLU sees it: its
     zero-pivot path is not memory-safe, and has crashed the interpreter on
@@ -409,7 +410,7 @@ def _lu_or_none(matrix):
     if structural_rank(matrix.T) < matrix.shape[0]:
         return None
     try:
-        return splu(matrix)
+        return splu(matrix, **options)
     except RuntimeError:
         return None
 

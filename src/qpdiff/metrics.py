@@ -1,6 +1,7 @@
 """Accuracy metrics for a primal-dual point of a QP.
 
-Residuals follow the usual infinity-norm conventions:
+:func:`residuals` is the one public residual function.  Its residuals
+follow the usual infinity-norm conventions:
 
     r_p = max(||A z - b||_inf, max(0, max_j (C z - d)_j))
     r_d = ||P z + q + A' lam + C' mu||_inf
@@ -8,6 +9,9 @@ Residuals follow the usual infinity-norm conventions:
 
 For a strictly convex QP a zero duality gap r_g is necessary and sufficient
 for optimality, so r_g is the headline accuracy number in benchmark output.
+
+``_primal_dual`` is the kernel behind r_p and r_d; callers that need no gap
+(the backends, ``differentiable_solve``) call it directly.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Residuals", "residuals", "primal_dual_residuals"]
+__all__ = ["Residuals", "residuals"]
 
 
 @dataclass(frozen=True)
@@ -27,15 +31,17 @@ class Residuals:
 
 
 def residuals(problem, point) -> Residuals:
-    """Compute (r_p, r_d, r_g) for a point carrying primal and dual values.
+    """(r_p, r_d, r_g) of a point carrying primal and dual values, with
+    every product taken with the problem's own blocks.
 
-    Duals must be present for the nonempty constraint blocks.
+    Duals must be present for the nonempty constraint blocks (else
+    :class:`ValueError`).  A NaN in z, lam or mu propagates.
     """
     z = np.asarray(point.z, dtype=float)
     lam = _require_dual(point.lam, problem.p, "lambda")
     mu = _require_dual(point.mu, problem.m, "mu")
 
-    r_p, r_d = primal_dual_residuals(problem, z, lam, mu)
+    r_p, r_d = _primal_dual(problem, _blocks(problem), z, lam, mu)
 
     gap = float(z @ (problem.P @ z)) + float(problem.q @ z)
     if problem.p:
@@ -48,10 +54,11 @@ def residuals(problem, point) -> Residuals:
     return Residuals(r_p, r_d, r_g)
 
 
-def primal_dual_residuals(problem, z, lam, mu) -> tuple[float, float]:
-    """``(r_p, r_d)`` alone, for callers that do not need the duality gap."""
+def _blocks(problem):
+    """The operators ``(P, A, C, A', C')`` of :func:`_primal_dual` on the
+    problem's own blocks; the transposes are views."""
     A, C = problem.A, problem.C
-    return _primal_dual(problem, (problem.P, A, C, A.T, C.T), z, lam, mu)
+    return problem.P, A, C, A.T, C.T
 
 
 def _primal_dual(problem, operators, z, lam, mu):

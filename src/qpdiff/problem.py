@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, NormalizationError, ProblemFormatError
+from .kkt import _dense_enough, _lu_or_none
 
 __all__ = [
     "QpProblem",
@@ -160,8 +161,8 @@ class ValidationReport:
 def validate(problem: QpProblem, check_pd: bool = False) -> ValidationReport:
     """Report structural defects of a problem without raising.
 
-    ``check_pd`` attempts a Cholesky factorization of P (dense for n <= 2000,
-    a smallest-eigenvalue estimate above that) and records the outcome.
+    ``check_pd`` records whether P is positive definite, by one
+    factorization (:func:`_positive_definite`); an asymmetric P is not.
     """
     messages = []
 
@@ -184,28 +185,30 @@ def validate(problem: QpProblem, check_pd: bool = False) -> ValidationReport:
             positive_definite = False
             messages.append("positive definiteness not established: P asymmetric")
         else:
-            positive_definite = _cholesky_ok(problem.P)
+            positive_definite = _positive_definite(problem.P)
             if not positive_definite:
                 messages.append("P failed the positive-definiteness check")
 
     return ValidationReport(symmetric, positive_definite, empty_rows, messages)
 
 
-def _cholesky_ok(P):
-    n = P.shape[0]
-    if n <= 2000:
+def _positive_definite(P):
+    """Whether the symmetric P is positive definite, on K_J's engine rule:
+    dense Cholesky, or one SuperLU factorization with a symmetric ordering
+    and diagonal pivots, ``P = L D L'`` permuted symmetrically while no
+    off-diagonal pivot is taken.  P is definite exactly when none was
+    (``perm_r == perm_c``) and every pivot ``U_ii`` is positive; a P that
+    ``kkt._lu_or_none`` refuses as singular is not."""
+    if _dense_enough(P.nnz, P.shape[0]):
         try:
             np.linalg.cholesky(P.toarray())
             return True
         except np.linalg.LinAlgError:
             return False
-    from scipy.sparse.linalg import eigsh
-
-    try:
-        w = eigsh(P, k=1, which="SA", return_eigenvectors=False, maxiter=5000)
-        return bool(w[0] > 0)
-    except Exception:
-        return False
+    lu = _lu_or_none(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                     options=dict(SymmetricMode=True))
+    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+            and bool((lu.U.diagonal() > 0).all()))
 
 
 def normalize_constraints(problem: QpProblem) -> tuple[QpProblem, RowScaling]:
@@ -258,10 +261,16 @@ def _scale_rows(mat, scales):
 # P may carry "symmetric_lower": true, in which case only i >= j entries are
 # stored.  Values are written with Python's float repr, the shortest decimal
 # that round-trips an IEEE double exactly; infinite bounds are written as
-# Infinity or -Infinity.  A NaN entry is rejected on load.
+# Infinity or -Infinity.  A NaN entry is rejected on store and on load.
 
 
 def store_problem(problem: QpProblem, path) -> None:
+    """Write ``problem`` to ``path`` in the format above.  A NaN entry, which
+    it cannot hold, raises :class:`ProblemFormatError` before any write."""
+    for name in ("P", "q", "A", "b", "C", "d"):
+        block = getattr(problem, name)
+        if np.isnan(block.data if sp.issparse(block) else block).any():
+            raise ProblemFormatError(f"{path}: '{name}' has a NaN entry")
     obj = {
         "n": problem.n,
         "p": problem.p,

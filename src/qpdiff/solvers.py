@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +38,7 @@ from .kkt import (
     factorize,
     solve_on,
 )
-from .metrics import _primal_dual, primal_dual_residuals
+from .metrics import _blocks, _primal_dual
 from .problem import QpProblem, _is_int
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
     "EqualityBackend",
     "ActiveSetBackend",
     "AdmmBackend",
-    "PrimalOnlyBackend",
-    "solve_active_set",
-    "solve_admm",
     "register_backend",
     "get_backend",
     "list_backends",
@@ -65,6 +62,15 @@ FAILED = "failed"
 
 # seconds; the per-solve wall-clock limit of the command line and the bench
 DEFAULT_TIME_LIMIT = 60.0
+
+# AdmmBackend: the proximal shift on z, the over-relaxation factor, the
+# penalty on inequality rows and its multiple on equality rows, and the
+# iterations between residual checks after the first five
+ADMM_SIGMA = 1e-6
+ADMM_RELAXATION = 1.6
+ADMM_RHO = 10.0
+ADMM_RHO_EQ_SCALE = 1e3
+ADMM_CHECK_INTERVAL = 10
 
 
 @dataclass
@@ -154,7 +160,7 @@ class EqualityBackend(SolverBackend):
         point = _point_on(problem, np.zeros(0, dtype=int))
         if point.fact.mode != DIRECT:
             raise RankDeficiencyError("equality KKT matrix is singular")
-        point.r_p, point.r_d = primal_dual_residuals(problem, point.z, point.lam, point.mu)
+        point.r_p, point.r_d = _primal_dual(problem, _blocks(problem), point.z, point.lam, point.mu)
         if certify(problem, point, max(settings.eps_abs, 1e-9)):
             point.status = FAILED
         return point
@@ -298,10 +304,6 @@ class ActiveSetBackend(SolverBackend):
         return point
 
 
-def solve_active_set(problem, settings=None):
-    return ActiveSetBackend().solve(problem, settings or SolveSettings())
-
-
 # --- sparse operator-splitting method -----------------------------------------
 
 
@@ -322,8 +324,9 @@ class AdmmBackend(SolverBackend):
     blocks by ``kkt._saddle``, with the shift merged into P's diagonal, and
     factored by sparse LU; its residual checks use the sparse blocks, with
     A' and C' formed once per solve.  The penalty is fixed
-    (with a stiffer value on equality rows) and diagonal data rescaling is
-    off, so runs are deterministic given the settings.
+    (``ADMM_RHO``, times ``ADMM_RHO_EQ_SCALE`` on equality rows) and
+    diagonal data rescaling is off, so runs are deterministic given the
+    settings.
 
     The solve ends on the active set.  From iteration 10 on, each residual
     check guesses J from the duals, as OSQP's polish does: the inequality
@@ -338,18 +341,14 @@ class AdmmBackend(SolverBackend):
     on its own, the same solve runs once on the final guess and is kept
     only when it also lowers the larger of the two residuals.  Both are
     :func:`_finish`, as in the active-set backend, and an accepted point is
-    returned as it is.  ``polish = False`` turns the finishing solve off.
+    returned as it is.  ``polish = False`` turns the finishing solve off;
+    it is the backend's one settable attribute.
     NaN or infinite data, other than a +inf bound, fails before anything
     is factored.
     """
 
     name = "admm"
 
-    sigma = 1e-6
-    relaxation = 1.6
-    rho = 10.0
-    rho_eq_scale = 1e3
-    check_interval = 10
     polish = True
 
     def solve(self, problem, settings):
@@ -362,8 +361,8 @@ class AdmmBackend(SolverBackend):
         lower = np.concatenate([problem.b, np.full(m, -np.inf)])
         upper = np.concatenate([problem.b, problem.d])
 
-        rho = np.full(p + m, self.rho)
-        rho[:p] *= self.rho_eq_scale
+        rho = np.full(p + m, ADMM_RHO)
+        rho[:p] *= ADMM_RHO_EQ_SCALE
         rho_inv = 1.0 / rho
 
         # factored raw, not through factorize: the loop needs no fallback
@@ -373,7 +372,7 @@ class AdmmBackend(SolverBackend):
             Gd = G.toarray()
             ops = (problem.P.toarray(), Gd[:p], Gd[p:], Gd[:p].T, Gd[p:].T)
             reduced = ops[0] + Gd.T @ (rho[:, None] * Gd)
-            reduced[np.diag_indices(n)] += self.sigma
+            reduced[np.diag_indices(n)] += ADMM_SIGMA
             try:
                 chol, chol_lower = cho_factor(reduced)
             except np.linalg.LinAlgError:  # P is not positive semidefinite
@@ -390,9 +389,9 @@ class AdmmBackend(SolverBackend):
 
         else:
             # every residual check goes through the blocks, transposes formed once
-            ops = (problem.P, problem.A, problem.C, problem.A.T, problem.C.T)
+            ops = _blocks(problem)
             lu = splu(_saddle(problem, np.arange(m),
-                              np.concatenate([np.full(n, self.sigma), -rho_inv])))
+                              np.concatenate([np.full(n, ADMM_SIGMA), -rho_inv])))
 
             def step(r1, r2):
                 sol = lu.solve(np.concatenate([r1, r2]))
@@ -418,17 +417,17 @@ class AdmmBackend(SolverBackend):
         next_try = 0
         it = 0
         while it < settings.max_iterations:
-            x_t, nu = step(self.sigma * x - problem.q, zs - rho_inv * y)
+            x_t, nu = step(ADMM_SIGMA * x - problem.q, zs - rho_inv * y)
             z_t = zs + rho_inv * (nu - y)
-            x = self.relaxation * x_t + (1.0 - self.relaxation) * x
-            w = self.relaxation * z_t + (1.0 - self.relaxation) * zs + rho_inv * y
+            x = ADMM_RELAXATION * x_t + (1.0 - ADMM_RELAXATION) * x
+            w = ADMM_RELAXATION * z_t + (1.0 - ADMM_RELAXATION) * zs + rho_inv * y
             zs = np.clip(w, lower, upper)
             y = rho * (w - zs)
             it += 1
 
             # never terminate before an iteration has refreshed the duals;
             # early checks let warm starts exit almost immediately
-            if it <= 5 or it % self.check_interval == 0:
+            if it <= 5 or it % ADMM_CHECK_INTERVAL == 0:
                 r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
                 if r_p <= settings.eps_abs and r_d <= settings.eps_abs:
                     status = SOLVED
@@ -500,10 +499,6 @@ def _residual(point):
     return np.inf if point is None else max(point.r_p, point.r_d)
 
 
-def solve_admm(problem, settings=None):
-    return AdmmBackend().solve(problem, settings or SolveSettings())
-
-
 # --- helpers ------------------------------------------------------------------
 
 
@@ -537,22 +532,6 @@ def certify(problem, point, eps):
         if point.fact.mode == DIRECT and point.mu[j] < -eps:
             return f"gives row {j} the multiplier {point.mu[j]:.3e} (eps {eps:g})"
     return ""
-
-
-class PrimalOnlyBackend(SolverBackend):
-    """Wrapper that strips duals from another backend's answer.
-
-    Exists to exercise the dual-recovery path exactly as a solver that only
-    reports the primal would.
-    """
-
-    def __init__(self, inner: SolverBackend):
-        self.inner = inner
-        self.name = f"{inner.name}_primal_only"
-
-    def solve(self, problem, settings):
-        point = self.inner.solve(problem, settings)
-        return replace(point, lam=None, mu=None, fact=None)
 
 
 # --- registry -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared test utilities: small random problems and independent oracles."""
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,14 @@ from scipy.optimize import LinearConstraint, minimize
 
 import qpdiff
 from qpdiff import QpProblem, differentiation
-from qpdiff.solvers import SOLVED, PrimalDualPoint, SolverBackend
+from qpdiff.solvers import (
+    SOLVED,
+    ActiveSetBackend,
+    AdmmBackend,
+    PrimalDualPoint,
+    SolverBackend,
+    SolveSettings,
+)
 
 
 def child_env(**extra):
@@ -46,6 +54,32 @@ def count_fresh_points(monkeypatch):
 
     monkeypatch.setattr(differentiation, "_point_on", counting)
     return calls
+
+
+def solve_active_set(problem, settings=None):
+    """The ``active_set`` backend's point, at default settings unless given."""
+    return ActiveSetBackend().solve(problem, settings or SolveSettings())
+
+
+def solve_admm(problem, settings=None):
+    """The ``admm`` backend's point, at default settings unless given."""
+    return AdmmBackend().solve(problem, settings or SolveSettings())
+
+
+class PrimalOnlyBackend(SolverBackend):
+    """Wrapper that strips duals from another backend's answer.
+
+    Exercises the dual-recovery path exactly as a solver that only reports
+    the primal would.
+    """
+
+    def __init__(self, inner: SolverBackend):
+        self.inner = inner
+        self.name = f"{inner.name}_primal_only"
+
+    def solve(self, problem, settings):
+        point = self.inner.solve(problem, settings)
+        return replace(point, lam=None, mu=None, fact=None)
 
 
 class TrustConstrBackend(SolverBackend):

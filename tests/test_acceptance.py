@@ -27,15 +27,19 @@ from qpdiff import (
     refine,
     residuals,
     run_bilevel,
-    solve_active_set,
-    solve_admm,
     toy_bilevel_config,
 )
 from qpdiff.bench import run_bench, summarize
 from qpdiff.generators import TWO_PARAM_BREAKS
-from qpdiff.solvers import PrimalOnlyBackend
 
-from helpers import complementarity_margins, dims_for_seed, random_mixed_qp
+from helpers import (
+    PrimalOnlyBackend,
+    complementarity_margins,
+    dims_for_seed,
+    random_mixed_qp,
+    solve_active_set,
+    solve_admm,
+)
 
 
 def report(criterion, passed, detail=""):

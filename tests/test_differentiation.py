@@ -21,7 +21,6 @@ from qpdiff import (
     identify,
     random_direction,
     recover_duals,
-    solve_active_set,
 )
 from qpdiff.kkt import (
     DENSE,
@@ -37,11 +36,11 @@ from qpdiff.oracles import full_implicit_jacobian
 from qpdiff.solvers import (
     AdmmBackend,
     PrimalDualPoint,
-    PrimalOnlyBackend,
     SolverBackend,
 )
 
 from helpers import (
+    PrimalOnlyBackend,
     TrustConstrBackend,
     complementarity_margins,
     count_matrix_builds,
@@ -49,6 +48,7 @@ from helpers import (
     dims_for_seed,
     parameter_pairing,
     random_mixed_qp,
+    solve_active_set,
 )
 
 
@@ -456,7 +456,7 @@ class TestDifferentiableSolve:
             # forward and backward read the same minimum-norm solve, so the
             # adjoint identity <g, dz> = <backward(g), direction> still holds
             direction = random_direction(prob, np.random.Generator(np.random.PCG64(37)))
-            dz, _, _ = sol.forward(direction)
+            dz, _, _ = forward_directional(sol, direction)
             pairing = parameter_pairing(bundle, direction)
             assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
@@ -635,7 +635,7 @@ class TestThreadSafety:
         dirs = [random_direction(prob, rng) for _ in range(n_threads)]
 
         def run(k):
-            return _flat(sol.backward(grads[k]), sol.forward(dirs[k]))
+            return _flat(backward(sol, grads[k]), forward_directional(sol, dirs[k]))
 
         serial = [run(k) for k in range(n_threads)]
         mismatches, errors = [], []
@@ -677,7 +677,7 @@ class TestThreadSafety:
         def outputs(prob):
             sol = differentiable_solve(prob, "admm")
             assert (sol.fact.mode, sol.fact.engine) == (LEAST_SQUARES, SPARSE)
-            return sol.point.z, sol.active.indices, sol.backward(g).grad_q
+            return sol.point.z, sol.active.indices, backward(sol, g).grad_q
 
         expected = outputs(redundant_simplex())
         mismatches, errors, stuck = [], [], []

@@ -17,12 +17,10 @@ from qpdiff import (
     gen_two_param_family,
     identify,
     residuals,
-    solve_active_set,
-    solve_admm,
     validate,
 )
 
-from helpers import simplex_projection_sort
+from helpers import simplex_projection_sort, solve_active_set, solve_admm
 
 
 class TestResiduals:

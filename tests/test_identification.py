@@ -14,12 +14,16 @@ from qpdiff import (
     gen_two_param_family,
     identify,
     refine,
-    solve_active_set,
 )
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
 from qpdiff.solvers import AdmmBackend
 
-from helpers import random_mixed_qp, refine_by_lstsq, simplex_projection_sort
+from helpers import (
+    random_mixed_qp,
+    refine_by_lstsq,
+    simplex_projection_sort,
+    solve_active_set,
+)
 
 
 class TestIdentify:

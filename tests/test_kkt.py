@@ -17,7 +17,6 @@ from qpdiff import (
     gen_random_dense,
     gen_simplex,
     identify,
-    solve_active_set,
 )
 from qpdiff.errors import RankDeficiencyError, SolveFailedError
 from qpdiff.kkt import (
@@ -29,13 +28,15 @@ from qpdiff.kkt import (
     _saddle,
     solve_on,
 )
-from qpdiff.solvers import AdmmBackend, solve_admm
 
 from helpers import (
+    PrimalOnlyBackend,
     child_env,
     count_fresh_points,
     random_mixed_qp,
     simplex_projection_sort,
+    solve_active_set,
+    solve_admm,
 )
 
 
@@ -466,10 +467,10 @@ class TestSaddleBuilder:
             return splu(matrix, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "splu", recording_splu)
-        solvers.solve_admm(prob, solvers.SolveSettings(max_iterations=1))
-        rho = np.full(prob.p + prob.m, AdmmBackend.rho)
-        rho[: prob.p] *= AdmmBackend.rho_eq_scale
-        shift = np.concatenate([np.full(prob.n, AdmmBackend.sigma), -1.0 / rho])
+        solve_admm(prob, solvers.SolveSettings(max_iterations=1))
+        rho = np.full(prob.p + prob.m, solvers.ADMM_RHO)
+        rho[: prob.p] *= solvers.ADMM_RHO_EQ_SCALE
+        shift = np.concatenate([np.full(prob.n, solvers.ADMM_SIGMA), -1.0 / rho])
         K = block_array_saddle(prob, np.arange(prob.m))
         expected = sp.csc_array(K + sp.diags_array(shift))
         # the sum drops the six explicit zeros of K and fills its diagonal
@@ -705,7 +706,7 @@ class TestFactorizationReuse:
     def test_single_factorization_serves_all_solves(self, monkeypatch):
         from qpdiff import backward, differentiable_solve, forward_directional
         from qpdiff.differentiation import ParamDirection
-        from qpdiff.solvers import PrimalOnlyBackend, get_backend
+        from qpdiff.solvers import get_backend
 
         calls = count_fresh_points(monkeypatch)
         prob = random_mixed_qp(6, 6, 1, seed=10)
@@ -774,7 +775,7 @@ class TestFactorizationReuse:
         import dataclasses
 
         from qpdiff import backward, differentiable_solve, gen_random_dense
-        from qpdiff.solvers import PrimalOnlyBackend, get_backend
+        from qpdiff.solvers import get_backend
 
         calls = count_fresh_points(monkeypatch)
         prob = gen_random_dense(60, 0)

@@ -14,10 +14,14 @@ from qpdiff import (
     full_implicit_jacobian,
     identify,
     residuals,
-    solve_active_set,
 )
 
-from helpers import dense_equality_qp, random_mixed_qp, simplex_projection_sort
+from helpers import (
+    dense_equality_qp,
+    random_mixed_qp,
+    simplex_projection_sort,
+    solve_active_set,
+)
 
 
 def simplex_problem(x):

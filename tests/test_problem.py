@@ -12,9 +12,11 @@ from qpdiff import (
     brute_force_solve,
     load_problem,
     normalize_constraints,
+    gen_random_sparse,
     store_problem,
     validate,
 )
+from qpdiff.kkt import _dense_enough
 
 from helpers import random_mixed_qp
 
@@ -87,6 +89,39 @@ class TestValidate:
         diag[7] = -0.5
         bad = QpProblem(sp.diags_array(diag, format="csc"), np.zeros(n))
         assert validate(bad, check_pd=True).positive_definite is False
+
+    def test_pd_check_on_the_random_sparse_family(self):
+        # P = L'L + 1e-4 I, smallest eigenvalue 1e-4, takes the sparse path
+        P = gen_random_sparse(2500, 0).P
+        assert not _dense_enough(P.nnz, P.shape[0])
+        report = validate(QpProblem(P, np.zeros(2500)), check_pd=True)
+        assert report.positive_definite is True
+        assert report.messages == []
+
+    @pytest.mark.parametrize("shift", [1e-2, 1e-3])
+    def test_pd_check_rejects_the_shifted_random_sparse_family(self, shift):
+        P = gen_random_sparse(2500, 0).P
+        shifted = QpProblem(P - shift * sp.identity(2500), np.zeros(2500))
+        report = validate(shifted, check_pd=True)
+        assert report.positive_definite is False
+        assert "P failed the positive-definiteness check" in report.messages
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "not-stored"])
+    @pytest.mark.parametrize("family", ["random-sparse", "diagonal"])
+    def test_pd_check_rejects_a_zero_diagonal_entry(self, family, stored):
+        n, k = 2500, 7
+        if family == "random-sparse":
+            P = sp.csc_array(gen_random_sparse(n, 0).P, copy=True)
+        else:
+            P = sp.csc_array(sp.diags_array(np.arange(1.0, n + 1), format="csc"))
+        lo, hi = P.indptr[k], P.indptr[k + 1]
+        P.data[lo + np.flatnonzero(P.indices[lo:hi] == k)[0]] = 0.0
+        if not stored:
+            P.eliminate_zeros()
+        prob = QpProblem(P, np.zeros(n))
+        # the constructor keeps an explicit zero as it is
+        assert (k in prob.P.indices[prob.P.indptr[k]:prob.P.indptr[k + 1]]) == stored
+        assert validate(prob, check_pd=True).positive_definite is False
 
 
 class TestNormalize:
@@ -303,6 +338,26 @@ class TestSerialization:
         path.write_text(json.dumps(obj))
         with pytest.raises(ProblemFormatError, match=match):
             load_problem(path)
+
+    @pytest.mark.parametrize("block", ["P", "q", "A", "b", "C", "d"])
+    def test_nan_refused_before_the_file_is_opened(self, tmp_path, block):
+        blocks = dict(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)), b=np.ones(1),
+                      C=np.eye(2), d=np.array([np.inf, 1.0]))
+        blocks[block] = np.array(blocks[block], dtype=float)
+        blocks[block].flat[0] = np.nan
+        path = tmp_path / "nan.json"
+        with pytest.raises(ProblemFormatError, match=f"'{block}' has a NaN entry"):
+            store_problem(QpProblem(**blocks), path)
+        assert not path.exists()
+
+    def test_infinities_written_as_infinity_round_trip(self, tmp_path):
+        prob = QpProblem([[np.inf, 0.0], [0.0, 1.0]], np.zeros(2), C=np.eye(2),
+                         d=[np.inf, -np.inf])
+        path = tmp_path / "inf.json"
+        store_problem(prob, path)
+        text = path.read_text()
+        assert "-Infinity" in text and text.count("Infinity") == 3
+        assert load_problem(path).data_equal(prob)
 
     def test_infinite_bound_loads(self, tmp_path):
         path = tmp_path / "inf.json"

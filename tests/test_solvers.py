@@ -21,22 +21,29 @@ from qpdiff import (
     list_backends,
     register_backend,
     residuals,
-    solve_active_set,
-    solve_admm,
 )
 from qpdiff.errors import RankDeficiencyError
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
 from qpdiff.solvers import (
+    ADMM_CHECK_INTERVAL,
     FAILED,
     SOLVED,
     AdmmBackend,
     EqualityBackend,
+    PrimalDualPoint,
     SolverBackend,
     _point_on,
     certify,
 )
 
-from helpers import child_env, count_fresh_points, parameter_pairing, random_mixed_qp
+from helpers import (
+    child_env,
+    count_fresh_points,
+    parameter_pairing,
+    random_mixed_qp,
+    solve_active_set,
+    solve_admm,
+)
 
 
 def run_fresh_python(code, **env):
@@ -180,8 +187,9 @@ class TestActiveSetSolver:
         # active-set method that can cycle loops to its cap on this instance;
         # the thread count must be set before numpy loads, hence a new process
         status = run_fresh_python(
-            "from qpdiff import gen_random_dense, solve_active_set\n"
-            "print(solve_active_set(gen_random_dense(150, 274394284)).status)",
+            "from qpdiff import ActiveSetBackend, SolveSettings, gen_random_dense\n"
+            "print(ActiveSetBackend().solve(gen_random_dense(150, 274394284),"
+            " SolveSettings()).status)",
             OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
         )
         assert status == SOLVED
@@ -283,11 +291,11 @@ class TestActiveSetSolver:
         # column, so K_J with J empty is structurally singular; the sparse LU
         # never sees it (its zero-pivot path crashed the interpreter)
         out = run_fresh_python(
-            "from qpdiff import EqualityBackend, SolveSettings, gen_random_sparse,"
-            " solve_active_set\n"
+            "from qpdiff import ActiveSetBackend, EqualityBackend, SolveSettings,"
+            " gen_random_sparse\n"
             "from qpdiff.errors import RankDeficiencyError\n"
             "prob = gen_random_sparse(1000, 2)\n"
-            "print(solve_active_set(prob).status)\n"
+            "print(ActiveSetBackend().solve(prob, SolveSettings()).status)\n"
             "try:\n"
             "    EqualityBackend().solve(prob, SolveSettings())\n"
             "except RankDeficiencyError:\n"
@@ -369,7 +377,7 @@ class TestAdmmSolver:
     def test_finish_rejected_on_negative_minimum_norm_duals(self, monkeypatch):
         # the equality row stated twice makes K_J singular; the minimum-norm
         # duals of the finishing solve are negative at this degenerate vertex
-        from qpdiff import differentiable_solve, random_direction
+        from qpdiff import backward, differentiable_solve, forward_directional, random_direction
         from qpdiff.kkt import LEAST_SQUARES
 
         base = gen_simplex(300, seed=881707420)[0]
@@ -387,9 +395,9 @@ class TestAdmmSolver:
         assert len(calls) == 1
         assert sol.fact.mode == LEAST_SQUARES
         g = np.random.Generator(np.random.PCG64(5)).standard_normal(prob.n)
-        bundle = sol.backward(g)
+        bundle = backward(sol, g)
         direction = random_direction(prob, np.random.Generator(np.random.PCG64(6)))
-        dz, _, _ = sol.forward(direction)
+        dz, _, _ = forward_directional(sol, direction)
         pairing = parameter_pairing(bundle, direction)
         assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
@@ -444,7 +452,7 @@ class TestAdmmSolver:
         self, monkeypatch, seed
     ):
         import qpdiff.solvers as solvers
-        from qpdiff.metrics import _primal_dual, primal_dual_residuals
+        from qpdiff.metrics import _primal_dual
 
         prob = gen_random_dense(60, seed)
         checks, finishes = [], []
@@ -482,7 +490,8 @@ class TestAdmmSolver:
             # the dense path's own blocks, never the sparse ones
             assert all(isinstance(op, np.ndarray) for op in ops)
             dense = np.array(_primal_dual(prob, ops, z, lam, mu))
-            sparse = np.array(primal_dual_residuals(prob, z, lam, mu))
+            res = residuals(prob, PrimalDualPoint(z=z, lam=lam, mu=mu))
+            sparse = np.array([res.r_p, res.r_d])
             # relative to the size of the terms each residual sums
             scale = np.array([
                 max(np.abs(prob.A @ z).max() + np.abs(prob.b).max(),
@@ -516,7 +525,7 @@ class TestAdmmSolver:
         # ended by its residual check: the converged exit's finish is rejected too
         assert point.status == SOLVED and point.fact is None
         assert tries[-1] == len(checks)
-        every = AdmmBackend.check_interval
+        every = ADMM_CHECK_INTERVAL
         check_its = [
             k for k in range(1, point.iterations + 1) if k <= 5 or k % every == 0
         ]
