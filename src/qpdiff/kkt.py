@@ -11,7 +11,9 @@ steps, which use a Cholesky factor and a QR of their own, and ADMM's
 iteration on dense data, which factors a reduced n x n matrix by Cholesky,
 this module is the only place such systems are built and solved.  Its
 consumers are the ADMM iteration matrix on sparse data (K_J on every row
-plus a diagonal shift) and, through :func:`solve_on`, every solve on a row
+plus a diagonal shift, quasi-definite), factored by :func:`_symmetric_lu`,
+which also decides ``validate``'s positive-definiteness check of a sparse
+P, and, through :func:`solve_on`, every solve on a row
 set J: the point on J, formed by ``solvers._point_on``, the one caller of
 :func:`factorize`, for the equality backend (J empty), the finishing
 solve that ends the active-set and ADMM backends, and
@@ -35,7 +37,9 @@ null space and factored by the same engine, so its solves return the
 minimum-norm least-squares solution.  The basis comes from M = [A' C_J']
 in sparse form, gathered by the same builder: its column singletons, such
 as the columns of bound rows, are eliminated first in passes over the
-nonzeros, and only the rest of M is densified for a pivoted QR.
+nonzeros, and only the rest of M is densified for a pivoted QR.  The
+gathered rows of [A; C_J] are formed once per K_J and shared by K_J, the
+null basis and the bordered matrix.
 """
 
 from __future__ import annotations
@@ -112,8 +116,14 @@ class ReducedKkt:
         return int(P.nnz + 2 * A.nnz + 2 * cj)
 
     @cached_property
+    def gathers(self):
+        """The rows [A; C_J] by columns and by rows (:func:`_gathers`),
+        shared by ``matrix``, :func:`_null_basis` and the bordered matrix."""
+        return _gathers(self.problem, self.rows)
+
+    @cached_property
     def matrix(self) -> sp.csc_array:
-        return _saddle(self.problem, self.rows)
+        return _saddle(self.problem, self.rows, gathers=self.gathers)
 
     def toarray(self):
         """The dense K_J, equal to ``matrix.toarray()`` in values and order."""
@@ -142,7 +152,7 @@ def assemble_reduced_kkt(problem, active) -> ReducedKkt:
     return ReducedKkt(problem=problem, rows=indices)
 
 
-def _saddle(problem, rows, shift=None, border=None) -> sp.csc_array:
+def _saddle(problem, rows, shift=None, border=None, gathers=None) -> sp.csc_array:
     """The saddle matrix [[P + D_n, A', C_J'], [A, D_p, 0], [C_J, 0, D_J]]
     on rows J = ``rows`` (ascending), in CSC form with sorted indices of
     the type scipy would choose, filled straight from the compressed blocks
@@ -153,6 +163,8 @@ def _saddle(problem, rows, shift=None, border=None) -> sp.csc_array:
     too.  A shifted matrix, like the sparse sum it stands for, stores no
     zero, and D_n merges into P's diagonal whether P stores it or not.
     With ``border``, a null basis Z, the result is [[K, Z], [Z', 0]].
+    ``gathers`` is :func:`_gathers` of ``problem`` and ``rows``, when the
+    caller has it already.
     Column j < n holds P's column, then A's column and C's column at J;
     column n + i holds row i of [A; C_J], then D's entry, then row n + i
     of Z; Z's columns come last.  Each piece is sorted already, and its rows
@@ -162,7 +174,7 @@ def _saddle(problem, rows, shift=None, border=None) -> sp.csc_array:
     order = n + p + rows.size
     width = order + (0 if border is None else border.shape[1])
     P = problem.P
-    by_col, by_row = _gathers(problem, rows)
+    by_col, by_row = _gathers(problem, rows) if gathers is None else gathers
     blocks = [(0, P.data, P.indices, P.indptr)]
     if shift is not None:
         # P's column split around its diagonal, which takes D_n's entry
@@ -328,7 +340,8 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
 
     Z = _null_basis(kkt)
     if Z.shape[1]:
-        lu = _checked_lu(_saddle(kkt.problem, kkt.rows, border=Z), engine)
+        lu = _checked_lu(_saddle(kkt.problem, kkt.rows, border=Z, gathers=kkt.gathers),
+                         engine)
     if lu is None:
         raise RankDeficiencyError(
             "reduced KKT matrix is singular: P is not positive definite on "
@@ -386,11 +399,10 @@ class _DenseLu:
 
     def __init__(self, matrix):
         self.lu, piv, _ = scipy.linalg.lapack.dgetrf(matrix, overwrite_a=1)
-        # getrf swaps row i with row piv[i], in turn; apply them once here
-        perm = np.arange(matrix.shape[0])
-        for i, j in enumerate(piv):
-            perm[i], perm[j] = perm[j], perm[i]
-        self.perm = perm
+        # getrf swaps row i with row piv[i], in turn; laswp applies the swaps
+        # to the row numbers once here
+        rows = np.arange(matrix.shape[0], dtype=float)[:, None]
+        self.perm = scipy.linalg.lapack.dlaswp(rows, piv, overwrite_a=1)[:, 0].astype(int)
 
     def solve(self, rhs):
         y = dtrsv(self.lu, rhs[self.perm], lower=1, diag=1, overwrite_x=1)
@@ -413,6 +425,30 @@ def _lu_or_none(matrix, **options):
         return splu(matrix, **options)
     except RuntimeError:
         return None
+
+
+def _symmetric_lu(matrix, positive):
+    """SuperLU of the symmetric ``matrix`` as ``L D L'`` permuted
+    symmetrically, or None unless it has exactly ``positive`` positive pivots.
+
+    The ordering is minimum degree on the pattern of ``matrix + matrix'``
+    and every pivot is diagonal (``diag_pivot_thresh=0``, ``SymmetricMode``).
+    The factor is refused when SuperLU took an off-diagonal pivot after all
+    (``perm_r != perm_c``), or when the count of positive ``U_ii`` is not
+    ``positive``: by Sylvester's law of inertia that count is the number of
+    positive eigenvalues.  So a matrix of order n passes with ``positive =
+    n`` exactly when it is positive definite, and a quasi-definite
+    ``[[H, G'], [G, -D]]``, H of order n and D positive diagonal, exactly
+    when ``H + G' D^-1 G`` is.  A quasi-definite matrix has such a factor
+    under every symmetric ordering (Vanderbei, SIAM J. Optim. 1995), so no
+    row pivoting is needed; this is the LDL' factor OSQP makes of its ADMM
+    matrix.
+    """
+    lu = _lu_or_none(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                     options=dict(SymmetricMode=True))
+    if lu is None or not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return lu if np.count_nonzero(lu.U.diagonal() > 0) == positive else None
 
 
 def _rank_cut(diag, shape):
@@ -443,7 +479,7 @@ def _null_basis(kkt: ReducedKkt):
     With no singletons, step 2 is a pivoted QR of all of M.
     """
     n, k = kkt.n, kkt.order - kkt.n
-    by_col, by_row = _gathers(kkt.problem, kkt.rows)
+    by_col, by_row = kkt.gathers
     M = sp.csc_array(_nonzero(*_stack((n, k), by_row)), shape=(n, k))
     # the columns of [A; C_J] are the rows of M
     Mr = sp.csr_array(_nonzero(*_stack((k, n), by_col)), shape=(n, k))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, NormalizationError, ProblemFormatError
-from .kkt import _dense_enough, _lu_or_none
+from .kkt import _dense_enough, _symmetric_lu
 
 __all__ = [
     "QpProblem",
@@ -35,7 +35,19 @@ SYMMETRY_RTOL = 1e-12
 
 
 def is_symmetric(mat) -> bool:
-    """max|M - M'| <= SYMMETRY_RTOL * max(1, max|M|) for a sparse square M."""
+    """max|M - M'| <= SYMMETRY_RTOL * max(1, max|M|) over the finite entries
+    of a sparse square M, whose non-finite entries mirror exactly: NaN
+    opposite NaN, inf opposite inf of the same sign."""
+    mat = sp.csc_array(mat)
+    finite = np.isfinite(mat.data)
+    if not finite.all():
+        # 1, 2, 3 for NaN, +inf, -inf; 0 for a finite entry
+        kind = np.select([np.isnan(mat.data), mat.data > 0, mat.data < 0], [1, 2, 3])
+        kinds = sp.csc_array((kind, mat.indices, mat.indptr), shape=mat.shape)
+        if (kinds != kinds.T).nnz:
+            return False
+        mat = sp.csc_array((np.where(finite, mat.data, 0.0), mat.indices, mat.indptr),
+                           shape=mat.shape)
     asym = abs(mat - mat.T)
     scale = max(1.0, abs(mat).max() if mat.nnz else 0.0)
     return bool((asym.max() if asym.nnz else 0.0) <= SYMMETRY_RTOL * scale)
@@ -152,21 +164,30 @@ class ValidationReport:
     positive_definite: bool | None
     empty_rows: list = field(default_factory=list)
     messages: list = field(default_factory=list)
+    finite: bool = True  # every stored entry of P is finite
 
     @property
     def ok(self):
-        return self.symmetric and not self.empty_rows
+        return self.symmetric and self.finite and not self.empty_rows
 
 
 def validate(problem: QpProblem, check_pd: bool = False) -> ValidationReport:
     """Report structural defects of a problem without raising.
 
     ``check_pd`` records whether P is positive definite, by one
-    factorization (:func:`_positive_definite`); an asymmetric P is not.
+    factorization (:func:`_positive_definite`); an asymmetric P, or one
+    with a NaN or infinite entry, is not.  Symmetry is read on the finite
+    entries, and the non-finite ones must mirror exactly (:func:`is_symmetric`).
     """
     messages = []
 
-    symmetric = is_symmetric(problem.P)
+    P = problem.P
+    bad = np.flatnonzero(~np.isfinite(P.data))
+    if bad.size:
+        col = int(np.searchsorted(P.indptr, bad[0], side="right") - 1)
+        messages.append(f"P has a non-finite entry {P.data[bad[0]]} at "
+                        f"({int(P.indices[bad[0]])}, {col})")
+    symmetric = is_symmetric(P)
     if not symmetric:
         messages.append("P is not symmetric")
 
@@ -184,31 +205,33 @@ def validate(problem: QpProblem, check_pd: bool = False) -> ValidationReport:
         if not symmetric:
             positive_definite = False
             messages.append("positive definiteness not established: P asymmetric")
+        elif bad.size:
+            positive_definite = False
+            messages.append("positive definiteness not established: P not finite")
         else:
-            positive_definite = _positive_definite(problem.P)
+            positive_definite = _positive_definite(P)
             if not positive_definite:
                 messages.append("P failed the positive-definiteness check")
 
-    return ValidationReport(symmetric, positive_definite, empty_rows, messages)
+    return ValidationReport(symmetric, positive_definite, empty_rows, messages,
+                            finite=not bad.size)
 
 
 def _positive_definite(P):
     """Whether the symmetric P is positive definite, on K_J's engine rule:
-    dense Cholesky, or one SuperLU factorization with a symmetric ordering
-    and diagonal pivots, ``P = L D L'`` permuted symmetrically while no
-    off-diagonal pivot is taken.  P is definite exactly when none was
-    (``perm_r == perm_c``) and every pivot ``U_ii`` is positive; a P that
-    ``kkt._lu_or_none`` refuses as singular is not."""
+    dense Cholesky, or ``kkt._symmetric_lu``, the factorization ADMM makes
+    of its sparse matrix, asked for n positive pivots.  That is one SuperLU
+    ``P = L D L'`` with a symmetric ordering and diagonal pivots; P is
+    definite exactly when no off-diagonal pivot was taken and every pivot
+    ``U_ii`` is positive, and a P that SuperLU or its structural guard
+    refuses as singular is not."""
     if _dense_enough(P.nnz, P.shape[0]):
         try:
             np.linalg.cholesky(P.toarray())
             return True
         except np.linalg.LinAlgError:
             return False
-    lu = _lu_or_none(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                     options=dict(SymmetricMode=True))
-    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
-            and bool((lu.U.diagonal() > 0).all()))
+    return _symmetric_lu(P, P.shape[0]) is not None
 
 
 def normalize_constraints(problem: QpProblem) -> tuple[QpProblem, RowScaling]:

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from qpdiff import (
     QpProblem,
+    SolveSettings,
     assemble_reduced_kkt,
     condition_estimate,
     differentiable_solve,
@@ -466,7 +467,7 @@ class TestSaddleBuilder:
             factored.append(matrix)
             return splu(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(solvers, "splu", recording_splu)
+        monkeypatch.setattr("qpdiff.kkt.splu", recording_splu)
         solve_admm(prob, solvers.SolveSettings(max_iterations=1))
         rho = np.full(prob.p + prob.m, solvers.ADMM_RHO)
         rho[: prob.p] *= solvers.ADMM_RHO_EQ_SCALE
@@ -478,6 +479,28 @@ class TestSaddleBuilder:
         assert expected.nnz == K.nnz - 6 + 19 and expected.diagonal().all()
         assert len(factored) == 1
         assert_same_csc(factored[0], expected)
+
+    @pytest.mark.parametrize("case", ["sparse-degenerate", "simplex-3000"])
+    def test_admm_matrix_factors_with_diagonal_pivots(self, case, monkeypatch):
+        # quasi-definite, so its LDL' needs no off-diagonal pivot and shows
+        # the inertia (n, p + m): n positive pivots
+        if case == "sparse-degenerate":
+            prob = redundant_simplex(300)[0]
+        else:
+            prob = gen_simplex(3000, 0)[0]
+        factored = []
+
+        def recording_splu(matrix, *args, **kwargs):
+            factored.append((matrix, splu(matrix, *args, **kwargs)))
+            return factored[-1][1]
+
+        monkeypatch.setattr("qpdiff.kkt.splu", recording_splu)
+        solve_admm(prob, SolveSettings(max_iterations=1))
+        [(matrix, lu)] = factored
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        assert np.count_nonzero(lu.U.diagonal() > 0) == prob.n
+        default = splu(matrix)
+        assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
 
 
 class TestEngines:

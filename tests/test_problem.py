@@ -62,6 +62,27 @@ class TestValidate:
     def test_asymmetric_flagged(self):
         report = validate(QpProblem([[0.0, 1.0], [0.0, 0.0]], np.zeros(2)))
         assert report.symmetric is False
+        assert "P is not symmetric" in report.messages
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_diagonal_named_not_asymmetric(self, value):
+        P = np.eye(3)
+        P[1, 1] = value
+        report = validate(QpProblem(P, np.zeros(3)), check_pd=True)
+        assert report.symmetric is True
+        assert report.positive_definite is False
+        assert report.finite is False and report.ok is False
+        assert f"P has a non-finite entry {value} at (1, 1)" in report.messages
+        assert "P is not symmetric" not in report.messages
+
+    @pytest.mark.parametrize("upper, lower, symmetric", [
+        (np.nan, np.nan, True), (np.inf, np.inf, True), (np.inf, -np.inf, False),
+        (np.nan, 1.0, False),
+    ])
+    def test_non_finite_entries_mirror_exactly(self, upper, lower, symmetric):
+        P = np.eye(3)
+        P[0, 2], P[2, 0] = upper, lower
+        assert validate(QpProblem(P, np.zeros(3))).symmetric is symmetric
 
     def test_indefinite_flagged(self):
         report = validate(

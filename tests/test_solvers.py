@@ -539,12 +539,46 @@ class TestAdmmSolver:
         assert any(later < 2 * k for k, later in zip(tried, tried[1:]))
 
     def test_indefinite_dense_problem_fails_without_raising(self):
-        # P + sigma I + G' diag(rho) G has no Cholesky factor; the quasi-definite
-        # sparse form would iterate to the saddle point (-1, 0.01) instead
+        # P + sigma I + G' diag(rho) G has no Cholesky factor
         prob = QpProblem(np.diag([1.0, -100.0]), np.array([1.0, 1.0]))
         point = solve_admm(prob)
         assert point.status == FAILED
         assert point.iterations == 0
+
+    @pytest.mark.parametrize("fill", [0.0, np.inf], ids=["dense", "sparse"])
+    def test_indefinite_box_problem_fails_on_both_engines(self, monkeypatch, fill):
+        # P + sigma I + G' diag(rho) G has -100 + 20 + sigma on its last
+        # diagonal: the dense Cholesky fails, and the quasi-definite LDL' has
+        # one positive pivot too few
+        import qpdiff.kkt as kkt_module
+
+        n = 200
+        P = sp.diags_array(np.r_[np.ones(n - 1), -100.0], format="csc")
+        prob = QpProblem(P, np.ones(n), C=sp.vstack([sp.eye_array(n), -sp.eye_array(n)]),
+                         d=np.ones(2 * n))
+        monkeypatch.setattr(kkt_module, "_DENSE_FILL", fill)
+        point = solve_admm(prob)
+        assert (point.status, point.iterations) == (FAILED, 0)
+
+    @pytest.mark.parametrize("case", ["lp", "semidefinite"])
+    def test_sparse_path_solves_singular_p(self, monkeypatch, case):
+        # the leading block P + sigma I is positive definite however singular P is
+        import qpdiff.kkt as kkt_module
+
+        n = 50
+        rng = np.random.Generator(np.random.PCG64(0))
+        if case == "lp":
+            P = sp.csc_array((n, n))
+        else:  # rank n / 2
+            L = sp.diags_array([np.ones(n // 2), -0.5 * np.ones(n // 2 - 1)], offsets=[0, 1])
+            P = sp.block_diag([L.T @ L, sp.csc_array((n - n // 2, n - n // 2))], format="csc")
+        prob = QpProblem(P, rng.standard_normal(n),
+                         C=sp.vstack([sp.eye_array(n), -sp.eye_array(n)]), d=np.ones(2 * n))
+        monkeypatch.setattr(kkt_module, "_DENSE_FILL", np.inf)  # every matrix sparse
+        point = solve_admm(prob)
+        assert point.status == SOLVED
+        res = residuals(prob, point)
+        assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
 
 
 class TestBackendAgreement:
