@@ -26,6 +26,7 @@ from qpdiff.errors import RankDeficiencyError
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
 from qpdiff.solvers import (
     ADMM_CHECK_INTERVAL,
+    ADMM_CROSSOVER_ROUNDS,
     FAILED,
     SOLVED,
     AdmmBackend,
@@ -374,11 +375,13 @@ class TestAdmmSolver:
         assert again.iterations == point.iterations
         np.testing.assert_array_equal(again.z, point.z)
 
-    def test_finish_rejected_on_negative_minimum_norm_duals(self, monkeypatch):
-        # the equality row stated twice makes K_J singular; the minimum-norm
-        # duals of the finishing solve are negative at this degenerate vertex
+    def test_degenerate_vertex_finishes_by_crossover(self, monkeypatch):
+        # the equality row stated twice makes K_J singular.  The point on the
+        # 298 rows of the dual guess breaks one more, and one crossover round
+        # adds it; the bordered point on those 299 rows has nonnegative
+        # minimum-norm duals, where those on the 300 rows identify finds are
+        # negative
         from qpdiff import backward, differentiable_solve, forward_directional, random_direction
-        from qpdiff.kkt import LEAST_SQUARES
 
         base = gen_simplex(300, seed=881707420)[0]
         prob = QpProblem(
@@ -386,13 +389,16 @@ class TestAdmmSolver:
             np.concatenate([base.b, base.b]), base.C, base.d,
         )
         point = solve_admm(prob)
-        assert point.status == SOLVED
+        assert (point.status, point.iterations) == (SOLVED, 30)
+        assert point.fact.mode == LEAST_SQUARES
+        assert point.fact.rows.size == 299
         assert point.mu.min() >= -1e-9
-        assert point.fact is None
+        assert max(point.r_p, point.r_d) <= SolveSettings().eps_abs
 
         calls = count_fresh_points(monkeypatch)
         sol = differentiable_solve(prob, "admm")
         assert len(calls) == 1
+        assert sol.active.indices.size == 300
         assert sol.fact.mode == LEAST_SQUARES
         g = np.random.Generator(np.random.PCG64(5)).standard_normal(prob.n)
         bundle = backward(sol, g)
@@ -400,6 +406,81 @@ class TestAdmmSolver:
         dz, _, _ = forward_directional(sol, direction)
         pairing = parameter_pairing(bundle, direction)
         assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
+
+    @staticmethod
+    def record_tries(monkeypatch, reject=False):
+        """Patch ``_finish`` and ``_point_on`` to record, for each finishing
+        try, the residual check it follows (counted from 1) and the sizes of
+        its points on J; with ``reject``, every point on a nonempty J gets
+        the multiplier -1 on its first row.  Returns the checks and the tries."""
+        import qpdiff.solvers as solvers
+        from qpdiff.metrics import _primal_dual
+
+        checks, tries, finishing = [], [], []
+        original_finish, original_point_on = solvers._finish, solvers._point_on
+
+        def counting_primal_dual(*args):
+            if not finishing:
+                checks.append(1)
+            return _primal_dual(*args)
+
+        def recording_finish(*args):
+            tries.append((len(checks), []))
+            finishing.append(1)
+            try:
+                return original_finish(*args)
+            finally:
+                finishing.pop()
+
+        def recording_point_on(problem, J, fact=None):
+            tries[-1][1].append(len(J))
+            point = original_point_on(problem, J, fact)
+            if reject:
+                point.mu[J[:1]] = -1.0
+            return point
+
+        monkeypatch.setattr(solvers, "_primal_dual", counting_primal_dual)
+        monkeypatch.setattr(solvers, "_finish", recording_finish)
+        monkeypatch.setattr(solvers, "_point_on", recording_point_on)
+        return checks, tries
+
+    @pytest.mark.parametrize("seed", [5, 1, 2])
+    def test_crossover_repairs_a_rejected_guess(self, monkeypatch, seed):
+        # the first try's guess misses a row; without crossover these took
+        # 180, 50 and 60 iterations and 5, 2 and 2 points on J
+        prob = gen_random_dense(60, seed)
+        _, tries = self.record_tries(monkeypatch)
+        point = solve_admm(prob)
+        assert point.status == SOLVED
+        assert len(tries) == 1
+        sizes = tries[0][1]
+        assert len(sizes) == 2 and sizes[1] > sizes[0]
+        if seed == 5:
+            assert sizes == [13, 14]
+        np.testing.assert_array_equal(point.fact.rows, identify(prob, point.z).indices)
+        assert point.fact.rows.size == sizes[1]
+        assert point.mu.min() >= 0.0
+        res = residuals(prob, point)
+        assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crossover_rounds_are_capped(self, monkeypatch, seed):
+        checks, tries = self.record_tries(monkeypatch, reject=True)
+        point = solve_admm(gen_random_dense(60, seed))
+        # every try is rejected, the converged exit's too
+        assert point.status == SOLVED and point.fact is None
+        assert tries[-1][0] == len(checks)
+        assert all(1 <= len(sizes) <= ADMM_CROSSOVER_ROUNDS for _, sizes in tries)
+        assert any(len(sizes) == ADMM_CROSSOVER_ROUNDS for _, sizes in tries)
+        check_its = [
+            k for k in range(1, point.iterations + 1)
+            if k <= 5 or k % ADMM_CHECK_INTERVAL == 0
+        ]
+        assert len(check_its) == len(checks)
+        tried = [check_its[c - 1] for c, _ in tries[:-1]]
+        assert len(tried) >= 2
+        for k, later in zip(tried, tried[1:]):
+            assert later >= int(1.5 * k)
 
     def test_deterministic(self):
         prob = gen_random_dense(12, seed=3)
@@ -472,11 +553,11 @@ class TestAdmmSolver:
                 checks.append((ops, z.copy(), lam.copy(), mu.copy(), split[0]))
             return _primal_dual(problem, ops, z, lam, mu)
 
-        def recording_finish(problem, ops, J):
+        def recording_finish(problem, ops, J, *rest):
             finishes.append((J, checks[-1]))
             in_finish.append(1)
             try:
-                return original_finish(problem, ops, J)
+                return original_finish(problem, ops, J, *rest)
             finally:
                 in_finish.pop()
 
@@ -515,7 +596,7 @@ class TestAdmmSolver:
             checks.append(1)
             return _primal_dual(*args)
 
-        def rejecting_finish(problem, ops, J):
+        def rejecting_finish(problem, ops, J, *rest):
             tries.append(len(checks))  # the check it follows, counted from 1
             return None
 
