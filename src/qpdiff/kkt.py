@@ -22,35 +22,50 @@ recovery; and the forward and backward derivatives.  A factorization
 carries its rows J, so :func:`solve_on` is the one place that gathers a
 right-hand side onto J and scatters the result back to length m.  One
 factorization of K_J, with the point on J, serves every consumer for the
-same (problem, J) pair.  A K_J with at least a quarter of its entries nonzero,
-counted from the problem blocks, is filled dense straight from them and
-factored in place by LAPACK LU, with solves by BLAS triangular solves; any
-other is factored by SuperLU.  Only the LU is kept, and every solve is one
-LU solve.  Every sparse saddle matrix, K_J, its bordered form and ADMM's
-shifted matrix, comes from one builder, :func:`_saddle`, which fills the
-CSC arrays straight from the compressed columns of P, A and C by
-``indptr`` arithmetic, with no COO form, block assembly or sparse sum;
-only the rows of A and C_J are found by a stable sort of their row
-indices.  The sparse form of a dense K_J is built only
-when something reads it.  A singular K_J is bordered with a basis of its
-null space and factored by the same engine, so its solves return the
-minimum-norm least-squares solution.  The basis comes from M = [A' C_J']
-in sparse form, gathered by the same builder: its column singletons, such
-as the columns of bound rows, are eliminated first in passes over the
-nonzeros, and only the rest of M is densified for a pivoted QR.  The
-gathered rows of [A; C_J] are formed once per K_J and shared by K_J, the
-null basis and the bordered matrix.
+same (problem, J) pair.
+
+The bound rows of J, rows of C with one nonzero such as ``z_i >= 0``, are
+substituted out before anything is factored: each fixes its variable, and
+only the reduced matrix of the free variables, the equality rows and the
+other rows of J is factored, as active-set codes fix bounded variables
+(Gill, Murray & Wright, *Practical Optimization*, 1981).  Its blocks and
+the coupling to the fixed variables are gathered by index arithmetic on
+the entries of P, A and C; a solve wraps one solve with the reduced matrix
+in two products with the coupling, and returns K_J's solution in K_J's
+layout.  K_J itself is factored when J has no bound row, when two bound
+rows fix one variable, when they fix every variable, or when a null vector
+of the reduced matrix is not one of K_J.  The matrix factored, K_J or the reduced one, is filled dense
+and factored in place by LAPACK LU when at least a quarter of its entries
+are nonzero, counted from its blocks, with solves by BLAS triangular
+solves; any other is factored by SuperLU.  Only the LU is kept, and every
+solve is one LU solve.  Every sparse saddle matrix, K_J, the reduced
+matrix, their bordered forms and ADMM's shifted matrix, comes from one
+builder, :func:`_saddle`, which fills the CSC arrays straight from the
+compressed columns of P, A and C by ``indptr`` arithmetic, with no COO
+form, block assembly or sparse sum; only the rows of A and C_J are found
+by a stable sort of their row indices.  The sparse form of a dense K_J is
+built only when something reads it.  A singular matrix is bordered with a
+basis of its null space and factored by the same engine, so its solves
+return the minimum-norm least-squares solution.  On the dense engine the
+basis comes from one pivoted QR of the dense M = [A' C_J'].  On the sparse
+engine M is gathered in sparse form by the same builder: its column
+singletons, such as the columns of bound rows, are eliminated first in
+passes over the nonzeros, and only the rest of M is densified for a
+pivoted QR.  The gathered rows of [A; C_J] are formed once per matrix and
+shared by it, the null basis and the bordered matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrsm, dtrsv
+from scipy.linalg.lapack import dgeqp3
 from scipy.sparse.csgraph import structural_rank
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
@@ -109,11 +124,17 @@ class ReducedKkt:
         return self.n + self.p + self.rows.size
 
     @cached_property
+    def row_counts(self):
+        """Stored entries of C on each row of J, shared by ``nnz`` and the
+        search for bound rows (:func:`_bound_rows`)."""
+        C = self.problem.C
+        return np.bincount(C.indices, minlength=C.shape[0])[self.rows]
+
+    @cached_property
     def nnz(self):
         """Stored entries of K_J: those of P, twice those of A and of C_J."""
-        P, A, C = self.problem.P, self.problem.A, self.problem.C
-        cj = np.bincount(C.indices, minlength=C.shape[0])[self.rows].sum()
-        return int(P.nnz + 2 * A.nnz + 2 * cj)
+        P, A = self.problem.P, self.problem.A
+        return int(P.nnz + 2 * A.nnz + 2 * self.row_counts.sum())
 
     @cached_property
     def gathers(self):
@@ -280,19 +301,23 @@ def _nonzero(data, indices, indptr):
 class KktFactorization:
     """Reusable solver for K_J systems.
 
-    ``rows`` is the row set J of K_J.  ``mode`` is ``"direct"`` when K_J
-    itself was factored, else ``"least_squares"``: K_J was bordered and
-    solves return the minimum-norm least-squares solution.  ``engine`` is
-    ``"dense"`` (LAPACK LU of the dense K_J, solved by ``trsv``) or
-    ``"sparse"`` (SuperLU).  ``rank`` is the rank of K_J.  ``matrix`` is
-    K_J in sparse form, built when first read.  Only the LU is kept, and
-    each solve is one LU solve.  Because K_J is symmetric,
-    the same code path serves forward and adjoint solves.
-    Instances are immutable after construction; concurrent solves are safe,
-    and threads that race on the first read of ``matrix`` get equal arrays.
+    ``rows`` is the row set J of K_J, and solves take and return vectors in
+    K_J's layout.  ``mode`` is ``"direct"`` when K_J is nonsingular, else
+    ``"least_squares"``: solves return the minimum-norm least-squares
+    solution.  ``rank`` is the rank of K_J.  When the bound rows of J were
+    substituted out (:class:`_BoundRows`), the matrix factored is the
+    reduced one, bordered when singular, and each solve wraps one solve with
+    it in two products with the coupling block; else it is K_J, or its
+    bordered form.  ``engine`` names the engine that factored that matrix:
+    ``"dense"`` (LAPACK LU, solved by ``trsv``) or ``"sparse"`` (SuperLU).
+    ``matrix`` is K_J in sparse form, built when first read.  Only the LU is
+    kept, and each solve is one LU solve.  Because K_J is symmetric, the
+    same code path serves forward and adjoint solves.  Instances are
+    immutable after construction; concurrent solves are safe, and threads
+    that race on the first read of ``matrix`` get equal arrays.
     """
 
-    def __init__(self, kkt, mode, engine, lu, rank):
+    def __init__(self, kkt, mode, engine, lu, rank, bound=None):
         self._kkt = kkt
         self.rows = kkt.rows
         self.mode = mode
@@ -300,6 +325,7 @@ class KktFactorization:
         self._lu = lu
         self.rank = rank
         self.order = kkt.order
+        self._bound = bound
 
     @property
     def matrix(self):
@@ -312,36 +338,73 @@ class KktFactorization:
             raise ValueError(
                 f"rhs has length {rhs.shape[0]}, expected {self.order}"
             )
-        # a bordered matrix has one more row per column of Z, with zero rhs
-        rhs = np.concatenate([rhs, np.zeros(self.order - self.rank)])
-        return self._lu.solve(rhs)[: self.order]
+        if self._bound is None:
+            return self._solve_factored(rhs)
+        return self._bound.solve(rhs, self._solve_factored)
+
+    def _solve_factored(self, rhs):
+        """One LU solve with the factored matrix, K_J or the reduced one."""
+        # a bordered matrix has one more row per column of Z, with zero rhs;
+        # the reduced matrix has K_J's null dimension
+        padded = np.concatenate([rhs, np.zeros(self.order - self.rank)])
+        return self._lu.solve(padded)[: rhs.size]
 
 
 def factorize(kkt: ReducedKkt) -> KktFactorization:
     """Factor K_J once for reuse, by LU.
 
-    The engine is dense LAPACK LU of ``kkt.toarray()``, factored in place,
-    when at least a quarter of the entries of K_J are nonzero, by
-    ``kkt.nnz``, else SuperLU of ``kkt.matrix``, and it serves the bordered
-    matrix too.  A K_J that fails the pivot check is bordered:
-    ``[[K_J, Z], [Z', 0]]``, filled from the problem blocks and Z by
-    :func:`_saddle`, is factored, with Z a null-space basis of K_J, and the
-    leading block of its solution is the minimum-norm least-squares
-    solution.  Raises :class:`RankDeficiencyError` if Z is empty or the
-    bordered matrix fails the check too: P is not positive definite on the
-    null space of ``[A; C_J]``, or rows of ``[A; C_J]`` are so nearly
-    dependent that K_J fails the check while ``[A; C_J]`` has full
-    numerical rank.
+    The bound rows of J, rows of C with one nonzero, are substituted out
+    first (:func:`_bound_rows`), and the reduced matrix of the free
+    variables and the other rows is factored by the rules below.  K_J
+    itself is factored instead when J has no bound row, when two bound rows
+    fix one variable, when they fix every variable, or when a null vector of
+    the reduced matrix is not one of K_J (the reduced minimum-norm duals
+    would then differ from K_J's).
+
+    The engine is dense LAPACK LU of the matrix filled dense, factored in
+    place, when at least a quarter of its entries are nonzero, by its
+    ``nnz``, else SuperLU of its sparse form, and it serves the bordered
+    matrix too.  A matrix that fails the pivot check is bordered:
+    ``[[K, Z], [Z', 0]]`` is factored, with Z a null-space basis of K, and
+    the leading block of its solution is the minimum-norm least-squares
+    solution.  Z comes from one pivoted QR of the dense ``[A' C_J']`` on the
+    dense engine (:func:`_dense_null_basis`) and from :func:`_null_basis` on
+    the sparse one, and the sparse bordered matrix is filled from the
+    problem blocks and Z by :func:`_saddle`.  Raises
+    :class:`RankDeficiencyError` if Z is empty or the bordered matrix fails
+    the check too: P is not positive definite on the null space of
+    ``[A; C_J]``, or rows of ``[A; C_J]`` are so nearly dependent that the
+    matrix fails the check while ``[A; C_J]`` has full numerical rank.
     """
+    bound = _bound_rows(kkt)
+    if bound is not None:
+        mode, engine, lu, Z = _factor(bound.reduced)
+        if bound.keeps_null_space(Z):
+            return KktFactorization(kkt, mode, engine, lu, kkt.order - Z.shape[1], bound)
+    mode, engine, lu, Z = _factor(kkt)
+    return KktFactorization(kkt, mode, engine, lu, kkt.order - Z.shape[1])
+
+
+def _factor(kkt):
+    """``(mode, engine, lu, Z)`` of the matrix of ``kkt`` (see
+    :func:`factorize`): its LU, and Z with no column, when it passes the
+    pivot check, else the bordered matrix's LU and the null basis Z."""
     engine = DENSE if _dense_enough(kkt.nnz, kkt.order) else SPARSE
     lu = _checked_lu(kkt.toarray() if engine == DENSE else kkt.matrix, engine)
     if lu is not None:
-        return KktFactorization(kkt, DIRECT, engine, lu, kkt.order)
+        return DIRECT, engine, lu, np.zeros((kkt.order, 0))
 
-    Z = _null_basis(kkt)
-    if Z.shape[1]:
-        lu = _checked_lu(_saddle(kkt.problem, kkt.rows, border=Z, gathers=kkt.gathers),
-                         engine)
+    if engine == DENSE:
+        K = kkt.toarray()
+        Z = _dense_null_basis(K, kkt.n)
+        bordered = np.zeros((kkt.order + Z.shape[1],) * 2, order="F")
+        bordered[: kkt.order, : kkt.order] = K
+        bordered[: kkt.order, kkt.order :] = Z
+        bordered[kkt.order :, : kkt.order] = Z.T
+    else:
+        Z = _null_basis(kkt)
+        bordered = _saddle(kkt.problem, kkt.rows, border=Z, gathers=kkt.gathers)
+    lu = _checked_lu(bordered, engine) if Z.shape[1] else None
     if lu is None:
         raise RankDeficiencyError(
             "reduced KKT matrix is singular: P is not positive definite on "
@@ -349,7 +412,199 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
             f"pivot ratio is below {_PIVOT_RTOL:g} while [A; C_J] has full "
             "numerical rank)"
         )
-    return KktFactorization(kkt, LEAST_SQUARES, engine, lu, kkt.order - Z.shape[1])
+    return LEAST_SQUARES, engine, lu, Z
+
+
+class _Csc(NamedTuple):
+    """A block in compressed columns, gathered by index arithmetic: what
+    :func:`_saddle` and :func:`_gathers` read of a scipy CSC array, without
+    its construction checks."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+class _Blocks:
+    """The problem of a reduced matrix K_F (:class:`_BoundRows`): P is
+    P_FF, the equality rows are ``[A_F; C_NF]`` and C has no row.
+
+    ``lower`` holds the triplets (row, column, value) of K_F's first n
+    columns, the row counted in K_F; ``P`` and ``A`` are compressed from
+    them, as :class:`_Csc`, when first read, which only the sparse engine
+    does.
+    """
+
+    def __init__(self, lower, n, p):
+        self.lower, self.n, self.p, self.m = lower, n, p, 0
+        empty = np.zeros(0, dtype=np.int64)
+        self.C = _Csc(np.zeros(0), empty, np.zeros(n + 1, dtype=np.int64), (0, n))
+
+    def _compressed(self, pick, first, rows):
+        """The triplets ``pick`` as a block of ``rows`` rows starting at row
+        ``first`` of K_F."""
+        row, col, val = (a[pick] for a in self.lower)
+        order = np.argsort(col, kind="stable")  # rows stay ascending in each column
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col, minlength=self.n), out=ptr[1:])
+        return _Csc(val[order], row[order] - first, ptr, (rows, self.n))
+
+    @cached_property
+    def P(self):
+        return self._compressed(self.lower[0] < self.n, 0, self.n)
+
+    @cached_property
+    def A(self):
+        return self._compressed(self.lower[0] >= self.n, self.n, self.p)
+
+
+class _FreeKkt(ReducedKkt):
+    """K_F as a :class:`ReducedKkt` of :class:`_Blocks` with J empty, whose
+    ``nnz`` is counted and dense form filled from ``problem.lower``."""
+
+    @cached_property
+    def nnz(self):
+        row = self.problem.lower[0]
+        return int(2 * row.size - np.count_nonzero(row < self.n))
+
+    def toarray(self):
+        K = np.zeros((self.order, self.order), order="F")
+        row, col, val = self.problem.lower
+        K[row, col] = val
+        dual = row >= self.n
+        K[col[dual], row[dual]] = val[dual]
+        return K
+
+
+def _bound_rows(kkt):
+    """The bound rows of J substituted out of K_J (:class:`_BoundRows`), or
+    None when J has none, when two fix one variable, or when they fix every
+    variable: the reduced matrix would then be zero, and its null vectors
+    K_J's only where ``[A; C_N]`` is zero.
+
+    A bound row has one stored entry, above the rank cut of ``[A' C_J']``
+    (:func:`_rank_cut`, from its column norms), which is the rule by which
+    :func:`_null_basis` pivots on a column singleton.
+    """
+    problem, rows = kkt.problem, kkt.rows
+    single = kkt.row_counts == 1
+    if not single.any():
+        return None
+    n, p, A, C = problem.n, problem.p, problem.A, problem.C
+    norms = np.concatenate([np.bincount(A.indices, A.data**2, minlength=p),
+                            np.bincount(C.indices, C.data**2, minlength=problem.m)[rows]])
+    cut = _rank_cut(np.sqrt(norms), (n, norms.size))
+    at = np.full(problem.m, -1)
+    at[rows] = np.arange(rows.size)
+    at = at[C.indices]  # the position in J of each entry's row, -1 off J
+    on = (at >= 0) & single[at] & (np.abs(C.data) > cut)
+    col = np.repeat(np.arange(n), np.diff(C.indptr))
+    var = col[on]  # ascending
+    if not var.size or np.any(var[1:] == var[:-1]) or var.size == n:
+        return None
+    return _BoundRows(kkt, on, at, col, cut)
+
+
+class _BoundRows:
+    """K_J with the bound rows S of J substituted out.
+
+    Bound row ``bound[k]`` of J (a position in J) has one nonzero,
+    ``coef[k]``, on variable ``var[k]``, so it fixes that variable:
+    ``z_B = r_S / c``.  With F the free variables and N the other rows of J,
+    K_J permuted to (F, the rows of A, N; B; S) is
+
+        [[K_F, E,    0   ],
+         [E',  P_BB, C_S'],
+         [0,   C_S,  0   ]]
+
+    with ``C_S = diag(c)``, the reduced matrix ``K_F = [[P_FF, A_F', C_NF'],
+    [A_F, 0, 0], [C_NF, 0, 0]]`` and ``E = [P_FB; A_B; C_NB]``.  ``reduced``
+    is K_F (:class:`_FreeKkt`).  A solve takes z_B, solves
+    ``K_F u = r_F - E z_B`` and recovers ``mu_S = (r_B - E' u - P_BB z_B) / c``.
+    The coupling ``G = [E; P_BB]``, K_J's columns B on the rows
+    (F, A, N; B), is kept as triplets and applied by ``bincount``.  K_F and G
+    are gathered in one pass over the entries of K_J's first n columns, by
+    index arithmetic as in :func:`_saddle`.
+
+    ``det K_J = ±det(C_S)² det K_F``, so K_J is singular exactly when K_F is,
+    and each null vector ``(0, y)`` of K_F gives one of K_J with
+    ``mu_S = -(E' y) / c``.  When every ``E' y`` is zero, the null spaces
+    agree off S, and so do the minimum-norm solutions
+    (:meth:`keeps_null_space`).
+    """
+
+    def __init__(self, kkt, on, at, ccol, cut):
+        """``on`` marks the entries of C in bound rows, ``at`` is each
+        entry's position in J (-1 off J) and ``ccol`` its column."""
+        problem, rows = kkt.problem, kkt.rows
+        n, p, P, A, C = problem.n, problem.p, problem.P, problem.A, problem.C
+        self.var, self.bound, self.coef = ccol[on], at[on], C.data[on]
+        self._cut = cut
+        self._mu = n + p + self.bound  # the bound rows' places in K_J
+        fixed = np.zeros(n, dtype=bool)
+        fixed[self.var] = True
+        free = np.flatnonzero(~fixed)
+        other = np.ones(rows.size, dtype=bool)
+        other[self.bound] = False
+        other = np.flatnonzero(other)
+        nf, nb = free.size, self.var.size
+        self._order = order = nf + p + other.size
+        # the places in K_J of the reduced unknowns
+        self._at = np.concatenate([free, n + np.arange(p), n + p + other])
+        # each variable's place in (F, A, N; B), and each position in J's,
+        # -1 for the bound rows and for the entries off J (at -1)
+        zslot = np.empty(n, dtype=np.int64)
+        zslot[free] = np.arange(nf)
+        zslot[self.var] = order + np.arange(nb)
+        jslot = np.full(rows.size + 1, -1)
+        jslot[other] = nf + p + np.arange(other.size)
+
+        # the entries of K_J's first n columns: P's, A's and C_J's
+        row = np.concatenate([zslot[P.indices], nf + A.indices, jslot[at]])
+        col = np.concatenate([np.repeat(zslot, np.diff(P.indptr)),
+                              np.repeat(zslot, np.diff(A.indptr)), zslot[ccol]])
+        val = np.concatenate([P.data, A.data, C.data])
+        coupled = (col >= order) & (row >= 0)
+        self._grow, self._gcol = row[coupled], col[coupled] - order
+        self._gval = val[coupled]
+        kept = (col < nf) & (row >= 0) & (row < order)
+        lower = (row[kept], col[kept], val[kept])
+        self.reduced = _FreeKkt(_Blocks(lower, nf, order - nf), np.zeros(0, dtype=np.int64))
+
+    def _coupled(self, z_b):
+        """``G z_B``."""
+        return np.bincount(self._grow, self._gval * z_b[self._gcol],
+                           minlength=self._order + self.var.size)
+
+    def _coupled_t(self, v):
+        """``G' v``."""
+        return np.bincount(self._gcol, self._gval * v[self._grow], minlength=self.var.size)
+
+    def keeps_null_space(self, Z):
+        """Whether each column y of Z, a null basis of the reduced matrix, is
+        also one of K_J: ``E' y`` at or below the rank cut times the largest
+        entry of Z."""
+        d = Z.shape[1]
+        if not d:
+            return True
+        Z = Z.toarray() if sp.issparse(Z) else Z
+        on = self._grow < self._order  # the entries of E
+        # E' Z by one bincount, each entry of E meeting each column of Z
+        leak = np.bincount((self._gcol[on, None] * d + np.arange(d)).ravel(),
+                           (self._gval[on, None] * Z[self._grow[on]]).ravel())
+        return np.abs(leak).max(initial=0.0) <= self._cut * np.abs(Z).max()
+
+    def solve(self, rhs, solve_reduced):
+        """The solution of K_J x = ``rhs`` by ``solve_reduced``, one solve
+        with the factored reduced matrix."""
+        z_b = rhs[self._mu] / self.coef
+        u = solve_reduced(rhs[self._at] - self._coupled(z_b)[: self._order])
+        x = np.empty(rhs.size)
+        x[self._at] = u
+        x[self.var] = z_b
+        x[self._mu] = (rhs[self.var] - self._coupled_t(np.concatenate([u, z_b]))) / self.coef
+        return x
 
 
 def solve_on(problem, fact: KktFactorization, top, mid, bot):
@@ -379,7 +634,8 @@ def _checked_lu(matrix, engine):
         if lu is None:
             return None
         diag = np.abs(lu.U.diagonal())
-    ok = diag.size and np.all(np.isfinite(diag)) and diag.min() > _PIVOT_RTOL * diag.max()
+    # False when a pivot is NaN or infinite too
+    ok = diag.size and diag.min() > _PIVOT_RTOL * diag.max()
     return lu if ok else None
 
 
@@ -469,10 +725,8 @@ def _null_basis(kkt: ReducedKkt):
        live nonzero above the cut is pivoted there, one column per row and
        pass; pivot rows and columns leave the live set, and passes repeat
        until none is left.  Each entry of M is visited O(1) times.
-    2. The rest, M[R, S], is dense: pivoted QR gives M[R, S][:, perm] = Q R,
-       and the columns of [-R11^-1 R12; I], scattered by perm, span its null
-       space.  Entries of R11^-1 R12 at or below the cut are rounding noise;
-       dropping them keeps the bordered matrix as sparse as the dependencies.
+    2. The rest, M[R, S], is dense, and one pivoted QR gives its null space
+       (:func:`_qr_null`).
     3. The singleton entries of each null vector follow by back-substitution,
        last pass first: M[R, singletons] is zero, the pivots of one pass
        form a diagonal block and earlier passes sit above later ones.
@@ -513,15 +767,9 @@ def _null_basis(kkt: ReducedKkt):
     live = row_live[M.indices[at]]
     rest = np.zeros((R.size, S.size))
     rest[np.searchsorted(R, M.indices[at[live]]), col[live]] = M.data[at[live]]
-    perm, rank, W = np.arange(S.size), 0, np.zeros((0, S.size))
-    if rest.size:
-        Rq, perm = scipy.linalg.qr(rest, mode="r", pivoting=True)
-        rank = int((np.abs(np.diagonal(Rq)) > cut).sum())
-        W = scipy.linalg.solve_triangular(Rq[:rank, :rank], Rq[:rank, rank:])
-        W[np.abs(W) <= cut] = 0.0
-    Y = np.zeros((k, S.size - rank))
-    Y[S[perm[:rank]]] = -W
-    Y[S[perm[rank:]], np.arange(S.size - rank)] = 1.0
+    rest = _qr_null(rest, cut)
+    Y = np.zeros((k, rest.shape[1]))
+    Y[S] = rest
     for rows, cols, vals in reversed(passes):
         block = -(Mr[rows] @ Y) / vals[:, None]
         block[np.abs(block) <= cut] = 0.0
@@ -533,6 +781,41 @@ def _null_basis(kkt: ReducedKkt):
     dtype = _index_dtype(row.size, shape)
     return sp.csc_array((Y[row, col], (n + row).astype(dtype), indptr.astype(dtype)),
                         shape=shape)
+
+
+def _qr_null(M, cut):
+    """Basis of the null space of the dense M, one column per null vector.
+
+    Pivoted QR gives M[:, perm] = Q R, and the columns of [-R11^-1 R12; I],
+    scattered by perm, span the null space, with R11 the leading block of
+    the |R_ii| above ``cut``.  Entries of R11^-1 R12 at or below the cut are
+    rounding noise; dropping them keeps the bordered matrix as sparse as the
+    dependencies.
+    """
+    k = M.shape[1]
+    perm, rank, W = np.arange(k), 0, np.zeros((0, k))
+    if M.size:
+        # LAPACK's geqp3 with its optimal workspace, as scipy.linalg.qr calls
+        # it, and BLAS trsm, without those wrappers' checks
+        lwork = int(dgeqp3(M, lwork=-1)[3][0])
+        Rq, jpvt = dgeqp3(M, lwork=lwork)[:2]
+        perm = jpvt - 1
+        rank = int((np.abs(np.diagonal(Rq)) > cut).sum())
+        W = dtrsm(1.0, Rq[:rank, :rank], Rq[:rank, rank:])
+        W[np.abs(W) <= cut] = 0.0
+    Y = np.zeros((k, k - rank))
+    Y[perm[:rank]] = -W
+    Y[perm[rank:], np.arange(k - rank)] = 1.0
+    return Y
+
+
+def _dense_null_basis(K, n):
+    """Dense basis of {(0, y) : M y = 0} for the dense K_J ``K``, with
+    M = [A' C_J'] its block K[:n, n:]: one pivoted QR of M (:func:`_qr_null`)
+    at the rank cut of :func:`_null_basis`."""
+    M = K[:n, n:]
+    Y = _qr_null(M, _rank_cut(np.linalg.norm(M, axis=0), M.shape))
+    return np.vstack([np.zeros((n, Y.shape[1])), Y])
 
 
 def _entries(indptr, picks):

@@ -160,6 +160,16 @@ def random_mixed_qp(n, m, p, seed, margin_lo=0.05, margin_hi=1.0):
     return QpProblem(P, q, A, b, C, d)
 
 
+def with_bound_rows(base, var, coef, d):
+    """``base`` with the bound rows ``coef[k] * z[var[k]] <= d[k]`` stacked
+    under C."""
+    bounds = np.zeros((len(var), base.n))
+    bounds[np.arange(len(var)), var] = coef
+    return QpProblem(base.P, base.q, base.A, base.b,
+                     sp.vstack([base.C, sp.csc_array(bounds)]),
+                     np.concatenate([base.d, d]))
+
+
 def dims_for_seed(seed):
     """Deterministic (n, m, p) draw with n in 4..10, m in 2..10, p in 0..2."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD1))))

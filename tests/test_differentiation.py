@@ -14,6 +14,7 @@ from qpdiff import (
     differentiable_solve,
     differentiation,
     forward_directional,
+    gen_chain,
     gen_random_dense,
     gen_simplex,
     gen_two_param_family,
@@ -49,6 +50,7 @@ from helpers import (
     parameter_pairing,
     random_mixed_qp,
     solve_active_set,
+    with_bound_rows,
 )
 
 
@@ -303,6 +305,31 @@ class TestAdjointConsistency:
             rhs += float(bundle.grad_d @ direction.dd)
             rhs += float((bundle.grad_C.multiply(direction.dC)).sum())
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+class TestBoundElimination:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_derivatives_through_an_eliminated_factorization(self, seed):
+        # bound rows 2 z1 <= ., -z3 <= . and 0.5 z6 <= . cut off the solution
+        # of random_mixed_qp, so J mixes them with its general rows
+        base = random_mixed_qp(8, 4, 2, seed=600 + seed)
+        z = differentiable_solve(base).point.z
+        var, coef = np.array([1, 3, 6]), np.array([2.0, -1.0, 0.5])
+        prob = with_bound_rows(base, var, coef, coef * z[var] - 0.3 * np.abs(coef))
+        sol = differentiable_solve(prob)
+        assert sol.fact._bound is not None
+        assert np.isin(np.arange(base.m, prob.m), sol.active.indices).any()
+        mu_min, res_min = complementarity_margins(prob, sol.point, sol.active)
+        assert min(mu_min, res_min) >= 1e-3
+        rng = np.random.Generator(np.random.PCG64(700 + seed))
+        direction = random_direction(prob, rng)
+        reduced = np.concatenate(forward_directional(sol, direction))
+        full = np.concatenate(full_implicit_jacobian(prob, sol.point, direction))
+        assert np.abs(reduced - full).max() <= 1e-8 * max(1.0, np.abs(full).max())
+        g = rng.standard_normal(prob.n)
+        pairing = parameter_pairing(backward(sol, g), direction)
+        dz = forward_directional(sol, direction)[0]
+        assert abs(g @ dz - pairing) <= 1e-10 * max(1.0, abs(pairing))
 
 
 class TestReducedFullEquivalence:
@@ -604,6 +631,16 @@ def _flat(bundle, step):
     return np.concatenate(parts)
 
 
+def chain_with_duplicated_row():
+    """``gen_chain(100, 2, 0)`` (n = 200) with its first active link row
+    stated twice: K_J is singular, and no row of C is a bound row."""
+    prob = gen_chain(100, 2, 0)[0]
+    C = sp.csr_array(prob.C)
+    k = differentiable_solve(prob, "admm").fact.rows[:1]
+    return QpProblem(prob.P, prob.q, C=sp.vstack([C, C[k]]),
+                     d=np.concatenate([prob.d, prob.d[k]]))
+
+
 class TestThreadSafety:
     @pytest.mark.parametrize(
         "backend, case, mode, engine",
@@ -613,15 +650,23 @@ class TestThreadSafety:
             # K_J singular: the shared factorization is the bordered one
             pytest.param("admm", "duplicated", LEAST_SQUARES, DENSE,
                          id="admm-duplicated-rows"),
-            pytest.param("admm", "simplex", DIRECT, SPARSE, id="admm-sparse"),
-            pytest.param("admm", "redundant-simplex", LEAST_SQUARES, SPARSE,
+            # no bound rows, so SuperLU factors K_J itself
+            pytest.param("admm", "chain", DIRECT, SPARSE, id="admm-sparse"),
+            pytest.param("admm", "chain-duplicated-row", LEAST_SQUARES, SPARSE,
                          id="admm-sparse-bordered"),
+            # every row of J a bound row: the reduced matrix is factored
+            pytest.param("admm", "redundant-simplex", LEAST_SQUARES, DENSE,
+                         id="admm-eliminated-bordered"),
         ],
     )
     def test_shared_solution_matches_serial(self, backend, case, mode, engine):
         n_threads, repeats = 8, 20
         prob = random_mixed_qp(12, 10, 2, seed=77)
-        if case in ("simplex", "redundant-simplex"):
+        if case == "chain":
+            prob = gen_chain(100, 2, 0)[0]
+        if case == "chain-duplicated-row":
+            prob = chain_with_duplicated_row()
+        if case == "redundant-simplex":
             prob = gen_simplex(200, 0)[0]
         if case in ("duplicated", "redundant-simplex"):  # equality rows stated twice
             prob = QpProblem(
@@ -666,20 +711,14 @@ class TestThreadSafety:
         # each round's threads start together on a fresh problem, so state
         # that a solve kept on the problem would be raced on
         n_threads, rounds = 8, 10
-        simplex = gen_simplex(200, 0)[0]
-
-        def redundant_simplex():
-            return QpProblem(simplex.P, simplex.q, sp.vstack([simplex.A, simplex.A]),
-                             np.concatenate([simplex.b, simplex.b]), simplex.C, simplex.d)
-
-        g = np.random.Generator(np.random.PCG64(80)).standard_normal(simplex.n)
+        g = np.random.Generator(np.random.PCG64(80)).standard_normal(200)
 
         def outputs(prob):
             sol = differentiable_solve(prob, "admm")
             assert (sol.fact.mode, sol.fact.engine) == (LEAST_SQUARES, SPARSE)
             return sol.point.z, sol.active.indices, backward(sol, g).grad_q
 
-        expected = outputs(redundant_simplex())
+        expected = outputs(chain_with_duplicated_row())
         mismatches, errors, stuck = [], [], []
 
         def worker(shared, barrier, k):
@@ -695,7 +734,7 @@ class TestThreadSafety:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(rounds):
-                shared, barrier = redundant_simplex(), threading.Barrier(n_threads)
+                shared, barrier = chain_with_duplicated_row(), threading.Barrier(n_threads)
                 threads = [
                     threading.Thread(target=worker, args=(shared, barrier, k))
                     for k in range(n_threads)

@@ -16,6 +16,7 @@ from qpdiff import (
     factorize,
     full_implicit_matrix,
     gen_random_dense,
+    gen_random_sparse,
     gen_simplex,
     identify,
 )
@@ -25,6 +26,7 @@ from qpdiff.kkt import (
     DIRECT,
     LEAST_SQUARES,
     SPARSE,
+    _dense_enough,
     _null_basis,
     _saddle,
     solve_on,
@@ -38,6 +40,7 @@ from helpers import (
     simplex_projection_sort,
     solve_active_set,
     solve_admm,
+    with_bound_rows,
 )
 
 
@@ -200,16 +203,26 @@ class TestFactorize:
     def test_nearly_dependent_rows_raise_after_one_lu(self, angle, monkeypatch):
         # P is positive definite, but rows 0 and 1 are nearly parallel: K_J
         # fails the pivot check while [A; C_J] has full numerical rank, so
-        # there is no null vector to border with and nothing to factor again
+        # there is no null vector to border with and nothing to factor again.
+        # Rows 0 and 2 are bound rows, so the one LU is of the reduced matrix
+        # on z1, z3 and row 1 (order 3, dense), which fails the check as K_J
+        # (order 7) did
         import qpdiff.kkt as kkt_module
 
         calls = []
 
         def counting_splu(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
+            calls.append((SPARSE, matrix.shape))
             return splu(matrix, *args, **kwargs)
 
+        dense_lu = kkt_module._DenseLu
+
+        def counting_dense_lu(matrix):
+            calls.append((DENSE, matrix.shape))
+            return dense_lu(matrix)
+
         monkeypatch.setattr(kkt_module, "splu", counting_splu)
+        monkeypatch.setattr(kkt_module, "_DenseLu", counting_dense_lu)
         P = np.diag([1.0, 2.0, 3.0, 4.0])
         C = np.array([[1.0, 0, 0, 0], [1.0, angle, 0, 0], [0, 0, 1.0, 0]])
         z0 = np.array([1.0, 0, 1.0, 0])
@@ -217,9 +230,106 @@ class TestFactorize:
         causes = r"not positive definite on null\(\[A; C_J\]\).*nearly dependent"
         with pytest.raises(RankDeficiencyError, match=causes):
             factorize(assemble_reduced_kkt(prob, np.arange(3)))
-        assert calls == [(7, 7)]
+        assert calls == [(DENSE, (3, 3))]
         with pytest.raises(RankDeficiencyError, match=causes):
             differentiable_solve(prob, "active_set")
+
+
+def _bound_case(name):
+    """(problem, J, mode of K_J, whether the bound rows are substituted out)."""
+    if name == "simplex":
+        base, x = gen_simplex(40, 0)
+        return base, identify(base, simplex_projection_sort(x), 1e-9).indices, DIRECT, True
+    if name == "redundant-simplex":  # the null vector lies on lam only
+        return (*redundant_simplex(40), LEAST_SQUARES, True)
+    if name == "scaled-bounds":  # 2 z0 <= 3, -0.5 z3 <= 1, 4 z5 <= 2
+        prob = with_bound_rows(random_mixed_qp(6, 2, 1, seed=5), [0, 3, 5],
+                               [2.0, -0.5, 4.0], [3.0, 1.0, 2.0])
+        return prob, np.array([2, 3, 4]), DIRECT, True
+    if name == "mixed-rows":
+        prob = with_bound_rows(random_mixed_qp(8, 4, 2, seed=6), [1, 4, 6],
+                               [1.0, -1.0, 3.0], np.ones(3))
+        return prob, np.array([0, 3, 4, 5, 6]), DIRECT, True
+    if name == "p=0":
+        prob = with_bound_rows(random_mixed_qp(7, 3, 0, seed=7), [2, 5],
+                               [-1.0, 3.0], np.ones(2))
+        return prob, np.array([1, 3, 4]), DIRECT, True
+    if name == "duplicated-general-row":  # the null vector lies on mu_N only
+        base = random_mixed_qp(7, 1, 1, seed=8)
+        twice = QpProblem(base.P, base.q, base.A, base.b, sp.vstack([base.C, base.C]),
+                          np.concatenate([base.d, base.d]))
+        prob = with_bound_rows(twice, [1, 4], [1.0, -2.0], np.ones(2))
+        return prob, np.arange(4), LEAST_SQUARES, True
+    if name == "shared-variable":  # z2 <= 1 and -z2 <= -1
+        prob = with_bound_rows(random_mixed_qp(6, 2, 1, seed=9), [2, 2, 4],
+                               [1.0, -1.0, 1.0], [1.0, -1.0, 1.0])
+        return prob, np.array([0, 2, 3, 4]), LEAST_SQUARES, False
+    if name == "leaking-null-vector":
+        # the equality rows agree on the free z0, z1 and differ on z2, which
+        # the bound row fixes: the reduced null vector lam = (1, -1) has
+        # A_B' lam = -1, so K_J's null vector has a bound-row multiplier
+        prob = QpProblem(np.eye(3), np.ones(3), A=[[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]],
+                         b=[1.0, 1.5], C=[[0.0, 0.0, 1.0]], d=[0.5])
+        return prob, np.array([0]), LEAST_SQUARES, False
+    # every variable fixed, and the equality row stated twice: K_J's null
+    # vectors have nonzero bound-row multipliers
+    a = np.array([1.0, 2.0, 3.0])
+    prob = QpProblem(np.eye(3), np.ones(3), A=[a, a], b=[1.0, 1.0],
+                     C=np.diag([1.0, -1.0, 2.0]), d=np.ones(3))
+    return prob, np.arange(3), LEAST_SQUARES, False
+
+
+class TestBoundElimination:
+    @pytest.mark.parametrize(
+        "name",
+        ["simplex", "redundant-simplex", "scaled-bounds", "mixed-rows", "p=0",
+         "duplicated-general-row", "shared-variable", "leaking-null-vector",
+         "all-fixed"],
+    )
+    def test_solves_match_the_whole_matrix(self, monkeypatch, name):
+        import qpdiff.kkt as kkt_module
+
+        prob, rows, mode, eliminated = _bound_case(name)
+        fact = factorize(assemble_reduced_kkt(prob, rows))
+        assert (fact._bound is not None) == eliminated
+        if name == "leaking-null-vector":  # the reduced matrix was factored, then refused
+            assert kkt_module._bound_rows(assemble_reduced_kkt(prob, rows)) is not None
+        monkeypatch.setattr(kkt_module, "_bound_rows", lambda kkt: None)
+        kkt = assemble_reduced_kkt(prob, rows)
+        whole = factorize(kkt)
+        assert fact.mode == whole.mode == mode
+        assert fact.rank == whole.rank
+        np.testing.assert_array_equal(fact.rows, rows)
+        K = kkt.matrix.toarray()
+        rng = np.random.Generator(np.random.PCG64(17))
+        for _ in range(3):
+            rhs = rng.standard_normal(kkt.order)
+            if mode == DIRECT:
+                expected = np.linalg.solve(K, rhs)
+            else:
+                expected = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            err = np.linalg.norm(fact.solve(rhs) - expected)
+            assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_engine_names_the_reduced_matrix(self):
+        prob, rows = redundant_simplex(300)
+        kkt = assemble_reduced_kkt(prob, rows)
+        fact = factorize(kkt)
+        # K_J (order 599) is sparse; the reduced matrix is small and dense
+        assert not _dense_enough(kkt.nnz, kkt.order)
+        assert (fact.mode, fact.engine, fact.order) == (LEAST_SQUARES, DENSE, kkt.order)
+        assert fact._bound.reduced.order < 20
+
+    def test_sparse_reduced_matrix_stays_on_superlu(self):
+        # gen_random_sparse's C has rows with one entry: J mixes bound rows
+        # and general rows, and the reduced matrix (order about 1500) is
+        # sparse; a dense LU of it took about 30 times as long
+        prob = gen_random_sparse(1000, 0)
+        sol = solve_admm(prob)
+        fact = factorize(assemble_reduced_kkt(prob, identify(prob, sol.z).indices))
+        assert fact._bound is not None
+        assert fact._bound.reduced.order > 1000
+        assert fact.engine == SPARSE
 
 
 def _chain_qp():
@@ -264,15 +374,18 @@ class TestNullBasis:
         ["chain", "bound-stated-twice", "pivot-below-cut", "no-rows-left", "no-columns-left"],
     )
     def test_spans_the_null_space_and_solves_minimum_norm(self, monkeypatch, name):
+        import qpdiff.kkt as kkt_module
+
         prob, rows, qr_shapes = _null_basis_case(name)
         seen = []
-        qr = scipy.linalg.qr
+        qr = kkt_module.dgeqp3
 
         def recording_qr(a, *args, **kwargs):
-            seen.append(a.shape)
+            if kwargs.get("lwork") != -1:  # not the workspace query
+                seen.append(a.shape)
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+        monkeypatch.setattr(kkt_module, "dgeqp3", recording_qr)
         kkt = assemble_reduced_kkt(prob, rows)
         Z = _null_basis(kkt).toarray()
         assert seen == qr_shapes
