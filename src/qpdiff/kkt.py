@@ -6,8 +6,9 @@ The reduced KKT matrix for an active set J is the symmetric saddle matrix
           [ A    0    0    ]
           [ C_J  0    0    ]
 
-Apart from the independent oracles, the active-set backend's start and
-steps, which use a Cholesky factor and a QR of their own, and ADMM's
+Apart from the independent oracles, the active-set backend's loop, which
+eliminates the equality rows by a Cholesky factor and a pivoted QR of its
+own and keeps a QR of its working rows on their null space, and ADMM's
 iteration on dense data, which factors a reduced n x n matrix by Cholesky,
 this module is the only place such systems are built and solved.  Its
 consumers are the ADMM iteration matrix on sparse data (K_J on every row
@@ -32,9 +33,11 @@ other rows of J is factored, as active-set codes fix bounded variables
 the coupling to the fixed variables are gathered by index arithmetic on
 the entries of P, A and C; a solve wraps one solve with the reduced matrix
 in two products with the coupling, and returns K_J's solution in K_J's
-layout.  K_J itself is factored when J has no bound row, when two bound
-rows fix one variable, when they fix every variable, or when a null vector
-of the reduced matrix is not one of K_J.  The matrix factored, K_J or the reduced one, is filled dense
+layout.  K_J itself is factored when the bound rows fix fewer than a
+tenth of the variables, as on random-sparse, where the substitution would
+remove almost nothing, when two bound rows fix one variable, when they
+fix every variable, or when a null vector of the reduced matrix is not one
+of K_J.  The matrix factored, K_J or the reduced one, is filled dense
 and factored in place by LAPACK LU when at least a quarter of its entries
 are nonzero, counted from its blocks, with solves by BLAS triangular
 solves; any other is factored by SuperLU.  Only the LU is kept, and every
@@ -86,6 +89,9 @@ DENSE = "dense"
 SPARSE = "sparse"
 
 _PIVOT_RTOL = 1e-12
+# bound rows are substituted out of K_J only when they fix at least this
+# share of the variables; fewer remove too little to pay for the gathering
+_BOUND_SHARE = 0.1
 # a matrix with at least this share of its entries nonzero is factored dense
 _DENSE_FILL = 0.25
 _INT32_MAX = np.iinfo(np.int32).max
@@ -356,7 +362,8 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     The bound rows of J, rows of C with one nonzero, are substituted out
     first (:func:`_bound_rows`), and the reduced matrix of the free
     variables and the other rows is factored by the rules below.  K_J
-    itself is factored instead when J has no bound row, when two bound rows
+    itself is factored instead when the bound rows fix fewer than
+    ``_BOUND_SHARE`` (a tenth) of the variables, when two bound rows
     fix one variable, when they fix every variable, or when a null vector of
     the reduced matrix is not one of K_J (the reduced minimum-norm duals
     would then differ from K_J's).
@@ -479,19 +486,20 @@ class _FreeKkt(ReducedKkt):
 
 def _bound_rows(kkt):
     """The bound rows of J substituted out of K_J (:class:`_BoundRows`), or
-    None when J has none, when two fix one variable, or when they fix every
-    variable: the reduced matrix would then be zero, and its null vectors
-    K_J's only where ``[A; C_N]`` is zero.
+    None when they fix fewer than ``_BOUND_SHARE`` of the variables, when
+    two fix one variable, or when they fix every variable: the reduced
+    matrix would then be zero, and its null vectors K_J's only where
+    ``[A; C_N]`` is zero.
 
     A bound row has one stored entry, above the rank cut of ``[A' C_J']``
     (:func:`_rank_cut`, from its column norms), which is the rule by which
     :func:`_null_basis` pivots on a column singleton.
     """
     problem, rows = kkt.problem, kkt.rows
-    single = kkt.row_counts == 1
-    if not single.any():
-        return None
     n, p, A, C = problem.n, problem.p, problem.A, problem.C
+    single = kkt.row_counts == 1
+    if np.count_nonzero(single) < _BOUND_SHARE * n:
+        return None
     norms = np.concatenate([np.bincount(A.indices, A.data**2, minlength=p),
                             np.bincount(C.indices, C.data**2, minlength=problem.m)[rows]])
     cut = _rank_cut(np.sqrt(norms), (n, norms.size))
@@ -501,7 +509,7 @@ def _bound_rows(kkt):
     on = (at >= 0) & single[at] & (np.abs(C.data) > cut)
     col = np.repeat(np.arange(n), np.diff(C.indptr))
     var = col[on]  # ascending
-    if not var.size or np.any(var[1:] == var[:-1]) or var.size == n:
+    if var.size < _BOUND_SHARE * n or np.any(var[1:] == var[:-1]) or var.size == n:
         return None
     return _BoundRows(kkt, on, at, col, cut)
 

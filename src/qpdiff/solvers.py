@@ -9,7 +9,6 @@ with a lock.
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
 from dataclasses import dataclass
@@ -184,23 +183,33 @@ class ActiveSetBackend(SolverBackend):
     are infeasible.  The working rows stay linearly independent by
     construction.
 
-    Nothing is factored inside the loop.  ``L = chol(P + A'A)`` and a full
-    QR of ``L^-1 [A' C_W']`` are formed once; a step costs two triangular
-    solves and a few products with Q, and a row that joins or leaves the
-    working set updates the QR by one column.  P + A'A equals P on null(A),
-    where every step moves, so the domain is P positive definite on null(A).
-    The QR of ``L^-1 A'`` is column pivoted and keeps only the equality rows
-    whose ``|R_ii|`` clear the rank cut, so dependent equality rows drop out
-    of the loop.  The start comes from the same factors, by two triangular
-    solves and two products with Q.  The answer is :func:`_finish` on the
-    final working rows, as in ADMM but with no crossover round, with
+    The equality rows never leave the working set, so they are eliminated
+    once, before the loop, by the null-space method (Nocedal & Wright,
+    *Numerical Optimization*, §16.2).  With ``L = chol(P + A'A)`` and
+    ``u = L'x``, the QP is ``min 0.5|u|^2 + (L^-1 q)'u``.  A column-pivoted
+    QR ``L^-1 A' piv = [Q1 Q2][R11; 0]`` keeps only the equality rows whose
+    ``|R_ii|`` clear the rank cut, rp of them, so dependent equality rows
+    drop out; they fix ``Q1'u = R11^-T b[piv]``, and ``u = Q1 Q1'u + Q2 v``.
+    The loop runs on ``min 0.5|v|^2 + (Q2' L^-1 q)'v`` subject to
+    ``B v <= e``, with ``B = C L^-T Q2`` formed by one product and ``e`` the
+    bounds less the rows' values at the fixed part, starting at its
+    unconstrained minimizer; when no equality row is kept, v is u and
+    ``B = C L^-T``.  P + A'A equals P on null(A), where every step moves,
+    so the domain is P positive definite on null(A).
+
+    Nothing is factored inside the loop, whose vectors and QR have order
+    n - rp.  A step takes one product with the QR of ``B_W'``, the working
+    rows of B, for the primal direction, and one BLAS triangular solve with
+    its R for the working multipliers; a row that joins or leaves the
+    working set updates the QR by one column.  The answer is :func:`_finish`
+    on the final working rows, as in ADMM but with no crossover round, with
     residuals from the loop's dense blocks: one reduced-KKT solve on all
     equality rows and those rows, with the minimum-norm ``lam`` when the
     equality rows are dependent; it fails when they are inconsistent or
-    ``_finish`` rejects the point.  The point
-    carries that factorization as ``fact``, whose ``rows`` are the final
-    working rows; ``differentiable_solve`` reuses both.  NaN or infinite
-    data, other than a +inf bound, fails before anything is factored.
+    ``_finish`` rejects the point.  The point carries that factorization as
+    ``fact``, whose ``rows`` are the final working rows;
+    ``differentiable_solve`` reuses both.  NaN or infinite data, other than
+    a +inf bound, fails before anything is factored.
     """
 
     name = "active_set"
@@ -223,22 +232,30 @@ class ActiveSetBackend(SolverBackend):
             L = cholesky(P + A.T @ A, lower=True)
         except np.linalg.LinAlgError:
             return _failed(problem)
-        # full QR of L^-1 [A' C_W'], one column per equality row the pivoted
-        # QR keeps (the rp above the rank cut) and per working row
-        Q, R, piv = qr(solve_triangular(L, A.T, lower=True), pivoting=True)
-        diag = np.abs(np.diagonal(R))
-        rp = int((diag > _rank_cut(diag, (n, p))).sum())
-        R = R[:, :rp]
-        # the equality minimizer from the same factors: with u = L'x it
-        # minimizes 0.5|u|^2 + (L^-1 q)'u subject to R11'Q1'u = b[piv[:rp]]
-        g = Q.T @ solve_triangular(L, q, lower=True)
-        g[:rp] = -solve_triangular(R[:rp, :rp], b[piv[:rp]], trans="T")
-        x = -solve_triangular(L, Q @ g, lower=True, trans="T")
-        LinvC = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
+        # with u = L'x: min 0.5|u|^2 + g'u s.t. (L^-1 A')'u = b, C L^-T u <= d
+        g = solve_triangular(L, q, lower=True)
+        rp = 0
+        if p:
+            Q, R, piv = qr(solve_triangular(L, A.T, lower=True), pivoting=True)
+            diag = np.abs(np.diagonal(R))
+            rp = int((diag > _rank_cut(diag, (n, p))).sum())
+        if rp:
+            # the kept rows fix Q1'u = u1; the loop moves v = Q2'u, and the
+            # inequality rows read B v <= e at x = L^-T (Q1 u1 + Q2 v)
+            u1 = solve_triangular(R[:rp, :rp], b[piv[:rp]], trans="T")
+            B = C @ solve_triangular(L, Q[:, rp:], lower=True, trans="T")
+            e = d - C @ dtrsv(L, Q[:, :rp] @ u1, lower=1, trans=1)
+            g = Q[:, rp:].T @ g
+        else:
+            B = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
+            e = d
+        v = -g  # the equality minimizer
+        # full QR of B_W', one column per working row, in order n - rp
+        Q, R = np.eye(n - rp), np.zeros((n - rp, 0))
 
         # an infinite bound never binds, so it sets no scale
         feas_tol = 1e-9 * (1.0 + float(np.abs(d[np.isfinite(d)]).max(initial=0.0)))
-        work: list[int] = []  # working inequality rows, ascending
+        work = np.zeros(0, dtype=int)  # working inequality rows, ascending
         y = np.zeros(m)  # multipliers of the working rows and of row j
         j = None  # the violated row being added
         max_iters = min(settings.max_iterations, 10 * (n + m) + 50)
@@ -246,7 +263,7 @@ class ActiveSetBackend(SolverBackend):
         it = 0
         while True:
             if j is None:
-                viol = C @ x - d
+                viol = B @ v - e
                 viol[work] = -np.inf
                 if viol.max(initial=-np.inf) <= feas_tol:
                     status = SOLVED
@@ -259,45 +276,46 @@ class ActiveSetBackend(SolverBackend):
             ):
                 break
             it += 1
-            # min 0.5 dx'P dx + c_j'dx s.t. [A; C_W] dx = 0, by the range-space
-            # method: dx = -L^-T Q2 w2 and the multipliers -R11^-1 w1
-            k = rp + len(work)
-            w = Q.T @ LinvC[j]
-            # BLAS on the Fortran-ordered L: the same bits as solve_triangular
-            # in under half the time
-            dx = -dtrsv(L, Q[:, k:] @ w[k:], lower=1, trans=1, overwrite_x=1)
-            r = -solve_triangular(R[:k, :k], w[:k], check_finite=False)[rp:]
+            # min 0.5|dv|^2 + b_j'dv s.t. B_W dv = 0, by the range-space
+            # method: with w = Q'b_j, dv = -Q[:, k:] w[k:] and the working
+            # multipliers -R^-1 w[:k]
+            k = work.size
+            w = Q.T @ B[j]
+            dv = -(Q[:, k:] @ w[k:])
+            # BLAS on R's leading block: a quarter of solve_triangular's time
+            r = -dtrsv(R[:k, :k], w[:k]) if k else np.zeros(0)
             # dual step length: the first working multiplier to reach zero
-            ratios = np.full(len(work), np.inf)
+            ratios = np.full(k, np.inf)
             shrinking = r < 0
-            ratios[shrinking] = np.maximum(-y[work][shrinking] / r[shrinking], 0.0)
+            ratios[shrinking] = np.maximum(-y[work[shrinking]] / r[shrinking], 0.0)
             t = ratios.min(initial=np.inf)
-            cdx = C[j] @ dx  # = -dx' P dx <= 0
-            if -cdx <= 1e-12 * np.abs(C[j]).max() * np.abs(dx).max(initial=0.0):
-                # c_j is in the span of the working rows: a pure dual step
+            cdv = B[j] @ dv  # = -|dv|^2 <= 0
+            scale = np.abs(B[j]).max(initial=0.0) * np.abs(dv).max(initial=0.0)
+            if -cdv <= 1e-12 * scale:
+                # b_j is in the span of the working rows: a pure dual step
                 if not np.isfinite(t):
                     status = FAILED  # infeasible: the dual ray is unbounded
                     break
                 add = False
             else:
-                t_full = (C[j] @ x - d[j]) / -cdx
+                t_full = (B[j] @ v - e[j]) / -cdv
                 add = t_full <= t
                 t = min(t, t_full)
-                x = x + t * dx
+                v = v + t * dv
             y[work] += t * r
             y[j] += t
             if add:
-                at = bisect.bisect(work, j)
-                Q, R = qr_insert(Q, R, LinvC[j], rp + at, "col", check_finite=False)
-                work.insert(at, j)
+                at = int(np.searchsorted(work, j))
+                Q, R = qr_insert(Q, R, B[j], at, "col", check_finite=False)
+                work = np.concatenate((work[:at], [j], work[at:]))
                 j = None
             else:  # lowest index on ties
                 at = int(np.argmin(ratios))
-                Q, R = qr_delete(Q, R, rp + at, 1, "col", check_finite=False)
-                del work[at]
+                Q, R = qr_delete(Q, R, at, 1, "col", check_finite=False)
+                work = np.concatenate((work[:at], work[at + 1 :]))
 
         # the answer, through the factorization differentiation reuses
-        point = _finish(problem, (P, A, C, A.T, C.T), np.asarray(work, dtype=int))
+        point = _finish(problem, (P, A, C, A.T, C.T), work)
         if point is None:
             return _failed(problem)
         point.status, point.iterations = status, it

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import qr, qr_insert
 
 from qpdiff import (
     DuplicateBackendError,
@@ -228,6 +229,55 @@ class TestActiveSetSolver:
         assert point.iterations >= 1
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("case", ["dense-150", "inequality-only"])
+    def test_loop_runs_on_the_null_space_of_the_equality_rows(self, monkeypatch, case):
+        # the working-set QR has order n - rp: 75 on gen_random_dense(150, 0),
+        # whose 75 equality rows are independent; with no equality row the
+        # loop runs on u = L'z itself, and no QR of the equality rows is made
+        import qpdiff.solvers as solvers
+
+        orders, qr_calls = set(), []
+
+        def recording_insert(Q, *args, **kwargs):
+            orders.add(Q.shape)
+            return qr_insert(Q, *args, **kwargs)
+
+        def recording_qr(*args, **kwargs):
+            qr_calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "qr_insert", recording_insert)
+        monkeypatch.setattr(solvers, "qr", recording_qr)
+        if case == "dense-150":
+            prob, order = gen_random_dense(150, 0), 75
+        else:
+            prob, order = random_mixed_qp(6, 8, 0, seed=3), 6
+        point = solve_active_set(prob)
+        assert point.status == SOLVED
+        assert orders == {(order, order)}
+        assert len(qr_calls) == (prob.p > 0)
+        if case == "inequality-only":
+            oracle = brute_force_solve(prob)
+            np.testing.assert_allclose(point.z, oracle.z, atol=1e-9)
+            np.testing.assert_allclose(point.mu, oracle.mu, atol=1e-9)
+
+    def test_equality_rows_fixing_every_variable_fail_without_raising(self):
+        # z = (1, 2) is the only point of A z = b, and it breaks z0 <= 0.5:
+        # the loop has no free direction, so its first step is an unbounded
+        # dual ray
+        prob = QpProblem(np.eye(2), np.zeros(2), A=np.eye(2), b=[1.0, 2.0],
+                         C=[[1.0, 0.0]], d=[0.5])
+        point = solve_active_set(prob)
+        assert point.status == FAILED
+        assert point.iterations == 1
+        np.testing.assert_allclose(point.z, [1.0, 2.0], atol=1e-12)
+
+    def test_time_limit_stops_early(self):
+        point = solve_active_set(gen_random_dense(150, 0), SolveSettings(time_limit=1e-9))
+        assert point.status == "max_iter"
+        assert point.iterations <= 1
+        assert all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu))
+
     def test_semidefinite_p_positive_definite_on_equality_null_space(self):
         # P = diag(1, 0) has no Cholesky factor, but P + A'A does: P is
         # positive definite on null(A) = {z2 = 0}, where every step moves
@@ -285,6 +335,7 @@ class TestActiveSetSolver:
             point = solve_active_set(prob)
             assert point.status == SOLVED
             assert point.iterations == 0
+            assert point.fact.mode == LEAST_SQUARES
             np.testing.assert_allclose(point.z, [0.5, 0.5], atol=1e-12)
 
     def test_structurally_dependent_equality_rows_solve_without_crashing(self):
