@@ -51,7 +51,6 @@ from .identification import (
     DifferentiabilityDiagnosis,
     diagnose,
     identify,
-    refine,
 )
 from .kkt import (
     KktFactorization,

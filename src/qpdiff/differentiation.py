@@ -25,7 +25,6 @@ from .identification import (
     DifferentiabilityDiagnosis,
     diagnose,
     identify,
-    refine,
 )
 from .kkt import KktFactorization, solve_on
 from .metrics import _blocks, _primal_dual
@@ -35,6 +34,8 @@ from .solvers import (
     PrimalDualPoint,
     SolveSettings,
     SolverBackend,
+    _crossover,
+    _in_frame,
     _point_on,
     certify,
     get_backend,
@@ -132,9 +133,11 @@ class DifferentiableSolution:
     factorization shared by dual recovery and all derivative solves; its
     ``rows`` equal ``active.indices``.  It is the backend's own
     (``point.fact``) when the backend's point is the point on the rows
-    identified here, and a fresh one otherwise.  The solver's primal z
-    is kept as-is rather than overwritten by the KKT solve, so backend
-    inaccuracy stays visible to diagnostics.
+    identified here, and a fresh one otherwise.  On certified rows the
+    solver's primal z is kept as-is, so backend inaccuracy stays visible
+    to diagnostics.  After a repair ``point`` is the certified point on
+    the final rows, which solves the QP, with the backend's ``status`` and
+    ``iterations``, and ``active`` has the residuals at that point.
     Treated as immutable once built: concurrent :func:`forward_directional`
     and :func:`backward` calls on one solution are safe.
     """
@@ -292,9 +295,10 @@ def differentiable_solve(
     on a ``direct`` K_J, has no multiplier on J below ``-eps_active``
     (:func:`qpdiff.solvers.certify`).  An uncertified J (slack active rows
     from a barrier method, or a slack row taken in by a loose threshold) is
-    refined once with :func:`qpdiff.identification.refine` and factored
-    afresh; if it is still not certified, :class:`SolveFailedError` names
-    the worst row.
+    repaired by crossover rounds, one solve on a new J each
+    (:func:`qpdiff.solvers._crossover`); the solution reports the certified
+    point.  Past ``qpdiff.solvers.CROSSOVER_ROUNDS`` rounds
+    :class:`SolveFailedError` names the worst row, with the solver's point.
 
     With ``normalize`` the solver, the identification, the certificate and
     the diagnosis see the row-scaled problem (scale-invariant residuals,
@@ -337,14 +341,11 @@ def differentiable_solve(
     else:
         on_J = _point_on(problem, active.indices)
     if certify(work, _in_frame(on_J, scaling), eps_active):
-        active = refine(work, point.z, active)
-        on_J = _point_on(problem, active.indices)
-        why = certify(work, _in_frame(on_J, scaling), eps_active)
-        if why:
-            raise SolveFailedError(
-                f"active set not certified: the point on the {active.size} "
-                f"identified rows {why}, also after refinement", point
-            )
+        on_J = _crossover(problem, work, on_J, point, eps_active, scaling)
+        # derivatives are read at the certified point, which solves the QP
+        point = replace(on_J, status=point.status, iterations=point.iterations)
+        active = ActiveSet(indices=on_J.fact.rows, eps=eps_active,
+                           residuals=work.C @ on_J.z - work.d)
 
     if not point.has_duals:
         point.lam, point.mu = on_J.lam, on_J.mu
@@ -362,11 +363,3 @@ def differentiable_solve(
         solve_ms=(t1 - t0) * 1e3,
         prepare_ms=(t2 - t1) * 1e3,
     )
-
-
-def _in_frame(point, scaling):
-    """``point`` with mu, the only duals the certificate and the diagnosis
-    read, in the row-scaled frame where J was identified."""
-    if scaling is None:
-        return point
-    return replace(point, mu=point.mu * scaling.ineq_scales)

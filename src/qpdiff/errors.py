@@ -27,7 +27,7 @@ class UnknownBackendError(QpdiffError):
 
 class SolveFailedError(QpdiffError):
     """A backend reported a non-solved status, or its point's active set is
-    not certified even after refinement; the point is attached."""
+    not certified even after crossover rounds; the point is attached."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -1,13 +1,10 @@
-"""Active-set identification from a primal solution, refinement, and
+"""Active-set identification from a primal solution, and
 non-differentiability diagnosis.
 
 Identification is hard thresholding of the inequality residuals
 r_j = (C z - d)_j at a tolerance eps: row j is active iff r_j >= -eps.
-Refinement, which ``differentiable_solve`` runs only on a set whose point
-is not certified, walks the remaining rows in order of
-increasing slack and greedily accepts additions that shrink the residual
-of the reduced KKT system with the primal point held fixed; one
-orthogonalization prices every candidate.
+``differentiable_solve`` repairs a set whose point is not certified by
+crossover rounds on the reduced KKT system (``qpdiff.solvers._crossover``).
 """
 
 from __future__ import annotations
@@ -15,16 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
-from .kkt import DIRECT, LEAST_SQUARES, _rank_cut
+from .kkt import DIRECT, LEAST_SQUARES
 
 __all__ = [
     "ActiveSet",
     "DifferentiabilityDiagnosis",
     "identify",
-    "refine",
     "diagnose",
 ]
 
@@ -85,61 +79,4 @@ def diagnose(problem, point, active: ActiveSet, eps_active: float | None = None,
     mode = DIRECT if dimension_ok and weakly.size == 0 else LEAST_SQUARES
     return DifferentiabilityDiagnosis(
         weakly_active=weakly, dimension_ok=dimension_ok, recommended_mode=mode
-    )
-
-
-def refine(problem, z, initial: ActiveSet) -> ActiveSet:
-    """Greedy superset refinement of an identified active set.
-
-    Remaining rows are tried in order of increasing slack; a row is accepted
-    iff the Euclidean residual of the reduced KKT system, with z fixed and
-    the duals fitted by least squares, strictly decreases.  Stops at the
-    first non-improvement.
-
-    One pass prices every candidate: a pivoted QR of ``[A' C_J']`` gives a
-    basis of its range, the stationarity target ``-(Pz + q)`` and the
-    candidate columns ``c_j'`` are projected off it, and one QR of the
-    projected columns next to the projected target gives the least-squares
-    residual after each prefix of candidates, as the sum of the trailing
-    squares of the target's column of R.  A candidate whose projected
-    column is dependent cannot lower that residual, so it ends the scan.
-    Never raises: a non-finite point returns ``initial``.
-    """
-    res = initial.residuals
-    inactive = np.setdiff1d(np.arange(problem.m), initial.indices)
-    z = np.asarray(z, dtype=float).ravel()
-    if not inactive.size or not np.isfinite(z).all():
-        return initial
-    # increasing slack = decreasing residual; ties by row index
-    order = inactive[np.argsort(-res[inactive], kind="stable")]
-
-    C = sp.csr_array(problem.C)
-    r = C @ z - problem.d
-    e = problem.A @ z - problem.b
-    M = np.hstack([problem.A.toarray().T, C[initial.indices].toarray().T])
-    Q, R0, _ = scipy.linalg.qr(M, mode="economic", pivoting=True, check_finite=False)
-    d0 = np.abs(np.diagonal(R0))
-    Q = Q[:, : int((d0 > _rank_cut(d0, M.shape)).sum())]
-    # beyond n - rank candidates every projected column is dependent
-    order = order[: problem.n - Q.shape[1]]
-    V = np.column_stack([C[order].toarray().T, -(problem.P @ z + problem.q)])
-    V -= Q @ (Q.T @ V)
-    R = scipy.linalg.qr(V, mode="r", check_finite=False)[0]
-    d1 = np.abs(np.diagonal(R)[: order.size])
-    cut = _rank_cut(np.concatenate([d0, d1]), (problem.n, M.shape[1] + order.size))
-    dependent = np.flatnonzero(d1 <= cut)
-    k = dependent[0] if dependent.size else d1.size
-    # squared stationarity residual and primal residual after i = 0..k candidates
-    stat = np.append(np.cumsum(R[::-1, -1] ** 2)[::-1], 0.0)[: k + 1]
-    rJ = r[initial.indices]
-    prim = e @ e + rJ @ rJ + np.concatenate([[0.0], np.cumsum(r[order[:k]] ** 2)])
-    metric = np.sqrt(stat + prim)
-    stops = np.flatnonzero(~(metric[1:] < metric[:-1] * (1.0 - 1e-12)))
-    accepted = stops[0] if stops.size else k
-    if not accepted:
-        return initial
-    return ActiveSet(
-        indices=np.sort(np.concatenate([initial.indices, order[:accepted]])),
-        eps=initial.eps,
-        residuals=res,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import (
@@ -24,7 +24,7 @@ from scipy.linalg import (
 )
 from scipy.linalg.blas import dsyrk, dtrsv
 
-from .errors import DuplicateBackendError, RankDeficiencyError, UnknownBackendError
+from .errors import DuplicateBackendError, RankDeficiencyError, SolveFailedError, UnknownBackendError
 from .kkt import (
     DIRECT,
     KktFactorization,
@@ -71,6 +71,8 @@ ADMM_RHO = 10.0
 ADMM_RHO_EQ_SCALE = 1e3
 ADMM_CHECK_INTERVAL = 10
 ADMM_CROSSOVER_ROUNDS = 3
+
+CROSSOVER_ROUNDS = 10  # the most points _crossover makes
 
 
 @dataclass
@@ -598,6 +600,61 @@ def certify(problem, point, eps):
         if point.fact.mode == DIRECT and point.mu[j] < -eps:
             return f"gives row {j} the multiplier {point.mu[j]:.3e} (eps {eps:g})"
     return ""
+
+
+def _crossover(problem, frame, point, start, eps, scaling=None):
+    """The point on a certified J that crossover rounds, the primal-dual
+    active-set method (Hintermüller, Ito & Kunisch, 2003), reach from
+    ``point``, the uncertified point on rows J; ``start`` is the solver's.
+
+    Each round makes one :func:`_point_on` on ``problem`` and judges it by
+    :func:`certify` on ``frame``, the problem J was identified on, with
+    ``scaling`` its row scaling.  A round drops the rows of J whose
+    multiplier is below ``-eps``, on a ``direct`` K_J only, and adds the
+    rows the point breaks by more than ``eps``, at most
+    ``max(1, n - p - |kept rows|)`` of them, least slack at ``start.z``
+    first.  Once the number exchanged has not fallen below its least for 3
+    rounds, a round exchanges only the worst row (the largest violation
+    or most negative multiplier): block principal pivoting with Murty's
+    single-pivot fallback (Júdice & Pires, Comput. Oper. Res. 1994).
+    Raises :class:`SolveFailedError` with ``start``, naming the worst row
+    of the last point, after ``CROSSOVER_ROUNDS`` points or at a point
+    with no row to exchange (not finite, or breaking only rows of J)."""
+    slack = frame.C @ start.z - frame.d
+    least, stalled = np.inf, 0
+    for _ in range(CROSSOVER_ROUNDS):
+        J = point.fact.rows
+        mu = _in_frame(point, scaling).mu
+        excess = frame.C @ point.z - frame.d
+        drop = J[mu[J] < -eps] if point.fact.mode == DIRECT else J[:0]
+        kept = np.setdiff1d(J, drop)
+        broken = np.setdiff1d(np.flatnonzero(excess > eps), J)
+        broken = broken[np.argsort(-slack[broken], kind="stable")]
+        add = broken[: max(1, problem.n - problem.p - kept.size)]
+        count = drop.size + add.size
+        if not count:
+            break
+        stalled = 0 if count < least else stalled + 1
+        least = min(least, count)
+        if stalled >= 3:
+            rows = np.concatenate([drop, broken])
+            worst = rows[np.argmax(np.concatenate([-mu[drop], excess[broken]]))]
+            kept, add = J[J != worst], broken[broken == worst]
+        point = _point_on(problem, np.union1d(kept, add))
+        if not certify(frame, _in_frame(point, scaling), eps):
+            return point
+    why = certify(frame, _in_frame(point, scaling), eps)
+    raise SolveFailedError(f"active set not certified: the point on {point.fact.rows.size} "
+                           f"rows {why}", start)
+
+
+def _in_frame(point, scaling):
+    """``point`` with mu, the only duals the certificate and the diagnosis
+    read, in the row-scaled frame of ``scaling``; ``point`` itself when
+    that is None."""
+    if scaling is None:
+        return point
+    return replace(point, mu=point.mu * scaling.ineq_scales)
 
 
 # --- registry -----------------------------------------------------------------

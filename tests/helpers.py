@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, minimize
 
 import qpdiff
-from qpdiff import QpProblem, differentiation
+from qpdiff import QpProblem, differentiation, solvers
 from qpdiff.solvers import (
     SOLVED,
     ActiveSetBackend,
@@ -53,6 +53,22 @@ def count_fresh_points(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(differentiation, "_point_on", counting)
+    return calls
+
+
+def count_crossover_rounds(monkeypatch):
+    """Patch ``solvers._point_on`` to record each call; returns that list.
+    A backend without a finishing solve (one outside the package, or
+    ``admm`` with ``polish`` off) never calls it, so with such a backend
+    ``differentiable_solve`` calls it once per crossover round."""
+    calls = []
+    original = solvers._point_on
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_point_on", counting)
     return calls
 
 
@@ -110,32 +126,6 @@ class TrustConstrBackend(SolverBackend):
         )
         # 1: gradient tolerance met, 2: step tolerance met
         return PrimalDualPoint(z=res.x, status=SOLVED if res.status in (1, 2) else "failed")
-
-
-def refine_by_lstsq(problem, z, initial):
-    """Reference for ``qpdiff.refine``: the same greedy rule, with a dense
-    least-squares solve of ``[A' C_S']`` for every candidate set S."""
-
-    def metric(rows):
-        CS = sp.csr_array(problem.C)[np.asarray(rows, dtype=int)]
-        M = np.hstack([problem.A.toarray().T, CS.toarray().T])
-        target = -(problem.P @ z + problem.q)
-        duals, *_ = np.linalg.lstsq(M, target, rcond=None)
-        parts = [target - M @ duals, problem.A @ z - problem.b,
-                 CS @ z - problem.d[np.asarray(rows, dtype=int)]]
-        return float(np.linalg.norm(np.concatenate(parts)))
-
-    res = initial.residuals
-    current = list(initial.indices)
-    remaining = sorted(set(range(problem.m)) - set(current), key=lambda j: (-res[j], j))
-    best = metric(current)
-    for j in remaining:
-        candidate = sorted(current + [j])
-        value = metric(candidate)
-        if not value < best * (1.0 - 1e-12):
-            break
-        current, best = candidate, value
-    return np.asarray(current, dtype=int)
 
 
 def random_mixed_qp(n, m, p, seed, margin_lo=0.05, margin_hi=1.0):

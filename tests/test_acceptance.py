@@ -24,7 +24,6 @@ from qpdiff import (
     get_backend,
     identify,
     random_direction,
-    refine,
     residuals,
     run_bilevel,
     toy_bilevel_config,
@@ -171,7 +170,7 @@ class TestAcceptance:
             f"status={sol.point.status}, gap={res.r_g:.2e}, total={elapsed:.1f} s",
         )
 
-    def test_criterion_7_active_set_stability_and_refinement(self):
+    def test_criterion_7_active_set_stability_and_repair(self):
         rng = np.random.Generator(np.random.PCG64(7))
         b1, b2 = TWO_PARAM_BREAKS
 
@@ -192,7 +191,7 @@ class TestAcceptance:
                 got = tuple(identify(problem, point.z, 1e-5).indices)
                 stable = stable and got == expected
 
-        # degraded regime: loose solve, tight threshold, refinement recovers
+        # degraded regime: loose solve, tight threshold, crossover recovers
         from qpdiff.solvers import AdmmBackend
 
         loose_backend = AdmmBackend()
@@ -209,12 +208,13 @@ class TestAcceptance:
             if np.array_equal(degraded.indices, truth):
                 continue
             degraded_count += 1
-            refined = refine(problem, loose.z, degraded)
-            recovered += bool(np.array_equal(refined.indices, truth))
+            sol = differentiable_solve(problem, loose_backend, SolveSettings(eps_abs=1e-4),
+                                       eps_active=1e-7)
+            recovered += bool(np.array_equal(sol.active.indices, truth))
         report(
             7,
             stable and degraded_count > 0 and recovered == degraded_count,
-            f"stable regions={stable}, refinement recovered "
+            f"stable regions={stable}, crossover recovered "
             f"{recovered}/{degraded_count} degraded sets",
         )
 

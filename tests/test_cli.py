@@ -129,7 +129,7 @@ class TestSolveCommand:
         record = json.loads(out)
         assert record["active_set"] == [0]
         np.testing.assert_allclose(record["mu"], [1.0], atol=1e-9)
-        # refinement runs by itself when J is not certified; the flag is gone
+        # crossover runs by itself when J is not certified; the flag is gone
         for command in (["solve", one_dee_file], ["bench", "--suite", "simplex"]):
             with pytest.raises(SystemExit) as exc:
                 main([*command, "--refine-active-set"])

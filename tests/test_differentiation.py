@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qpdiff import (
     identify,
     random_direction,
     recover_duals,
+    solvers,
 )
 from qpdiff.kkt import (
     DENSE,
@@ -44,11 +46,13 @@ from helpers import (
     PrimalOnlyBackend,
     TrustConstrBackend,
     complementarity_margins,
+    count_crossover_rounds,
     count_matrix_builds,
     dense_equality_qp,
     dims_for_seed,
     parameter_pairing,
     random_mixed_qp,
+    simplex_projection_sort,
     solve_active_set,
     with_bound_rows,
 )
@@ -487,20 +491,13 @@ class TestDifferentiableSolve:
             pairing = parameter_pairing(bundle, direction)
             assert abs(g @ dz - pairing) <= 1e-10 * abs(pairing)
 
-    def test_normalize_and_refine_compose(self, monkeypatch):
+    def test_normalize_and_crossover_compose(self, monkeypatch):
         # on this barrier point the row-scaled identification misses rows,
-        # so the certificate fails in the scaled frame and refinement runs
+        # so the certificate fails in the scaled frame and crossover runs
         prob = gen_random_dense(30, 5)
-        calls = []
-        original = differentiation.refine
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(differentiation, "refine", counting)
+        rounds = count_crossover_rounds(monkeypatch)
         sol = differentiable_solve(prob, TrustConstrBackend(1e-6), normalize=True)
-        assert len(calls) == 1
+        assert len(rounds) == 4
         plain = differentiable_solve(prob, "active_set")
         np.testing.assert_array_equal(sol.active.indices, plain.active.indices)
         g = np.ones(prob.n)
@@ -510,9 +507,9 @@ class TestDifferentiableSolve:
 
 
 class TestCertification:
-    """``differentiable_solve`` checks J by the point on J and refines only
-    when that point is infeasible or, on a direct K_J, has a negative
-    multiplier."""
+    """``differentiable_solve`` checks J by the point on J and repairs it by
+    crossover rounds only when that point is infeasible or, on a direct
+    K_J, has a negative multiplier."""
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_trust_constr_points_give_active_set_gradients(self, tol):
@@ -541,18 +538,59 @@ class TestCertification:
             )
             tight = solve_active_set(prob, SolveSettings(eps_abs=1e-10))
             truth = identify(prob, tight.z, 1e-5).indices
-            sol = differentiable_solve(prob, loose, settings, eps_active=1e-7)
+            # the solution reports the repaired point, so read the loose one
             degraded += not np.array_equal(
-                identify(prob, sol.point.z, 1e-7).indices, truth
+                identify(prob, loose.solve(prob, settings).z, 1e-7).indices, truth
             )
+            sol = differentiable_solve(prob, loose, settings, eps_active=1e-7)
             np.testing.assert_array_equal(sol.active.indices, truth)
         assert degraded
 
-    def test_builtin_backends_never_refine(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("refine called on a built-in backend's point")
+    @pytest.mark.parametrize(
+        "seed", [19, 48, 54, 87, 101, 113, 137, 138, 211, 247, 248, 252, 260,
+                 266, 269, 274, 275, 279, 291, 292],
+    )
+    def test_loose_admm_points_are_repaired_to_the_true_set(self, seed):
+        # ADMM without its finishing solve, at two tolerances, identified at
+        # three thresholds.  Rounds that add every broken row and drop every
+        # negative one fail on these seeds (they cycle, or overshoot into an
+        # inconsistent bordered J), 87, 113, 248 and 266 also without the
+        # single-row fallback; seed 211 gave a negative multiplier after
+        # the greedy add-only repair of earlier versions
+        prob = random_mixed_qp(*dims_for_seed(seed), seed=seed)
+        truth = differentiable_solve(prob, "active_set").active.indices
+        loose = AdmmBackend()
+        loose.polish = False
+        for tol in (1e-2, 1e-4):
+            for eps in (1e-7, 1e-5, 1e-3):
+                sol = differentiable_solve(prob, loose, SolveSettings(eps_abs=tol),
+                                           eps_active=eps)
+                np.testing.assert_array_equal(sol.active.indices, truth,
+                                              err_msg=f"{tol}, {eps}")
+                np.testing.assert_array_equal(sol.fact.rows, truth)
 
-        monkeypatch.setattr(differentiation, "refine", refuse)
+    def test_loose_simplex_repaired_in_few_rounds(self, monkeypatch):
+        # a loose point at a tight threshold: 4 rounds, each one solve on
+        # its J, reach the 3994 bounds of the exact projection
+        prob, x = gen_simplex(4000, 0)
+        truth = identify(prob, simplex_projection_sort(x), 1e-9).indices
+        assert truth.size == 3994
+        loose = AdmmBackend()
+        loose.polish = False
+        rounds = count_crossover_rounds(monkeypatch)
+        start = time.perf_counter()
+        sol = differentiable_solve(prob, loose, SolveSettings(eps_abs=0.1),
+                                   eps_active=1e-9)
+        elapsed = time.perf_counter() - start
+        np.testing.assert_array_equal(sol.active.indices, truth)
+        assert len(rounds) == 4
+        assert elapsed < 2.0
+
+    def test_builtin_backends_never_repair(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("crossover ran on a built-in backend's point")
+
+        monkeypatch.setattr(differentiation, "_crossover", refuse)
         for seed in range(5):
             prob = gen_random_dense(60, seed)
             for backend in ("admm", "active_set"):
@@ -564,44 +602,68 @@ class TestCertification:
         )
         assert differentiable_solve(stated_twice, "admm").point.status == "solved"
 
-    def test_point_refinement_cannot_repair_raises(self):
+    def test_stuck_point_is_repaired(self):
         # min |z|^2 / 2 - 2 z_1 s.t. z_1 <= 1 (active), z_2 <= 0.1.  At the
-        # reported z = 0, J is empty and its point (2, 0) breaks row 0; the
-        # least slack candidate, row 1, is orthogonal to the stationarity
-        # residual, so refinement stops before reaching row 0
+        # reported z = 0, J is empty and its point (2, 0) breaks row 0; one
+        # round adds it, and the point (1, 0) on J = {0} is the solution
         prob = QpProblem(np.eye(2), [-2.0, 0.0], C=np.eye(2), d=[1.0, 0.1])
+        sol = differentiable_solve(prob, Stuck())
+        np.testing.assert_array_equal(sol.active.indices, [0])
+        np.testing.assert_array_equal(sol.point.z, [1.0, 0.0])
+        np.testing.assert_array_equal(sol.point.mu, [1.0, 0.0])
 
-        class Stuck(SolverBackend):
-            name = "stuck"
+    def test_repaired_solution_differentiates_at_the_certified_point(self):
+        # min |z|^2 / 2 - 2 z_1 - z_2 s.t. z_1 <= 1, z_2 <= 5, solved at
+        # (1, 1) with J = {0}; the reported z = 0 is far from it
+        prob = QpProblem(np.eye(2), [-2.0, -1.0], C=np.eye(2), d=[1.0, 5.0])
+        sol = differentiable_solve(prob, Stuck())
+        exact = differentiable_solve(prob, "active_set")
+        np.testing.assert_array_equal(sol.active.indices, [0])
+        np.testing.assert_array_equal(sol.fact.rows, sol.active.indices)
+        np.testing.assert_array_equal(sol.point.z, exact.point.z)
+        assert (sol.point.status, sol.point.iterations) == ("solved", 0)
+        assert sol.point.r_p == sol.point.r_d == 0.0
+        direction = ParamDirection(dP=np.eye(2))
+        for got, want in zip(forward_directional(sol, direction),
+                             forward_directional(exact, direction)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(forward_directional(sol, direction)[0], [0.0, -1.0])
+        grad_P = backward(sol, np.array([0.0, 1.0])).grad_P.toarray()
+        np.testing.assert_array_equal(
+            grad_P, backward(exact, np.array([0.0, 1.0])).grad_P.toarray()
+        )
+        assert grad_P[1, 1] == -1.0
 
-            def solve(self, problem, settings):
-                return PrimalDualPoint(z=np.zeros(2))
-
-        with pytest.raises(SolveFailedError, match="row 0 by 1.000e") as excinfo:
-            differentiable_solve(prob, Stuck())
-        np.testing.assert_array_equal(excinfo.value.point.z, [0.0, 0.0])
-
-    def test_refined_set_with_negative_multiplier_raises(self):
-        # identification gives [4]; refinement adds rows 0 and 2, and the
-        # point on [0, 2, 4] is feasible, but row 2 is slack at the optimum
-        # and its unique multiplier on that J is -1.244e-2
+    def test_repair_with_a_negative_multiplier_drops_the_row(self):
+        # identification gives [4]; the point on [4] breaks rows 0 and 2,
+        # and the point on [0, 2, 4] gives row 2, slack at the optimum, the
+        # unique multiplier -1.244e-2; the next round drops it
         n, m, p = dims_for_seed(211)
         prob = random_mixed_qp(n, m, p, seed=211)
         loose = AdmmBackend()
         loose.polish = False
-        with pytest.raises(SolveFailedError, match="gives row 2 the multiplier -1.244e-02"):
-            differentiable_solve(prob, loose, SolveSettings(eps_abs=1e-2), eps_active=1e-7)
+        sol = differentiable_solve(prob, loose, SolveSettings(eps_abs=1e-2),
+                                   eps_active=1e-7)
+        np.testing.assert_array_equal(sol.active.indices, [0, 4])
 
     @pytest.mark.parametrize("seed, row", [(0, 23), (1, 32), (4, 44)])
-    def test_loose_threshold_adds_a_row_with_negative_multiplier(self, seed, row):
-        # the threshold 1.0 takes in a slack row, so the derivative would be
-        # that of another QP
-        with pytest.raises(SolveFailedError, match=f"gives row {row} the multiplier -"):
-            differentiable_solve(gen_random_dense(60, seed), "admm", eps_active=1.0)
+    def test_loose_threshold_row_with_negative_multiplier_is_dropped(self, seed, row):
+        # the threshold 1.0 takes in a slack row, whose multiplier on that J
+        # is negative; crossover reaches the active-set backend's J
+        prob = gen_random_dense(60, seed)
+        loose_J = identify(prob, differentiable_solve(prob, "admm").point.z, 1.0)
+        assert row in loose_J.indices
+        sol = differentiable_solve(prob, "admm", eps_active=1.0)
+        exact = differentiable_solve(prob, "active_set")
+        np.testing.assert_array_equal(sol.active.indices, exact.active.indices)
+        assert row not in sol.active.indices
+        g = np.random.Generator(np.random.PCG64(seed)).standard_normal(prob.n)
+        np.testing.assert_array_equal(backward(sol, g).grad_q, backward(exact, g).grad_q)
 
     def test_multipliers_judged_in_scaled_frame(self):
         # min |z|^2 / 2 s.t. s z_1 <= s c, reported at z = (c, 0): holding
-        # the row gives mu = -c / s, which is -c in the row-scaled frame
+        # the row gives mu = -c / s, which is -c in the row-scaled frame;
+        # below -eps_active the row is dropped and J is empty
         class Held(SolverBackend):
             name = "held"
 
@@ -614,14 +676,49 @@ class TestCertification:
         for s, c, fails_scaled in ((1e-3, 1e-4, False), (1e3, 1e-2, True)):
             prob = QpProblem(np.eye(2), np.zeros(2), C=[[s, 0.0]], d=[s * c])
             for normalize in (False, True):
+                sol = differentiable_solve(prob, Held(c), eps_active=1e-3,
+                                           normalize=normalize)
                 if normalize == fails_scaled:
-                    with pytest.raises(SolveFailedError, match="row 0 the multiplier"):
-                        differentiable_solve(prob, Held(c), eps_active=1e-3,
-                                             normalize=normalize)
+                    np.testing.assert_array_equal(sol.active.indices, [])
+                    np.testing.assert_array_equal(sol.point.z, [0.0, 0.0])
+                    np.testing.assert_array_equal(sol.point.mu, [0.0])
                 else:
-                    sol = differentiable_solve(prob, Held(c), eps_active=1e-3,
-                                               normalize=normalize)
+                    np.testing.assert_array_equal(sol.active.indices, [0])
                     np.testing.assert_allclose(sol.point.mu, [-c / s])
+
+    def test_point_with_no_row_to_exchange_raises(self):
+        # z_1 <= -1 and -z_1 <= -1 cannot both hold; z = 0 breaks both, so
+        # both are taken in, and the minimum-norm point on the bordered K_J,
+        # z = 0 again, breaks only those rows: no round can exchange one
+        prob = QpProblem(np.eye(2), np.zeros(2), C=[[1.0, 0.0], [-1.0, 0.0]],
+                         d=[-1.0, -1.0])
+        with pytest.raises(SolveFailedError, match="on 2 rows violates row 0 by 1.000e"
+                           ) as excinfo:
+            differentiable_solve(prob, Stuck())
+        np.testing.assert_array_equal(excinfo.value.point.z, [0.0, 0.0])
+
+    def test_rounds_past_the_cap_raise(self, monkeypatch):
+        # the loose simplex needs 4 rounds; with the cap at 3 the last point
+        # still breaks a row
+        monkeypatch.setattr(solvers, "CROSSOVER_ROUNDS", 3)
+        prob = gen_simplex(4000, 0)[0]
+        loose = AdmmBackend()
+        loose.polish = False
+        rounds = count_crossover_rounds(monkeypatch)
+        with pytest.raises(SolveFailedError, match="active set not certified: the point on "
+                           r"\d+ rows violates row \d+") as excinfo:
+            differentiable_solve(prob, loose, SolveSettings(eps_abs=0.1), eps_active=1e-9)
+        assert len(rounds) == 3
+        assert excinfo.value.point.status == "solved"
+
+
+class Stuck(SolverBackend):
+    """A backend that reports z = 0 with no duals, whatever the problem."""
+
+    name = "stuck"
+
+    def solve(self, problem, settings):
+        return PrimalDualPoint(z=np.zeros(problem.n))
 
 
 def _flat(bundle, step):

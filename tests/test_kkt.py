@@ -20,7 +20,7 @@ from qpdiff import (
     gen_simplex,
     identify,
 )
-from qpdiff.errors import RankDeficiencyError, SolveFailedError
+from qpdiff.errors import RankDeficiencyError
 from qpdiff.kkt import (
     DENSE,
     DIRECT,
@@ -930,9 +930,16 @@ class TestFactorizationReuse:
             assert len(calls) == 1, kwargs
             assert other.fact is not other.point.fact
         # other rows: the loose threshold adds row 23, whose unique
-        # multiplier on that J is negative, so J is not certified
-        with pytest.raises(SolveFailedError, match="row 23"):
-            differentiable_solve(prob, "admm", eps_active=1.0)
+        # multiplier on that J is negative, so crossover drops it and
+        # reaches the active-set backend's J
+        calls.clear()
+        other = differentiable_solve(prob, "admm", eps_active=1.0)
+        assert len(calls) == 1
+        exact = differentiable_solve(prob, "active_set")
+        assert 23 not in other.active.indices
+        np.testing.assert_array_equal(other.active.indices, exact.active.indices)
+        g = np.random.Generator(np.random.PCG64(0)).standard_normal(prob.n)
+        np.testing.assert_array_equal(backward(other, g).grad_q, backward(exact, g).grad_q)
 
         fresh = dataclasses.replace(
             sol, fact=factorize(assemble_reduced_kkt(prob, sol.active))
