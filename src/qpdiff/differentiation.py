@@ -291,13 +291,16 @@ def differentiable_solve(
     backend's own, certified as it is, when it carries duals and the
     factorization of exactly the identified rows and no row scaling is
     active; else one solve with a fresh factorization.  J is certified when
-    that point is finite, breaks no row by more than ``eps_active``, and,
-    on a ``direct`` K_J, has no multiplier on J below ``-eps_active``
-    (:func:`qpdiff.solvers.certify`).  An uncertified J (slack active rows
-    from a barrier method, or a slack row taken in by a loose threshold) is
+    that point is finite, breaks no row by more than ``eps_active``, and
+    has multipliers whose entries on J are all at least ``-eps_active``:
+    its own on a ``direct`` K_J, and on a bordered one its minimum-norm
+    duals moved along the null basis (:func:`qpdiff.solvers.certify`).
+    An uncertified J (slack active rows from a barrier method, a slack row
+    taken in by a loose threshold, or a row stated twice and held) is
     repaired by crossover rounds, one solve on a new J each
     (:func:`qpdiff.solvers._crossover`); the solution reports the certified
-    point.  Past ``qpdiff.solvers.CROSSOVER_ROUNDS`` rounds
+    point, with the multipliers the certificate found.  Past
+    ``qpdiff.solvers.CROSSOVER_ROUNDS`` rounds
     :class:`SolveFailedError` names the worst row, with the solver's point.
 
     With ``normalize`` the solver, the identification, the certificate and
@@ -340,7 +343,7 @@ def differentiable_solve(
         on_J = point
     else:
         on_J = _point_on(problem, active.indices)
-    if certify(work, _in_frame(on_J, scaling), eps_active):
+    if certify(work, on_J, eps_active, scaling):
         on_J = _crossover(problem, work, on_J, point, eps_active, scaling)
         # derivatives are read at the certified point, which solves the QP
         point = replace(on_J, status=point.status, iterations=point.iterations)

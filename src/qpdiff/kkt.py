@@ -316,27 +316,43 @@ class KktFactorization:
     it in two products with the coupling block; else it is K_J, or its
     bordered form.  ``engine`` names the engine that factored that matrix:
     ``"dense"`` (LAPACK LU, solved by ``trsv``) or ``"sparse"`` (SuperLU).
-    ``matrix`` is K_J in sparse form, built when first read.  Only the LU is
-    kept, and each solve is one LU solve.  Because K_J is symmetric, the
-    same code path serves forward and adjoint solves.  Instances are
-    immutable after construction; concurrent solves are safe, and threads
-    that race on the first read of ``matrix`` get equal arrays.
+    ``matrix`` is K_J in sparse form, and ``null`` the multiplier rows of
+    the null basis the bordered matrix was built with, each built when
+    first read.  Only the LU and that basis are kept, and each solve is one
+    LU solve.  Because K_J is symmetric, the same code path serves forward
+    and adjoint solves.  Instances are immutable after construction;
+    concurrent solves are safe, and threads that race on the first read of
+    ``matrix`` or ``null`` get equal arrays.
     """
 
-    def __init__(self, kkt, mode, engine, lu, rank, bound=None):
+    def __init__(self, kkt, mode, engine, lu, Z, bound=None):
         self._kkt = kkt
         self.rows = kkt.rows
         self.mode = mode
         self.engine = engine
         self._lu = lu
-        self.rank = rank
+        self.rank = kkt.order - Z.shape[1]
         self.order = kkt.order
         self._bound = bound
+        self._Z = Z
 
     @property
     def matrix(self):
         """K_J in sparse CSC form, built when first read."""
         return self._kkt.matrix
+
+    @cached_property
+    def null(self):
+        """The dual rows (lam, mu_J) of the null basis Z, dense, one column
+        per null vector (none on a direct K_J); Z is zero on z.  A basis of
+        the reduced matrix (:class:`_BoundRows`) is placed at its unknowns'
+        places in K_J, zero on the bound rows."""
+        Z = self._Z.toarray() if sp.issparse(self._Z) else self._Z
+        if self._bound is not None:
+            full = np.zeros((self.order, Z.shape[1]))
+            full[self._bound._at] = Z
+            Z = full
+        return Z[self._kkt.n :]
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float).ravel()
@@ -377,7 +393,9 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     solution.  Z comes from one pivoted QR of the dense ``[A' C_J']`` on the
     dense engine (:func:`_dense_null_basis`) and from :func:`_null_basis` on
     the sparse one, and the sparse bordered matrix is filled from the
-    problem blocks and Z by :func:`_saddle`.  Raises
+    problem blocks and Z by :func:`_saddle`; the factorization keeps Z, and
+    with it the moves of a point's duals that ``solvers._feasible_duals``
+    reads (``KktFactorization.null``).  Raises
     :class:`RankDeficiencyError` if Z is empty or the bordered matrix fails
     the check too: P is not positive definite on the null space of
     ``[A; C_J]``, or rows of ``[A; C_J]`` are so nearly dependent that the
@@ -387,9 +405,9 @@ def factorize(kkt: ReducedKkt) -> KktFactorization:
     if bound is not None:
         mode, engine, lu, Z = _factor(bound.reduced)
         if bound.keeps_null_space(Z):
-            return KktFactorization(kkt, mode, engine, lu, kkt.order - Z.shape[1], bound)
+            return KktFactorization(kkt, mode, engine, lu, Z, bound)
     mode, engine, lu, Z = _factor(kkt)
-    return KktFactorization(kkt, mode, engine, lu, kkt.order - Z.shape[1])
+    return KktFactorization(kkt, mode, engine, lu, Z)
 
 
 def _factor(kkt):

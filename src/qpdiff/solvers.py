@@ -62,15 +62,13 @@ FAILED = "failed"
 DEFAULT_TIME_LIMIT = 60.0
 
 # AdmmBackend: the proximal shift on z, the over-relaxation factor, the
-# penalty on inequality rows and its multiple on equality rows, the
-# iterations between residual checks after the first five, and the most
-# points on J one finishing try takes (see _finish)
+# penalty on inequality rows and its multiple on equality rows, and the
+# iterations between residual checks after the first five
 ADMM_SIGMA = 1e-6
 ADMM_RELAXATION = 1.6
 ADMM_RHO = 10.0
 ADMM_RHO_EQ_SCALE = 1e3
 ADMM_CHECK_INTERVAL = 10
-ADMM_CROSSOVER_ROUNDS = 3
 
 CROSSOVER_ROUNDS = 10  # the most points _crossover makes
 
@@ -203,12 +201,13 @@ class ActiveSetBackend(SolverBackend):
     n - rp.  A step takes one product with the QR of ``B_W'``, the working
     rows of B, for the primal direction, and one BLAS triangular solve with
     its R for the working multipliers; a row that joins or leaves the
-    working set updates the QR by one column.  The answer is :func:`_finish`
-    on the final working rows, as in ADMM but with no crossover round, with
-    residuals from the loop's dense blocks: one reduced-KKT solve on all
-    equality rows and those rows, with the minimum-norm ``lam`` when the
-    equality rows are dependent; it fails when they are inconsistent or
-    ``_finish`` rejects the point.  The point carries that factorization as
+    working set updates the QR by one column.  The answer is
+    :func:`_point_on` the final working rows, with residuals from the
+    loop's dense blocks: one reduced-KKT solve on all equality rows and
+    those rows, with the minimum-norm ``lam`` when the equality rows are
+    dependent; it fails when they are inconsistent or the point is not
+    finite.  The method keeps the working multipliers nonnegative, so their
+    sign is not read again.  The point carries that factorization as
     ``fact``, whose ``rows`` are the final working rows;
     ``differentiable_solve`` reuses both.  NaN or infinite data, other than
     a +inf bound, fails before anything is factored.
@@ -317,8 +316,13 @@ class ActiveSetBackend(SolverBackend):
                 work = np.concatenate((work[:at], work[at + 1 :]))
 
         # the answer, through the factorization differentiation reuses
-        point = _finish(problem, (P, A, C, A.T, C.T), work)
-        if point is None:
+        try:
+            point = _point_on(problem, work)
+        except RankDeficiencyError:  # P singular on null([A; C_W]), or rows nearly dependent
+            return _failed(problem)
+        point.r_p, point.r_d = _primal_dual(problem, (P, A, C, A.T, C.T), point.z,
+                                            point.lam, point.mu)
+        if not np.isfinite(_residual(point)):
             return _failed(problem)
         point.status, point.iterations = status, it
         if status == SOLVED and not _residual(point) <= settings.eps_abs:
@@ -363,22 +367,20 @@ class AdmmBackend(SolverBackend):
     check guesses J from the duals, as OSQP's polish does: the inequality
     rows whose slack ``d - zs`` in the split variable is below their
     multiplier ``y``.  When J is the same as at the previous check, a
-    finishing try takes the exact reduced-KKT solve on J through the same
-    layer differentiation uses.  A point is accepted, and the loop stops,
-    when it is finite, its multipliers on J are at least -1e-9, and both
-    residuals pass ``eps_abs``.  A rejected point is repaired by crossover,
-    one primal-dual active-set round from it: J drops its rows with a
-    multiplier below -1e-9 and gains every row the point breaks by more
-    than ``eps_abs``, and the point on the new J is tried, at most
-    ``ADMM_CROSSOVER_ROUNDS`` points in all and none on a J tried before.
-    After a rejected try at iteration k the next comes no earlier than
-    iteration ``int(1.5 k)``, so a set that never finishes costs few
-    factorizations.  When the iteration converges on its own, one try runs
-    on the final guess and its point is kept only when it also lowers the
-    larger of the two residuals.  A try is :func:`_finish`, whose first
-    point is the active-set backend's answer too, and an accepted point is
-    returned as it is.  ``polish = False`` turns the finishing tries off;
-    it is the backend's one settable attribute.
+    finishing try (:func:`_finish`) takes the exact reduced-KKT solve on J
+    through the same layer differentiation uses, and judges it as
+    :func:`certify` does at ``eps_abs``; the multipliers that check finds
+    (:func:`_feasible_duals`) become the point's duals.  A rejected point
+    is repaired by :func:`_crossover` from it, with the ADMM iterate as the
+    start, under its cap ``CROSSOVER_ROUNDS``.  The loop stops at a
+    certified point whose residuals both pass ``eps_abs``.  After a
+    rejected try at iteration k the next comes no earlier than iteration
+    ``int(1.5 k)``, so a set that never finishes costs few tries.  When
+    the iteration converges on its own, one try runs on the final guess
+    and its point is kept only when it also lowers the larger of the two
+    residuals.  An accepted point is returned as it is.  ``polish = False``
+    turns the finishing tries off; it is the backend's one settable
+    attribute.
     NaN or infinite data, other than a +inf bound, fails before anything
     is factored.
     """
@@ -485,7 +487,7 @@ class AdmmBackend(SolverBackend):
                 if self.polish and it > 5:
                     J = np.flatnonzero(problem.d - zs[p:] < y[p:])
                     if it >= next_try and np.array_equal(J, prev_J):
-                        finished = _finish(problem, ops, J, settings.eps_abs)
+                        finished = _finish(problem, ops, J, x, settings.eps_abs)
                         if finished is not None:
                             finished.iterations = it
                             return finished
@@ -495,7 +497,7 @@ class AdmmBackend(SolverBackend):
             r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
         elif self.polish:
             J = np.flatnonzero(problem.d - zs[p:] < y[p:])
-            finished = _finish(problem, ops, J, settings.eps_abs)
+            finished = _finish(problem, ops, J, x, settings.eps_abs)
             if _residual(finished) < max(r_p, r_d):
                 finished.iterations = it
                 return finished
@@ -510,42 +512,18 @@ class AdmmBackend(SolverBackend):
         )
 
 
-def _finish(problem, ops, J, eps=None):
-    """The finishing point on rows J of ADMM and of the active-set exit,
-    with its residuals through ``ops``; None when K_J cannot be factored,
-    the solve is not finite, or a multiplier on J is below -1e-9.
-
-    With ``eps`` it is ADMM's crossover, a primal-dual active-set round
-    (Hintermüller, Ito & Kunisch, 2003) from each rejected point: a point
-    with a multiplier below -1e-9 or a residual above ``eps`` drops the
-    rows of J with such a multiplier, adds every row it breaks by more
-    than ``eps``, and gives way to the point on that J.  The first point
-    that passes is returned; None when ``ADMM_CROSSOVER_ROUNDS`` points
-    fail, or a J comes round again."""
-    tried = []
-    while True:
-        try:
-            point = _point_on(problem, J)
-        except RankDeficiencyError:  # P singular on null([A; C_J]), or rows nearly dependent
-            return None
-        if not all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu)):
-            return None
-        negative = point.mu < -1e-9  # mu is zero off J
-        if not negative.any():
-            point.r_p, point.r_d = _primal_dual(problem, ops, point.z, point.lam, point.mu)
-            if eps is None or _residual(point) <= eps:
-                return point
-        if eps is None:
-            return None
-        tried.append(J)
-        if len(tried) == ADMM_CROSSOVER_ROUNDS:
-            return None
-        held = np.zeros(problem.m, dtype=bool)
-        held[J] = True
-        broken = ops[2] @ point.z - problem.d > eps
-        J = np.flatnonzero((held & ~negative) | broken)
-        if any(np.array_equal(J, old) for old in tried):
-            return None
+def _finish(problem, ops, J, x, eps):
+    """ADMM's finishing try on its guess J, from its iterate ``x``: the
+    point on J, or the point :func:`_crossover` reaches from it, with its
+    residuals through ``ops`` and the multipliers :func:`_feasible_duals`
+    gives it; None when K_J cannot be factored, no point is certified
+    within ``CROSSOVER_ROUNDS`` rounds, or a residual exceeds ``eps``."""
+    try:
+        point = _crossover(problem, problem, _point_on(problem, J), PrimalDualPoint(z=x), eps)
+    except (RankDeficiencyError, SolveFailedError):
+        return None
+    point.r_p, point.r_d = _primal_dual(problem, ops, point.z, point.lam, point.mu)
+    return point if _residual(point) <= eps else None
 
 
 def _finite_data(problem):
@@ -581,14 +559,15 @@ def _point_on(problem, J, fact=None):
     return PrimalDualPoint(z=z, lam=lam, mu=mu, fact=fact)
 
 
-def certify(problem, point, eps):
+def certify(problem, point, eps, scaling=None):
     """Why ``point``, the point on the rows J of ``point.fact``, is not a
     KKT point of ``problem`` to within ``eps``, naming the worst row; empty
     when it is.  It fails when it is not finite, breaks a row by more than
-    ``eps``, or, on a ``direct`` K_J, whose duals are unique, has a
-    multiplier on J below ``-eps``.  The minimum-norm duals of a bordered
-    K_J can be negative on a right J, so their sign is not read."""
-    if not all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu)):
+    ``eps``, or has no multipliers whose entries on J are all at least
+    ``-eps`` (:func:`_feasible_duals`, read in the row-scaled frame of
+    ``scaling``); the multiplier named is the point's own, the minimum-norm
+    one on a bordered K_J."""
+    if not _finite(point):
         return "is not finite"
     if problem.m:
         excess = problem.C @ point.z - problem.d
@@ -596,41 +575,99 @@ def certify(problem, point, eps):
         # written so that a NaN excess (a NaN bound) fails as well
         if not excess[j] <= eps:
             return f"violates row {j} by {excess[j]:.3e} (eps {eps:g})"
-        j = int(np.argmin(point.mu))  # mu is zero off J
-        if point.fact.mode == DIRECT and point.mu[j] < -eps:
-            return f"gives row {j} the multiplier {point.mu[j]:.3e} (eps {eps:g})"
+        if _feasible_duals(point, eps, scaling) is None:
+            mu = _in_frame(point, scaling).mu
+            j = int(np.argmin(mu))  # mu is zero off J
+            return f"gives row {j} the multiplier {mu[j]:.3e} (eps {eps:g})"
     return ""
+
+
+def _feasible_duals(point, eps, scaling=None):
+    """Duals ``(lam, mu)`` of ``point``, the point on the rows J of
+    ``point.fact``, with every multiplier on J at least ``-eps`` in the
+    row-scaled frame of ``scaling``; None when there are none.
+
+    On a direct K_J the duals are unique, the point's own.  On a bordered
+    K_J the point's are the minimum-norm ones, and they stay exact when
+    moved along the dual rows Y of the null basis (``point.fact.null``).
+    The least move that lifts mu_J to ``-eps``, ``min 0.5|w|^2`` subject
+    to ``-Y_J w <= mu_J + eps`` with Y orthonormalized, is a QP in the
+    null dimension, solved by :class:`ActiveSetBackend`.  Nothing is
+    solved when mu_J is at least ``-eps`` already, or when a row below it
+    is one no null vector moves."""
+    mu = _in_frame(point, scaling).mu
+    low = mu < -eps  # mu is zero off J
+    if not low.any():
+        return point.lam, point.mu
+    J, Y, p = point.fact.rows, point.fact.null, point.lam.size
+    moved = Y[p:].any(axis=1)
+    if low[J[~moved]].any():
+        return None
+    # Y R^-1 has orthonormal columns, and the rows of Y that are zero stay so
+    Y = solve_triangular(qr(Y, mode="r")[0][: Y.shape[1]], Y.T, trans="T").T
+    rows, Y_J = J[moved], Y[p:][moved]
+    if scaling is not None:
+        Y_J = scaling.ineq_scales[rows, None] * Y_J
+    move = ActiveSetBackend().solve(
+        QpProblem(np.eye(Y.shape[1]), np.zeros(Y.shape[1]), C=-Y_J, d=mu[rows] + eps),
+        SolveSettings(),
+    )
+    if move.status != SOLVED:
+        return None
+    shift = Y @ move.z
+    mu = point.mu.copy()
+    mu[J] += shift[p:]
+    return point.lam + shift[:p], mu
+
+
+def _finite(point):
+    """Whether z, lam and mu of ``point`` are finite."""
+    return all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu))
 
 
 def _crossover(problem, frame, point, start, eps, scaling=None):
     """The point on a certified J that crossover rounds, the primal-dual
     active-set method (Hintermüller, Ito & Kunisch, 2003), reach from
-    ``point``, the uncertified point on rows J; ``start`` is the solver's.
+    ``point``, the point on rows J; ``start`` is the solver's.
 
-    Each round makes one :func:`_point_on` on ``problem`` and judges it by
-    :func:`certify` on ``frame``, the problem J was identified on, with
-    ``scaling`` its row scaling.  A round drops the rows of J whose
-    multiplier is below ``-eps``, on a ``direct`` K_J only, and adds the
-    rows the point breaks by more than ``eps``, at most
-    ``max(1, n - p - |kept rows|)`` of them, least slack at ``start.z``
-    first.  Once the number exchanged has not fallen below its least for 3
-    rounds, a round exchanges only the worst row (the largest violation
-    or most negative multiplier): block principal pivoting with Murty's
-    single-pivot fallback (Júdice & Pires, Comput. Oper. Res. 1994).
-    Raises :class:`SolveFailedError` with ``start``, naming the worst row
-    of the last point, after ``CROSSOVER_ROUNDS`` points or at a point
-    with no row to exchange (not finite, or breaking only rows of J)."""
-    slack = frame.C @ start.z - frame.d
-    least, stalled = np.inf, 0
-    for _ in range(CROSSOVER_ROUNDS):
+    Each point, ``point`` first, is judged once as :func:`certify` judges
+    it on ``frame``, the problem J was identified on, with ``scaling`` its
+    row scaling: one product with C and one :func:`_feasible_duals`.  The
+    first certified point is returned, with the multipliers that rule
+    gives.  Past it, each round makes one :func:`_point_on` on ``problem``.
+    A round drops the rows of J whose multiplier is below ``-eps``, when no
+    multipliers on J are all at least ``-eps``, and adds the rows the
+    point breaks by more than ``eps``, at most ``max(1, n - p - |kept
+    rows|)`` of them, least slack at ``start.z`` first.  Once the number
+    exchanged has not fallen below its least for 3 rounds, a round
+    exchanges only the worst row (the largest violation or most negative
+    multiplier): block principal pivoting with Murty's single-pivot
+    fallback (Júdice & Pires, Comput. Oper. Res. 1994).  Raises
+    :class:`SolveFailedError` with ``start``, naming the worst row of the
+    last point, after ``CROSSOVER_ROUNDS`` rounds or at a point with no row
+    to exchange (not finite, or breaking only rows of J)."""
+    least, stalled, slack = np.inf, 0, None
+    for rounds in range(CROSSOVER_ROUNDS + 1):
+        if not _finite(point):
+            break
+        excess = frame.C @ point.z - frame.d
+        duals = _feasible_duals(point, eps, scaling)
+        if duals is not None and (excess <= eps).all():
+            return replace(point, lam=duals[0], mu=duals[1])
+        if rounds == CROSSOVER_ROUNDS:
+            break
         J = point.fact.rows
         mu = _in_frame(point, scaling).mu
-        excess = frame.C @ point.z - frame.d
-        drop = J[mu[J] < -eps] if point.fact.mode == DIRECT else J[:0]
-        kept = np.setdiff1d(J, drop)
-        broken = np.setdiff1d(np.flatnonzero(excess > eps), J)
-        broken = broken[np.argsort(-slack[broken], kind="stable")]
-        add = broken[: max(1, problem.n - problem.p - kept.size)]
+        held = np.zeros(frame.m, dtype=bool)
+        held[J] = True
+        drop = J[mu[J] < -eps] if duals is None else J[:0]
+        broken = np.flatnonzero((excess > eps) & ~held)
+        room = max(1, problem.n - problem.p - (J.size - drop.size))
+        if broken.size > room:
+            if slack is None:
+                slack = frame.C @ start.z - frame.d
+            broken = broken[np.argsort(-slack[broken], kind="stable")]
+        add = broken[:room]
         count = drop.size + add.size
         if not count:
             break
@@ -639,11 +676,11 @@ def _crossover(problem, frame, point, start, eps, scaling=None):
         if stalled >= 3:
             rows = np.concatenate([drop, broken])
             worst = rows[np.argmax(np.concatenate([-mu[drop], excess[broken]]))]
-            kept, add = J[J != worst], broken[broken == worst]
-        point = _point_on(problem, np.union1d(kept, add))
-        if not certify(frame, _in_frame(point, scaling), eps):
-            return point
-    why = certify(frame, _in_frame(point, scaling), eps)
+            drop, add = drop[drop == worst], broken[broken == worst]
+        held[drop] = False
+        held[add] = True
+        point = _point_on(problem, np.flatnonzero(held))
+    why = certify(frame, point, eps, scaling)
     raise SolveFailedError(f"active set not certified: the point on {point.fact.rows.size} "
                            f"rows {why}", start)
 

@@ -686,6 +686,22 @@ class TestCertification:
                     np.testing.assert_array_equal(sol.active.indices, [0])
                     np.testing.assert_allclose(sol.point.mu, [-c / s])
 
+    def test_held_duplicated_row_is_dropped(self):
+        # min |z|^2 / 2 - z_1 / 2 s.t. z_1 <= 1, stated twice, reported at
+        # z = (1, 0): on both rows the multipliers sum to -0.5, so none are
+        # nonnegative; the rows go, and J empty gives the interior optimum
+        class AtBound(SolverBackend):
+            name = "at_bound"
+
+            def solve(self, problem, settings):
+                return PrimalDualPoint(z=np.array([1.0, 0.0]))
+
+        prob = QpProblem(np.eye(2), [-0.5, 0.0], C=[[1.0, 0.0]] * 2, d=[1.0, 1.0])
+        sol = differentiable_solve(prob, AtBound())
+        np.testing.assert_array_equal(sol.active.indices, [])
+        np.testing.assert_array_equal(sol.point.z, [0.5, 0.0])
+        np.testing.assert_array_equal(sol.point.mu, [0.0, 0.0])
+
     def test_point_with_no_row_to_exchange_raises(self):
         # z_1 <= -1 and -z_1 <= -1 cannot both hold; z = 0 breaks both, so
         # both are taken in, and the minimum-norm point on the bordered K_J,

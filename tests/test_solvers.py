@@ -27,13 +27,14 @@ from qpdiff.errors import RankDeficiencyError
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
 from qpdiff.solvers import (
     ADMM_CHECK_INTERVAL,
-    ADMM_CROSSOVER_ROUNDS,
+    CROSSOVER_ROUNDS,
     FAILED,
     SOLVED,
     AdmmBackend,
     EqualityBackend,
     PrimalDualPoint,
     SolverBackend,
+    _feasible_duals,
     _point_on,
     certify,
 )
@@ -521,8 +522,9 @@ class TestAdmmSolver:
         # every try is rejected, the converged exit's too
         assert point.status == SOLVED and point.fact is None
         assert tries[-1][0] == len(checks)
-        assert all(1 <= len(sizes) <= ADMM_CROSSOVER_ROUNDS for _, sizes in tries)
-        assert any(len(sizes) == ADMM_CROSSOVER_ROUNDS for _, sizes in tries)
+        # the point on the guess, then at most CROSSOVER_ROUNDS rounds
+        assert all(1 <= len(sizes) <= CROSSOVER_ROUNDS + 1 for _, sizes in tries)
+        assert any(len(sizes) == CROSSOVER_ROUNDS + 1 for _, sizes in tries)
         check_its = [
             k for k in range(1, point.iterations + 1)
             if k <= 5 or k % ADMM_CHECK_INTERVAL == 0
@@ -532,6 +534,35 @@ class TestAdmmSolver:
         assert len(tried) >= 2
         for k, later in zip(tried, tried[1:]):
             assert later >= int(1.5 * k)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_inequality_only_family_solves_within_a_thousand_iterations(self, seed):
+        # with its equality rows removed the QP is strictly convex and z = 1
+        # is strictly feasible, but the fixed penalty stalls the iteration;
+        # crossover from the first guess of J finishes it at iteration 20
+        base = gen_random_dense(50, seed)
+        prob = QpProblem(base.P, base.q, C=base.C, d=base.d)
+        point = solve_admm(prob, SolveSettings(max_iterations=1000))
+        assert point.status == SOLVED
+        res = residuals(prob, point)
+        assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
+        np.testing.assert_allclose(point.z, solve_active_set(prob).z, rtol=0, atol=1e-6)
+
+    def test_loose_redundant_simplex_reaches_the_exact_point(self):
+        # the sum row stated twice makes every K_J singular; a loose point
+        # identified at a loose threshold must end on a J whose point is the
+        # solution, not one 1e-3 off whose minimum-norm duals go unread
+        from qpdiff import differentiable_solve
+
+        base = gen_simplex(300, seed=211365990)[0]
+        prob = QpProblem(base.P, base.q, sp.vstack([base.A, base.A]),
+                         np.concatenate([base.b, base.b]), base.C, base.d)
+        loose = AdmmBackend()
+        loose.polish = False
+        sol = differentiable_solve(prob, loose, SolveSettings(eps_abs=1e-3),
+                                   eps_active=1e-3)
+        assert sol.fact.mode == LEAST_SQUARES
+        np.testing.assert_allclose(sol.point.z, solve_active_set(prob).z, rtol=0, atol=1e-6)
 
     def test_deterministic(self):
         prob = gen_random_dense(12, seed=3)
@@ -807,14 +838,33 @@ class TestCertify:
         )
         assert certify(self.held_row(1), point, 1.0) == ""
 
-    def test_minimum_norm_multiplier_sign_is_not_read(self):
-        # the duplicated row makes K_J singular; its minimum-norm duals
-        # (-0.25, -0.25) could be negative on a right J as well
+    def test_held_duplicated_row_fails(self):
+        # the duplicated row makes K_J singular: its multipliers are
+        # (-0.25 + t, -0.25 - t) for any t, so none has both at least -eps
         prob = self.held_row(2)
         point = _point_on(prob, [0, 1])
         assert point.fact.mode == LEAST_SQUARES
         np.testing.assert_allclose(point.mu, [-0.25, -0.25])
+        assert _feasible_duals(point, 1e-9) is None
+        assert certify(prob, point, 1e-9) == (
+            "gives row 0 the multiplier -2.500e-01 (eps 1e-09)"
+        )
+        assert certify(prob, point, 1.0) == ""
+
+    def test_negative_minimum_norm_multiplier_with_feasible_ones_passes(self):
+        # z_1 = 0.5 stated as z_1 <= 0.5 and -z_1 <= -0.5: K_J is singular,
+        # its minimum-norm multipliers are (0.25, -0.25), and (0.5, 0) is
+        # the least move along its null vector (1, 1) that lifts them to -eps
+        prob = QpProblem(np.eye(2), [-1.0, 0.0], C=[[1.0, 0.0], [-1.0, 0.0]],
+                         d=[0.5, -0.5])
+        point = _point_on(prob, [0, 1])
+        assert point.fact.mode == LEAST_SQUARES
+        np.testing.assert_allclose(point.mu, [0.25, -0.25])
         assert certify(prob, point, 1e-9) == ""
+        lam, mu = _feasible_duals(point, 1e-9)
+        assert lam.size == 0
+        np.testing.assert_allclose(mu, [0.5, 0.0], rtol=0, atol=1e-8)
+        assert mu.min() >= -1e-9
 
     def test_row_violation_and_non_finite_point_fail(self):
         prob = self.held_row(1)
