@@ -37,7 +37,6 @@ from .solvers import (
     _crossover,
     _in_frame,
     _point_on,
-    certify,
     get_backend,
 )
 
@@ -343,8 +342,11 @@ def differentiable_solve(
         on_J = point
     else:
         on_J = _point_on(problem, active.indices)
-    if certify(work, on_J, eps_active, scaling):
-        on_J = _crossover(problem, work, on_J, point, eps_active, scaling)
+    # the first point is judged once, by the crossover; a point on another J
+    # comes with a fresh factorization
+    certified = _crossover(problem, work, on_J, point, eps_active, scaling)
+    if certified.fact is not on_J.fact:
+        on_J = certified
         # derivatives are read at the certified point, which solves the QP
         point = replace(on_J, status=point.status, iterations=point.iterations)
         active = ActiveSet(indices=on_J.fact.rows, eps=eps_active,

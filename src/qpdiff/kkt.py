@@ -821,11 +821,8 @@ def _qr_null(M, cut):
     k = M.shape[1]
     perm, rank, W = np.arange(k), 0, np.zeros((0, k))
     if M.size:
-        # LAPACK's geqp3 with its optimal workspace, as scipy.linalg.qr calls
-        # it, and BLAS trsm, without those wrappers' checks
-        lwork = int(dgeqp3(M, lwork=-1)[3][0])
-        Rq, jpvt = dgeqp3(M, lwork=lwork)[:2]
-        perm = jpvt - 1
+        # BLAS trsm, without scipy.linalg's checks
+        Rq, perm, _ = _pivoted_qr(M)
         rank = int((np.abs(np.diagonal(Rq)) > cut).sum())
         W = dtrsm(1.0, Rq[:rank, :rank], Rq[:rank, rank:])
         W[np.abs(W) <= cut] = 0.0
@@ -833,6 +830,16 @@ def _qr_null(M, cut):
     Y[perm[:rank]] = -W
     Y[perm[rank:], np.arange(k - rank)] = 1.0
     return Y
+
+
+def _pivoted_qr(M):
+    """Column-pivoted QR of the nonempty dense M by LAPACK's geqp3 with its
+    optimal workspace, as ``scipy.linalg.qr`` calls it, without that
+    wrapper's checks: R and the reflectors packed in one Fortran-ordered
+    array, the 0-based column permutation, and the reflectors' scales."""
+    lwork = int(dgeqp3(M, lwork=-1)[3][0])
+    packed, jpvt, tau = dgeqp3(M, lwork=lwork)[:3]
+    return packed, jpvt - 1, tau
 
 
 def _dense_null_basis(K, n):

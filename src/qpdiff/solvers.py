@@ -9,26 +9,22 @@ with a lock.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import (
-    cho_factor,
-    cholesky,
-    qr,
-    qr_delete,
-    qr_insert,
-    solve_triangular,
-)
+from scipy.linalg import _decomp_update, cho_factor, qr, solve_triangular
 from scipy.linalg.blas import dsyrk, dtrsv
+from scipy.linalg.lapack import dorgqr, dpotrf, dtrtrs
 
 from .errors import DuplicateBackendError, RankDeficiencyError, SolveFailedError, UnknownBackendError
 from .kkt import (
     DIRECT,
     KktFactorization,
     _dense_enough,
+    _pivoted_qr,
     _rank_cut,
     _saddle,
     _symmetric_lu,
@@ -71,6 +67,11 @@ ADMM_RHO_EQ_SCALE = 1e3
 ADMM_CHECK_INTERVAL = 10
 
 CROSSOVER_ROUNDS = 10  # the most points _crossover makes
+
+# the Cython QR updates; newer scipy wraps them for stacked arrays, at about
+# twice their cost on one matrix
+_qr_insert = getattr(_decomp_update.qr_insert, "__wrapped__", _decomp_update.qr_insert)
+_qr_delete = getattr(_decomp_update.qr_delete, "__wrapped__", _decomp_update.qr_delete)
 
 
 @dataclass
@@ -201,13 +202,15 @@ class ActiveSetBackend(SolverBackend):
     n - rp.  A step takes one product with the QR of ``B_W'``, the working
     rows of B, for the primal direction, and one BLAS triangular solve with
     its R for the working multipliers; a row that joins or leaves the
-    working set updates the QR by one column.  The answer is
-    :func:`_point_on` the final working rows, with residuals from the
-    loop's dense blocks: one reduced-KKT solve on all equality rows and
-    those rows, with the minimum-norm ``lam`` when the equality rows are
-    dependent; it fails when they are inconsistent or the point is not
-    finite.  The method keeps the working multipliers nonnegative, so their
-    sign is not read again.  The point carries that factorization as
+    working set updates the QR by one column.  The loop is
+    :func:`_dual_active_set`, on the dense blocks, which calls LAPACK and
+    the QR updates directly; the sign rule (:func:`_feasible_duals`) calls
+    it too.  The answer is :func:`_point_on` the final working rows, with
+    residuals from the dense blocks: one reduced-KKT solve on all equality
+    rows and those rows, with the minimum-norm ``lam`` when the equality
+    rows are dependent; it fails when they are inconsistent or the point is
+    not finite.  The method keeps the working multipliers nonnegative, so
+    their sign is not read again.  The point carries that factorization as
     ``fact``, whose ``rows`` are the final working rows;
     ``differentiable_solve`` reuses both.  NaN or infinite data, other than
     a +inf bound, fails before anything is factored.
@@ -216,104 +219,17 @@ class ActiveSetBackend(SolverBackend):
     name = "active_set"
 
     def solve(self, problem, settings):
-        t_start = time.perf_counter()
+        # the clock is read only when a time limit is set
+        deadline = (None if settings.time_limit is None
+                    else time.perf_counter() + settings.time_limit)
         if not _finite_data(problem):
             return _failed(problem)
-        P = problem.P.toarray()
-        q = problem.q
-        A = problem.A.toarray()
-        b = problem.b
-        C = problem.C.toarray()
-        d = problem.d
-        n, p, m = problem.n, problem.p, problem.m
-
+        P, A, C = problem.P.toarray(), problem.A.toarray(), problem.C.toarray()
         try:
-            # every step stays in null(A), where P + A'A equals P; it is
-            # positive definite exactly when P is positive definite there
-            L = cholesky(P + A.T @ A, lower=True)
-        except np.linalg.LinAlgError:
+            _, work, _, status, it = _dual_active_set(
+                P, problem.q, A, problem.b, C, problem.d, settings.max_iterations, deadline)
+        except np.linalg.LinAlgError:  # P is not positive definite on null(A)
             return _failed(problem)
-        # with u = L'x: min 0.5|u|^2 + g'u s.t. (L^-1 A')'u = b, C L^-T u <= d
-        g = solve_triangular(L, q, lower=True)
-        rp = 0
-        if p:
-            Q, R, piv = qr(solve_triangular(L, A.T, lower=True), pivoting=True)
-            diag = np.abs(np.diagonal(R))
-            rp = int((diag > _rank_cut(diag, (n, p))).sum())
-        if rp:
-            # the kept rows fix Q1'u = u1; the loop moves v = Q2'u, and the
-            # inequality rows read B v <= e at x = L^-T (Q1 u1 + Q2 v)
-            u1 = solve_triangular(R[:rp, :rp], b[piv[:rp]], trans="T")
-            B = C @ solve_triangular(L, Q[:, rp:], lower=True, trans="T")
-            e = d - C @ dtrsv(L, Q[:, :rp] @ u1, lower=1, trans=1)
-            g = Q[:, rp:].T @ g
-        else:
-            B = solve_triangular(L, C.T, lower=True).T  # row j is L^-1 c_j
-            e = d
-        v = -g  # the equality minimizer
-        # full QR of B_W', one column per working row, in order n - rp
-        Q, R = np.eye(n - rp), np.zeros((n - rp, 0))
-
-        # an infinite bound never binds, so it sets no scale
-        feas_tol = 1e-9 * (1.0 + float(np.abs(d[np.isfinite(d)]).max(initial=0.0)))
-        work = np.zeros(0, dtype=int)  # working inequality rows, ascending
-        y = np.zeros(m)  # multipliers of the working rows and of row j
-        j = None  # the violated row being added
-        max_iters = min(settings.max_iterations, 10 * (n + m) + 50)
-        status = MAX_ITER
-        it = 0
-        while True:
-            if j is None:
-                viol = B @ v - e
-                viol[work] = -np.inf
-                if viol.max(initial=-np.inf) <= feas_tol:
-                    status = SOLVED
-                    break
-                j = int(np.argmax(viol))
-                y[j] = 0.0
-            if it >= max_iters or (
-                settings.time_limit is not None
-                and time.perf_counter() - t_start > settings.time_limit
-            ):
-                break
-            it += 1
-            # min 0.5|dv|^2 + b_j'dv s.t. B_W dv = 0, by the range-space
-            # method: with w = Q'b_j, dv = -Q[:, k:] w[k:] and the working
-            # multipliers -R^-1 w[:k]
-            k = work.size
-            w = Q.T @ B[j]
-            dv = -(Q[:, k:] @ w[k:])
-            # BLAS on R's leading block: a quarter of solve_triangular's time
-            r = -dtrsv(R[:k, :k], w[:k]) if k else np.zeros(0)
-            # dual step length: the first working multiplier to reach zero
-            ratios = np.full(k, np.inf)
-            shrinking = r < 0
-            ratios[shrinking] = np.maximum(-y[work[shrinking]] / r[shrinking], 0.0)
-            t = ratios.min(initial=np.inf)
-            cdv = B[j] @ dv  # = -|dv|^2 <= 0
-            scale = np.abs(B[j]).max(initial=0.0) * np.abs(dv).max(initial=0.0)
-            if -cdv <= 1e-12 * scale:
-                # b_j is in the span of the working rows: a pure dual step
-                if not np.isfinite(t):
-                    status = FAILED  # infeasible: the dual ray is unbounded
-                    break
-                add = False
-            else:
-                t_full = (B[j] @ v - e[j]) / -cdv
-                add = t_full <= t
-                t = min(t, t_full)
-                v = v + t * dv
-            y[work] += t * r
-            y[j] += t
-            if add:
-                at = int(np.searchsorted(work, j))
-                Q, R = qr_insert(Q, R, B[j], at, "col", check_finite=False)
-                work = np.concatenate((work[:at], [j], work[at:]))
-                j = None
-            else:  # lowest index on ties
-                at = int(np.argmin(ratios))
-                Q, R = qr_delete(Q, R, at, 1, "col", check_finite=False)
-                work = np.concatenate((work[:at], work[at + 1 :]))
 
         # the answer, through the factorization differentiation reuses
         try:
@@ -328,6 +244,125 @@ class ActiveSetBackend(SolverBackend):
         if status == SOLVED and not _residual(point) <= settings.eps_abs:
             point.status = FAILED
         return point
+
+
+def _dual_active_set(P, q, A, b, C, d, max_iterations=None, deadline=None):
+    """The Goldfarb–Idnani loop of :class:`ActiveSetBackend` on the dense
+    data of ``min 0.5 x'Px + q'x`` subject to ``Ax = b``, ``Cx <= d``.
+
+    Returns the loop's x, its working rows (ascending), their multipliers
+    (zero off them), its status and its iteration count.  It stops after
+    ``10 (n + m) + 50`` iterations, or ``max_iterations`` when that is
+    fewer, or once ``time.perf_counter()`` passes ``deadline``.  Raises
+    ``numpy.linalg.LinAlgError`` when ``P + A'A`` is not positive definite.
+    The data must be finite, except for a +inf bound.
+
+    LAPACK and BLAS are called directly, with the arguments
+    ``scipy.linalg`` passes them, so the arithmetic is that of
+    ``cholesky``, ``solve_triangular`` and ``qr``: potrf, trtrs, and geqp3
+    plus orgqr with their optimal workspaces.  The working-set QR is
+    updated by the Cython routines under ``scipy.linalg.qr_insert`` and
+    ``qr_delete``, in place on a Fortran-ordered Q.
+    """
+    n, p, m = P.shape[0], A.shape[0], C.shape[0]
+    # every step stays in null(A), where P + A'A equals P; it is positive
+    # definite exactly when P is positive definite there
+    L, info = dpotrf(P + A.T @ A, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("P + A'A is not positive definite")
+    # with u = L'x: min 0.5|u|^2 + g'u s.t. (L^-1 A')'u = b, C L^-T u <= d
+    g = dtrtrs(L, q, lower=1)[0]
+    rp = 0
+    if p:
+        packed, piv, tau = _pivoted_qr(dtrtrs(L, A.T, lower=1)[0])
+        diag = np.abs(np.diagonal(packed))
+        rp = int((diag > _rank_cut(diag, (n, p))).sum())
+    if rp:
+        # the full Q of L^-1 A' from its reflectors, as scipy.linalg.qr forms it
+        Qa = np.empty((n, n), order="F")
+        Qa[:, : tau.size] = packed[:, : tau.size]
+        lwork = int(dorgqr(Qa, tau, lwork=-1)[1][0])
+        Qa = dorgqr(Qa, tau, lwork=lwork, overwrite_a=1)[0]
+        # the kept rows fix Q1'u = u1; the loop moves v = Q2'u, and the
+        # inequality rows read B v <= e at x = L^-T (Q1 u1 + Q2 v); R11' is
+        # lower triangular
+        u1 = dtrtrs(packed[:rp, :rp].T, b[piv[:rp]], lower=1)[0]
+        B = C @ dtrtrs(L, Qa[:, rp:], lower=1, trans=1)[0]
+        u_fixed = Qa[:, :rp] @ u1
+        e = d - C @ dtrsv(L, u_fixed, lower=1, trans=1)
+        g = Qa[:, rp:].T @ g
+    else:
+        B = dtrtrs(L, C.T, lower=1)[0].T  # row j is L^-1 c_j
+        e = d
+    v = -g  # the equality minimizer
+    # full QR of B_W', one column per working row, in order n - rp
+    Q, R = np.eye(n - rp, order="F"), np.zeros((n - rp, 0))
+    row_max = np.abs(B).max(axis=1, initial=0.0)  # |b_j|_inf
+
+    # an infinite bound never binds, so it sets no scale
+    feas_tol = 1e-9 * (1.0 + float(np.abs(d[np.isfinite(d)]).max(initial=0.0)))
+    work = np.zeros(0, dtype=int)  # working inequality rows, ascending
+    y_work = np.zeros(0)  # their multipliers
+    j = None  # the violated row being added, with multiplier y_j
+    max_iters = 10 * (n + m) + 50
+    if max_iterations is not None:
+        max_iters = min(max_iterations, max_iters)
+    status = MAX_ITER
+    it = 0
+    while True:
+        if j is None:
+            viol = B @ v - e
+            viol[work] = -np.inf
+            j = int(np.argmax(viol)) if m else None  # the first NaN, if there is one
+            if j is None or viol[j] <= feas_tol:
+                status = SOLVED
+                break
+            y_j = 0.0
+        if it >= max_iters or (deadline is not None and time.perf_counter() > deadline):
+            break
+        it += 1
+        # min 0.5|dv|^2 + b_j'dv s.t. B_W dv = 0, by the range-space
+        # method: with w = Q'b_j, dv = -Q[:, k:] w[k:], and the working
+        # multipliers fall at the rates R^-1 w[:k]
+        k = work.size
+        b_j = B[j]
+        w = Q.T @ b_j
+        dv = -(Q[:, k:] @ w[k:])
+        # BLAS on R's leading block: a quarter of solve_triangular's time
+        rate = dtrsv(R[:k, :k], w[:k]) if k else np.zeros(0)
+        # dual step length: the first working multiplier to reach zero
+        shrinking = (rate > 0).nonzero()[0]
+        ratios = np.maximum(y_work[shrinking] / rate[shrinking], 0.0)
+        t = ratios.min(initial=np.inf)
+        cdv = b_j @ dv  # = -|dv|^2 <= 0
+        if -cdv <= 1e-12 * (row_max[j] * np.abs(dv).max(initial=0.0)):
+            add = False  # b_j is in the span of the working rows: a pure dual step
+        else:
+            t_full = (b_j @ v - e[j]) / -cdv
+            add = t_full <= t
+            t = min(t, t_full)
+            v = v + t * dv
+        if not (add or math.isfinite(t)):
+            status = FAILED  # infeasible: the dual ray is unbounded
+            break
+        y_work -= t * rate
+        y_j += t
+        if add:
+            at = int(np.searchsorted(work, j))
+            Q, R = _qr_insert(Q, R, b_j, at, "col", overwrite_qru=True, check_finite=False)
+            work = np.concatenate((work[:at], [j], work[at:]))
+            y_work = np.concatenate((y_work[:at], [y_j], y_work[at:]))
+            j = None
+        else:  # lowest index on ties
+            at = int(shrinking[np.argmin(ratios)])
+            Q, R = _qr_delete(Q, R, at, 1, "col", overwrite_qr=True, check_finite=False)
+            work = np.concatenate((work[:at], work[at + 1 :]))
+            y_work = np.concatenate((y_work[:at], y_work[at + 1 :]))
+
+    u = u_fixed + Qa[:, rp:] @ v if rp else v
+    mu = np.zeros(m)
+    mu[work] = y_work
+    return dtrsv(L, u, lower=1, trans=1), work, mu, status, it
 
 
 # --- sparse operator-splitting method -----------------------------------------
@@ -592,7 +627,9 @@ def _feasible_duals(point, eps, scaling=None):
     moved along the dual rows Y of the null basis (``point.fact.null``).
     The least move that lifts mu_J to ``-eps``, ``min 0.5|w|^2`` subject
     to ``-Y_J w <= mu_J + eps`` with Y orthonormalized, is a QP in the
-    null dimension, solved by :class:`ActiveSetBackend`.  Nothing is
+    null dimension, solved by the loop of :class:`ActiveSetBackend`
+    (:func:`_dual_active_set`) on its dense rows; w is the loop's own, so
+    no ``QpProblem`` is built and no K_J is factored for it.  Nothing is
     solved when mu_J is at least ``-eps`` already, or when a row below it
     is one no null vector moves."""
     mu = _in_frame(point, scaling).mu
@@ -608,13 +645,12 @@ def _feasible_duals(point, eps, scaling=None):
     rows, Y_J = J[moved], Y[p:][moved]
     if scaling is not None:
         Y_J = scaling.ineq_scales[rows, None] * Y_J
-    move = ActiveSetBackend().solve(
-        QpProblem(np.eye(Y.shape[1]), np.zeros(Y.shape[1]), C=-Y_J, d=mu[rows] + eps),
-        SolveSettings(),
-    )
-    if move.status != SOLVED:
+    k = Y.shape[1]
+    move, _, _, status, _ = _dual_active_set(np.eye(k), np.zeros(k), np.zeros((0, k)),
+                                             np.zeros(0), -Y_J, mu[rows] + eps)
+    if status != SOLVED:
         return None
-    shift = Y @ move.z
+    shift = Y @ move
     mu = point.mu.copy()
     mu[J] += shift[p:]
     return point.lam + shift[:p], mu

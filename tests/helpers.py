@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.optimize import LinearConstraint, minimize
 
 import qpdiff
-from qpdiff import QpProblem, differentiation, solvers
+from qpdiff import QpProblem, differentiation, gen_simplex, solvers
 from qpdiff.solvers import (
     SOLVED,
     ActiveSetBackend,
@@ -59,7 +59,8 @@ def count_fresh_points(monkeypatch):
 def count_crossover_rounds(monkeypatch):
     """Patch ``solvers._point_on`` to record each call; returns that list.
     A backend without a finishing solve (one outside the package, or
-    ``admm`` with ``polish`` off) never calls it, so with such a backend
+    ``admm`` with ``polish`` off) never calls it, and neither does the sign
+    rule ``solvers._feasible_duals``, so with such a backend
     ``differentiable_solve`` calls it once per crossover round."""
     calls = []
     original = solvers._point_on
@@ -158,6 +159,23 @@ def with_bound_rows(base, var, coef, d):
     return QpProblem(base.P, base.q, base.A, base.b,
                      sp.vstack([base.C, sp.csc_array(bounds)]),
                      np.concatenate([base.d, d]))
+
+
+# gen_simplex(300, s) seeds whose bordered point on admm's J has a
+# minimum-norm multiplier below -1e-6 that the null vector lifts, so the
+# sign rule solves its QP
+BORDERED_SIMPLEX_SEEDS = (1170859935, 120177724, 1785715776)
+
+
+def bordered_simplex_point(seed, eps=1e-6):
+    """``(problem, point)``: ``gen_simplex(300, seed)`` with its sum-to-one
+    row stated twice, as the sparse-degenerate benchmark states it, and the
+    point on the rows ``admm`` identifies, whose K_J is bordered."""
+    base = gen_simplex(300, seed)[0]
+    prob = QpProblem(base.P, base.q, sp.vstack([base.A, base.A]),
+                     np.concatenate([base.b, base.b]), base.C, base.d)
+    sol = qpdiff.differentiable_solve(prob, "admm", SolveSettings(eps_abs=eps))
+    return prob, solvers._point_on(prob, sol.active.indices)
 
 
 def dims_for_seed(seed):

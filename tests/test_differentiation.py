@@ -43,8 +43,10 @@ from qpdiff.solvers import (
 )
 
 from helpers import (
+    BORDERED_SIMPLEX_SEEDS,
     PrimalOnlyBackend,
     TrustConstrBackend,
+    bordered_simplex_point,
     complementarity_margins,
     count_crossover_rounds,
     count_matrix_builds,
@@ -587,10 +589,17 @@ class TestCertification:
         assert elapsed < 2.0
 
     def test_builtin_backends_never_repair(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("crossover ran on a built-in backend's point")
+        # the crossover judges every point; on a built-in backend's it must
+        # return that point, on its own factorization, without a round
+        crossover = differentiation._crossover
 
-        monkeypatch.setattr(differentiation, "_crossover", refuse)
+        def judge_only(problem, frame, point, *args):
+            certified = crossover(problem, frame, point, *args)
+            if certified.fact is not point.fact:
+                raise AssertionError("crossover repaired a built-in backend's point")
+            return certified
+
+        monkeypatch.setattr(differentiation, "_crossover", judge_only)
         for seed in range(5):
             prob = gen_random_dense(60, seed)
             for backend in ("admm", "active_set"):
@@ -686,7 +695,7 @@ class TestCertification:
                     np.testing.assert_array_equal(sol.active.indices, [0])
                     np.testing.assert_allclose(sol.point.mu, [-c / s])
 
-    def test_held_duplicated_row_is_dropped(self):
+    def test_held_duplicated_row_is_dropped(self, monkeypatch):
         # min |z|^2 / 2 - z_1 / 2 s.t. z_1 <= 1, stated twice, reported at
         # z = (1, 0): on both rows the multipliers sum to -0.5, so none are
         # nonnegative; the rows go, and J empty gives the interior optimum
@@ -696,8 +705,20 @@ class TestCertification:
             def solve(self, problem, settings):
                 return PrimalDualPoint(z=np.array([1.0, 0.0]))
 
+        rounds = count_crossover_rounds(monkeypatch)
+        judged, rule = [], solvers._feasible_duals
+
+        def counting_rule(*args):
+            judged.append(1)
+            return rule(*args)
+
+        monkeypatch.setattr(solvers, "_feasible_duals", counting_rule)
         prob = QpProblem(np.eye(2), [-0.5, 0.0], C=[[1.0, 0.0]] * 2, d=[1.0, 1.0])
         sol = differentiable_solve(prob, AtBound())
+        # one round; the sign rule judges each of its two points once, and
+        # solves its own QP without a point on J
+        assert len(rounds) == 1
+        assert len(judged) == 2
         np.testing.assert_array_equal(sol.active.indices, [])
         np.testing.assert_array_equal(sol.point.z, [0.5, 0.0])
         np.testing.assert_array_equal(sol.point.mu, [0.0, 0.0])
@@ -860,6 +881,47 @@ class TestThreadSafety:
         finally:
             sys.setswitchinterval(interval)
         assert stuck == []
+        assert errors == []
+        assert mismatches == []
+
+    def test_threads_running_the_loop_and_the_sign_rule(self):
+        # the loop calls LAPACK and the Cython QR updates directly, in place
+        # on arrays of its own; threads running it through the backend and
+        # through the rule must each get the serial answer, bit for bit
+        n_threads, repeats = 4, 3
+        problems = [gen_random_dense(150, s) for s in range(n_threads)]
+        _, bordered = bordered_simplex_point(BORDERED_SIMPLEX_SEEDS[0])
+
+        def outputs(k):
+            point = solve_active_set(problems[k])
+            return (point.z, point.lam, point.mu, point.fact.rows,
+                    *solvers._feasible_duals(bordered, 1e-6))
+
+        serial = [outputs(k) for k in range(n_threads)]
+        mismatches, errors = [], []
+
+        def worker(barrier, k):
+            try:
+                barrier.wait(timeout=60)
+                for _ in range(repeats):
+                    if not all(np.array_equal(a, b) for a, b in zip(outputs(k), serial[k])):
+                        mismatches.append(k)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        barrier = threading.Barrier(n_threads)
+        threads = [threading.Thread(target=worker, args=(barrier, k))
+                   for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert mismatches == []
 

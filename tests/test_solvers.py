@@ -1,10 +1,11 @@
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import qr, qr_insert
+from scipy.linalg import qr, solve_triangular
 
 from qpdiff import (
     DuplicateBackendError,
@@ -29,18 +30,23 @@ from qpdiff.solvers import (
     ADMM_CHECK_INTERVAL,
     CROSSOVER_ROUNDS,
     FAILED,
+    MAX_ITER,
     SOLVED,
     AdmmBackend,
     EqualityBackend,
     PrimalDualPoint,
     SolverBackend,
+    _dual_active_set,
     _feasible_duals,
     _point_on,
     certify,
 )
 
 from helpers import (
+    BORDERED_SIMPLEX_SEEDS,
+    bordered_simplex_point,
     child_env,
+    count_crossover_rounds,
     count_fresh_points,
     parameter_pairing,
     random_mixed_qp,
@@ -57,6 +63,23 @@ def run_fresh_python(code, **env):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def rule_through_backend(point, eps):
+    """The duals ``_feasible_duals`` gives ``point``, with its QP built as a
+    ``QpProblem`` and solved by the ``active_set`` backend, whose answer is
+    its exit solve on the working rows rather than the loop's own point."""
+    J, Y, p = point.fact.rows, point.fact.null, point.lam.size
+    k = Y.shape[1]
+    moved = Y[p:].any(axis=1)
+    Y = solve_triangular(qr(Y, mode="r")[0][:k], Y.T, trans="T").T
+    move = solve_active_set(QpProblem(np.eye(k), np.zeros(k), C=-Y[p:][moved],
+                                      d=point.mu[J[moved]] + eps))
+    assert move.status == SOLVED
+    shift = Y @ move.z
+    mu = point.mu.copy()
+    mu[J] += shift[p:]
+    return point.lam + shift[:p], mu
 
 
 def equality_solve(P, q, A=None, b=None):
@@ -238,17 +261,18 @@ class TestActiveSetSolver:
         import qpdiff.solvers as solvers
 
         orders, qr_calls = set(), []
+        insert, pivoted_qr = solvers._qr_insert, solvers._pivoted_qr
 
         def recording_insert(Q, *args, **kwargs):
             orders.add(Q.shape)
-            return qr_insert(Q, *args, **kwargs)
+            return insert(Q, *args, **kwargs)
 
         def recording_qr(*args, **kwargs):
             qr_calls.append(1)
-            return qr(*args, **kwargs)
+            return pivoted_qr(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "qr_insert", recording_insert)
-        monkeypatch.setattr(solvers, "qr", recording_qr)
+        monkeypatch.setattr(solvers, "_qr_insert", recording_insert)
+        monkeypatch.setattr(solvers, "_pivoted_qr", recording_qr)
         if case == "dense-150":
             prob, order = gen_random_dense(150, 0), 75
         else:
@@ -365,6 +389,58 @@ class TestActiveSetSolver:
             assert point.mu.min(initial=0.0) >= 0.0
             slack = prob.C @ point.z - prob.d
             assert np.abs(point.mu * slack).max(initial=0.0) < 1e-8
+
+
+class TestDualActiveSetLoop:
+    """The Goldfarb–Idnani loop on dense arrays, shared by the backend and
+    the sign rule."""
+
+    @staticmethod
+    def dense(prob):
+        return (prob.P.toarray(), prob.q, prob.A.toarray(), prob.b, prob.C.toarray(),
+                prob.d)
+
+    @pytest.mark.parametrize("case", ["dense-150", "inequality-only"])
+    def test_loop_ends_on_the_backends_working_rows(self, case):
+        prob = (gen_random_dense(150, 0) if case == "dense-150"
+                else random_mixed_qp(6, 8, 0, seed=3))
+        x, work, mu, status, it = _dual_active_set(*self.dense(prob))
+        point = solve_active_set(prob)
+        assert status == point.status == SOLVED
+        assert it == point.iterations
+        np.testing.assert_array_equal(work, point.fact.rows)
+        # the loop's own x and multipliers, not the exit solve's
+        np.testing.assert_allclose(x, point.z, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(mu, point.mu, rtol=0, atol=1e-8)
+        off = np.setdiff1d(np.arange(prob.m), work)
+        assert not mu[off].any()
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_more_equality_rows_than_variables(self, rank):
+        # L^-1 A' is wide (p = 4 > n = 3); its QR keeps the rank's worth of
+        # rows, and the rest are dependent but consistent
+        rng = np.random.Generator(np.random.PCG64(rank))
+        A = rng.standard_normal((4, rank)) @ rng.standard_normal((rank, 3))
+        z0 = rng.standard_normal(3)
+        prob = QpProblem(np.eye(3), rng.standard_normal(3), A=A, b=A @ z0,
+                         C=-np.eye(3), d=-z0 + 0.1)
+        x, _, _, status, _ = _dual_active_set(*self.dense(prob))
+        point = solve_active_set(prob)
+        oracle = brute_force_solve(prob)
+        assert status == point.status == SOLVED
+        np.testing.assert_allclose(x, oracle.z, atol=1e-9)
+        np.testing.assert_allclose(point.z, oracle.z, atol=1e-9)
+
+    def test_iteration_cap_and_deadline(self):
+        data = self.dense(gen_random_dense(150, 0))
+        assert _dual_active_set(*data, max_iterations=3)[3:] == (MAX_ITER, 3)
+        # a deadline already passed stops the loop before its first step
+        assert _dual_active_set(*data, deadline=0.0)[3:] == (MAX_ITER, 0)
+
+    def test_not_positive_definite_on_null_of_a_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _dual_active_set(-np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0),
+                             np.eye(2), np.ones(2))
 
 
 class TestAdmmSolver:
@@ -865,6 +941,35 @@ class TestCertify:
         assert lam.size == 0
         np.testing.assert_allclose(mu, [0.5, 0.0], rtol=0, atol=1e-8)
         assert mu.min() >= -1e-9
+
+    @pytest.mark.parametrize("seed", BORDERED_SIMPLEX_SEEDS)
+    def test_rule_runs_the_loop_on_a_bordered_simplex(self, monkeypatch, seed):
+        # the rule's QP is solved by the loop itself: no backend solve, no
+        # QpProblem and no point on J; its duals are those of the same QP
+        # solved by the backend, exit solve included
+        import qpdiff.solvers as solvers
+
+        eps = 1e-6
+        _, point = bordered_simplex_point(seed, eps)
+        J = point.fact.rows
+        assert (J.size, point.fact.mode) == (300, LEAST_SQUARES)
+        assert point.mu[J].min() < -eps  # so the rule has a QP to solve
+        expected = rule_through_backend(point, eps)
+        points = count_crossover_rounds(monkeypatch)
+        monkeypatch.setattr(solvers, "QpProblem", None)
+        monkeypatch.setattr(solvers.ActiveSetBackend, "solve", None)
+        lam, mu = _feasible_duals(point, eps)
+        assert points == []
+        for got, want in zip((lam, mu), expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        # lifted to -eps within the loop's feasibility tolerance
+        assert mu[J].min() >= -eps * (1 + 1e-9)
+        best = np.inf
+        for _ in range(50):
+            start = time.perf_counter()
+            _feasible_duals(point, eps)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.6e-3
 
     def test_row_violation_and_non_finite_point_fail(self):
         prob = self.held_row(1)
