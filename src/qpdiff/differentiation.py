@@ -298,7 +298,8 @@ def differentiable_solve(
     taken in by a loose threshold, or a row stated twice and held) is
     repaired by crossover rounds, one solve on a new J each
     (:func:`qpdiff.solvers._crossover`); the solution reports the certified
-    point, with the multipliers the certificate found.  Past
+    point.  Its duals, and those given to a backend's point that has none,
+    are the multipliers the certificate found.  Past
     ``qpdiff.solvers.CROSSOVER_ROUNDS`` rounds
     :class:`SolveFailedError` names the worst row, with the solver's point.
 
@@ -346,14 +347,13 @@ def differentiable_solve(
     # comes with a fresh factorization
     certified = _crossover(problem, work, on_J, point, eps_active, scaling)
     if certified.fact is not on_J.fact:
-        on_J = certified
         # derivatives are read at the certified point, which solves the QP
-        point = replace(on_J, status=point.status, iterations=point.iterations)
-        active = ActiveSet(indices=on_J.fact.rows, eps=eps_active,
-                           residuals=work.C @ on_J.z - work.d)
+        point = replace(certified, status=point.status, iterations=point.iterations)
+        active = ActiveSet(indices=certified.fact.rows, eps=eps_active,
+                           residuals=work.C @ certified.z - work.d)
 
     if not point.has_duals:
-        point.lam, point.mu = on_J.lam, on_J.mu
+        point.lam, point.mu = certified.lam, certified.mu
     point.r_p, point.r_d = _primal_dual(problem, _blocks(problem), point.z, point.lam, point.mu)
 
     diag = diagnose(work, _in_frame(point, scaling), active, eps_active)
@@ -363,7 +363,7 @@ def differentiable_solve(
         problem=problem,
         point=point,
         active=active,
-        fact=on_J.fact,
+        fact=certified.fact,
         diagnosis=diag,
         solve_ms=(t1 - t0) * 1e3,
         prepare_ms=(t2 - t1) * 1e3,

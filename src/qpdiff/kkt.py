@@ -16,9 +16,9 @@ plus a diagonal shift, quasi-definite), factored by :func:`_symmetric_lu`,
 which also decides ``validate``'s positive-definiteness check of a sparse
 P, and, through :func:`solve_on`, every solve on a row
 set J: the point on J, formed by ``solvers._point_on``, the one caller of
-:func:`factorize`, for the equality backend (J empty), the finishing
-solve that ends the active-set and ADMM backends, and
-``differentiable_solve`` when it cannot reuse the backend's point; dual
+:func:`factorize`, for ``solvers._finish``, the one exit of the built-in
+backends (J empty for the equality backend), for crossover rounds, and
+for ``differentiable_solve`` when it cannot reuse the backend's point; dual
 recovery; and the forward and backward derivatives.  A factorization
 carries its rows J, so :func:`solve_on` is the one place that gathers a
 right-hand side onto J and scatters the result back to length m.  One

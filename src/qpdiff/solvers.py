@@ -79,9 +79,9 @@ class SolveSettings:
     """Solver tolerances shared by all backends.
 
     ``eps_abs`` bounds the achieved primal and dual residuals in infinity
-    norm.  The exact backends reach working precision or fail: ``active_set``
-    fails when a residual exceeds it, and ``equality`` fails when
-    :func:`certify` rejects its point at ``max(eps_abs, 1e-9)``.
+    norm.  Every built-in backend ends through one rule (:func:`_finish`):
+    its point is ``solved`` only when it is certified and both residuals
+    are at most ``eps_abs`` (``max(eps_abs, 1e-9)`` for ``equality``).
     ``time_limit`` is a positive wall-clock bound in seconds on the
     iterative backends; None means no limit.
     """
@@ -107,10 +107,8 @@ class PrimalDualPoint:
     """Primal solution with optional duals and achieved residuals.
 
     ``fact`` is the factorization of the exact reduced KKT matrix K_J
-    whose solve is the point, when the backend made one (equality; active
-    set; ADMM, when its finishing solve is accepted).  Its ``rows`` are the
-    rows J that solve held tight: the active-set backend's working rows, or
-    the rows of the ADMM finishing solve.  ``differentiable_solve`` reuses
+    whose solve is the point, when the backend ended through
+    :func:`_finish`; its ``rows`` are J.  ``differentiable_solve`` reuses
     it, and the point too when it has duals, when it identifies the same rows.
     """
 
@@ -143,14 +141,14 @@ class SolverBackend:
 class EqualityBackend(SolverBackend):
     """Direct solve that ignores inequalities, valid when none are active.
 
-    The point on no inequality row: one factorization of K_J with J empty,
-    which the point carries as ``fact`` for ``differentiable_solve`` to
-    reuse.  A singular K_J (dependent equality rows, or P singular on
-    null(A)) raises :class:`RankDeficiencyError`.  If the equality-relaxed
-    optimum happens to satisfy C z <= d it is the true optimum with mu = 0;
-    otherwise, or when the point is not finite, :func:`certify` rejects it
-    and the solve fails.  NaN or infinite data, other than a +inf bound,
-    fails before anything is factored.
+    The point on no inequality row, judged by :func:`_finish` at
+    ``max(eps_abs, 1e-9)`` with no crossover round: it is the true optimum
+    with mu = 0 when it satisfies C z <= d, and fails otherwise.  The point
+    carries its factorization of K_J with J empty as ``fact`` for
+    ``differentiable_solve`` to reuse.  A singular K_J (dependent equality
+    rows, or P singular on null(A)) raises :class:`RankDeficiencyError`.
+    NaN or infinite data, other than a +inf bound, fails before anything is
+    factored.
     """
 
     name = "equality"
@@ -158,12 +156,10 @@ class EqualityBackend(SolverBackend):
     def solve(self, problem, settings):
         if not _finite_data(problem):
             return _failed(problem)
-        point = _point_on(problem, np.zeros(0, dtype=int))
-        if point.fact.mode != DIRECT:
+        point = _finish(problem, _blocks(problem), np.zeros(0, dtype=int), None,
+                        max(settings.eps_abs, 1e-9), rounds=0)
+        if point.fact is None or point.fact.mode != DIRECT:
             raise RankDeficiencyError("equality KKT matrix is singular")
-        point.r_p, point.r_d = _primal_dual(problem, _blocks(problem), point.z, point.lam, point.mu)
-        if certify(problem, point, max(settings.eps_abs, 1e-9)):
-            point.status = FAILED
         return point
 
 
@@ -205,15 +201,13 @@ class ActiveSetBackend(SolverBackend):
     working set updates the QR by one column.  The loop is
     :func:`_dual_active_set`, on the dense blocks, which calls LAPACK and
     the QR updates directly; the sign rule (:func:`_feasible_duals`) calls
-    it too.  The answer is :func:`_point_on` the final working rows, with
-    residuals from the dense blocks: one reduced-KKT solve on all equality
-    rows and those rows, with the minimum-norm ``lam`` when the equality
-    rows are dependent; it fails when they are inconsistent or the point is
-    not finite.  The method keeps the working multipliers nonnegative, so
-    their sign is not read again.  The point carries that factorization as
-    ``fact``, whose ``rows`` are the final working rows;
-    ``differentiable_solve`` reuses both.  NaN or infinite data, other than
-    a +inf bound, fails before anything is factored.
+    it too.  The answer is :func:`_finish` on the final working rows, with
+    no crossover round and residuals from the dense blocks; the point
+    carries its factorization as ``fact``, whose ``rows`` are those rows,
+    and ``differentiable_solve`` reuses both.  A point that is not finite
+    fails as :func:`_failed`'s; a loop that ends ``max_iter`` or
+    ``failed`` keeps that status.  NaN or infinite data, other than a +inf
+    bound, fails before anything is factored.
     """
 
     name = "active_set"
@@ -226,23 +220,16 @@ class ActiveSetBackend(SolverBackend):
             return _failed(problem)
         P, A, C = problem.P.toarray(), problem.A.toarray(), problem.C.toarray()
         try:
-            _, work, _, status, it = _dual_active_set(
+            x, work, _, status, it = _dual_active_set(
                 P, problem.q, A, problem.b, C, problem.d, settings.max_iterations, deadline)
         except np.linalg.LinAlgError:  # P is not positive definite on null(A)
             return _failed(problem)
-
-        # the answer, through the factorization differentiation reuses
-        try:
-            point = _point_on(problem, work)
-        except RankDeficiencyError:  # P singular on null([A; C_W]), or rows nearly dependent
-            return _failed(problem)
-        point.r_p, point.r_d = _primal_dual(problem, (P, A, C, A.T, C.T), point.z,
-                                            point.lam, point.mu)
+        point = _finish(problem, (P, A, C, A.T, C.T), work, x, settings.eps_abs, rounds=0)
         if not np.isfinite(_residual(point)):
             return _failed(problem)
-        point.status, point.iterations = status, it
-        if status == SOLVED and not _residual(point) <= settings.eps_abs:
-            point.status = FAILED
+        if status != SOLVED:
+            point.status = status
+        point.iterations = it
         return point
 
 
@@ -402,13 +389,9 @@ class AdmmBackend(SolverBackend):
     check guesses J from the duals, as OSQP's polish does: the inequality
     rows whose slack ``d - zs`` in the split variable is below their
     multiplier ``y``.  When J is the same as at the previous check, a
-    finishing try (:func:`_finish`) takes the exact reduced-KKT solve on J
-    through the same layer differentiation uses, and judges it as
-    :func:`certify` does at ``eps_abs``; the multipliers that check finds
-    (:func:`_feasible_duals`) become the point's duals.  A rejected point
-    is repaired by :func:`_crossover` from it, with the ADMM iterate as the
-    start, under its cap ``CROSSOVER_ROUNDS``.  The loop stops at a
-    certified point whose residuals both pass ``eps_abs``.  After a
+    finishing try (:func:`_finish`) takes the point on J, repaired by at
+    most ``CROSSOVER_ROUNDS`` crossover rounds from the ADMM iterate, and
+    the loop stops when that point is ``solved``.  After a
     rejected try at iteration k the next comes no earlier than iteration
     ``int(1.5 k)``, so a set that never finishes costs few tries.  When
     the iteration converges on its own, one try runs on the final guess
@@ -523,7 +506,7 @@ class AdmmBackend(SolverBackend):
                     J = np.flatnonzero(problem.d - zs[p:] < y[p:])
                     if it >= next_try and np.array_equal(J, prev_J):
                         finished = _finish(problem, ops, J, x, settings.eps_abs)
-                        if finished is not None:
+                        if finished.status == SOLVED:
                             finished.iterations = it
                             return finished
                         next_try = int(1.5 * it)
@@ -533,7 +516,7 @@ class AdmmBackend(SolverBackend):
         elif self.polish:
             J = np.flatnonzero(problem.d - zs[p:] < y[p:])
             finished = _finish(problem, ops, J, x, settings.eps_abs)
-            if _residual(finished) < max(r_p, r_d):
+            if finished.status == SOLVED and _residual(finished) < max(r_p, r_d):
                 finished.iterations = it
                 return finished
         return PrimalDualPoint(
@@ -547,18 +530,26 @@ class AdmmBackend(SolverBackend):
         )
 
 
-def _finish(problem, ops, J, x, eps):
-    """ADMM's finishing try on its guess J, from its iterate ``x``: the
-    point on J, or the point :func:`_crossover` reaches from it, with its
-    residuals through ``ops`` and the multipliers :func:`_feasible_duals`
-    gives it; None when K_J cannot be factored, no point is certified
-    within ``CROSSOVER_ROUNDS`` rounds, or a residual exceeds ``eps``."""
+def _finish(problem, ops, J, x, eps, rounds=None):
+    """The one exit of the built-in backends: the point on rows J, or the
+    point at most ``rounds`` crossover rounds reach from it with the
+    backend's iterate ``x`` as the start (:func:`_crossover`; ``x`` may be
+    None when ``rounds`` is 0), with its residuals through ``ops``.
+    The point is ``solved`` when it is certified at ``eps`` and both
+    residuals are at most ``eps``, and ``failed`` otherwise; when K_J
+    cannot be factored it is :func:`_failed`'s."""
     try:
-        point = _crossover(problem, problem, _point_on(problem, J), PrimalDualPoint(z=x), eps)
+        point = _point_on(problem, J)
+    except RankDeficiencyError:
+        return _failed(problem)
+    status = SOLVED
+    try:
+        point = _crossover(problem, problem, point, PrimalDualPoint(z=x), eps, rounds=rounds)
     except (RankDeficiencyError, SolveFailedError):
-        return None
+        status = FAILED
     point.r_p, point.r_d = _primal_dual(problem, ops, point.z, point.lam, point.mu)
-    return point if _residual(point) <= eps else None
+    point.status = status if _residual(point) <= eps else FAILED
+    return point
 
 
 def _finite_data(problem):
@@ -576,8 +567,8 @@ def _failed(problem):
 
 
 def _residual(point):
-    """max(r_p, r_d) of a finishing point; +inf for a rejected one."""
-    return np.inf if point is None else max(point.r_p, point.r_d)
+    """max(r_p, r_d) of ``point``."""
+    return max(point.r_p, point.r_d)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -661,7 +652,7 @@ def _finite(point):
     return all(np.isfinite(v).all() for v in (point.z, point.lam, point.mu))
 
 
-def _crossover(problem, frame, point, start, eps, scaling=None):
+def _crossover(problem, frame, point, start, eps, scaling=None, rounds=None):
     """The point on a certified J that crossover rounds, the primal-dual
     active-set method (Hintermüller, Ito & Kunisch, 2003), reach from
     ``point``, the point on rows J; ``start`` is the solver's.
@@ -680,17 +671,20 @@ def _crossover(problem, frame, point, start, eps, scaling=None):
     multiplier): block principal pivoting with Murty's single-pivot
     fallback (Júdice & Pires, Comput. Oper. Res. 1994).  Raises
     :class:`SolveFailedError` with ``start``, naming the worst row of the
-    last point, after ``CROSSOVER_ROUNDS`` rounds or at a point with no row
-    to exchange (not finite, or breaking only rows of J)."""
+    last point, after ``rounds`` rounds (``CROSSOVER_ROUNDS`` when None) or
+    at a point with no row to exchange (not finite, or breaking only rows
+    of J)."""
+    if rounds is None:
+        rounds = CROSSOVER_ROUNDS
     least, stalled, slack = np.inf, 0, None
-    for rounds in range(CROSSOVER_ROUNDS + 1):
+    for k in range(rounds + 1):
         if not _finite(point):
             break
         excess = frame.C @ point.z - frame.d
         duals = _feasible_duals(point, eps, scaling)
         if duals is not None and (excess <= eps).all():
             return replace(point, lam=duals[0], mu=duals[1])
-        if rounds == CROSSOVER_ROUNDS:
+        if k == rounds:
             break
         J = point.fact.rows
         mu = _in_frame(point, scaling).mu

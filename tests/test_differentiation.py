@@ -21,6 +21,7 @@ from qpdiff import (
     gen_two_param_family,
     get_backend,
     identify,
+    normalize_constraints,
     random_direction,
     recover_duals,
     solvers,
@@ -35,6 +36,7 @@ from qpdiff.kkt import (
     solve_on,
 )
 from qpdiff.generators import TWO_PARAM_BREAKS
+from qpdiff.identification import DEFAULT_EPS_ACTIVE
 from qpdiff.oracles import full_implicit_jacobian
 from qpdiff.solvers import (
     AdmmBackend,
@@ -722,6 +724,44 @@ class TestCertification:
         np.testing.assert_array_equal(sol.active.indices, [])
         np.testing.assert_array_equal(sol.point.z, [0.5, 0.0])
         np.testing.assert_array_equal(sol.point.mu, [0.0, 0.0])
+
+    def test_backend_without_duals_gets_the_certified_ones(self):
+        # z_0 = 0.5 stated as two rows: the minimum-norm duals on both are
+        # (0.25, -0.25), and the point is certified by duals moved along the
+        # null basis; those are the ones reported
+        prob = QpProblem(np.eye(2), [-1.0, 0.0], C=[[1.0, 0.0], [-1.0, 0.0]],
+                         d=[0.5, -0.5])
+        eps = DEFAULT_EPS_ACTIVE
+        sol = differentiable_solve(prob, primal_only())
+        assert sol.fact.mode == LEAST_SQUARES
+        np.testing.assert_array_equal(sol.active.indices, [0, 1])
+        # the sign rule's loop meets its rows within its feasibility tolerance
+        assert sol.point.mu.min() >= -eps * (1 + 1e-9)
+        assert sol.point.r_d <= 1e-12
+
+    @pytest.mark.parametrize("seed", BORDERED_SIMPLEX_SEEDS)
+    def test_sign_rule_reads_scaled_multipliers_on_a_bordered_set(self, monkeypatch, seed):
+        # under normalize the point on J is fresh, and its minimum-norm
+        # multipliers, read in the scaled frame, are lifted by the null basis
+        prob, _ = bordered_simplex_point(seed)
+        eps = DEFAULT_EPS_ACTIVE
+        lifted, rule = [], solvers._feasible_duals
+
+        def recording_rule(point, eps, scaling=None):
+            if scaling is not None:
+                lifted.append(solvers._in_frame(point, scaling).mu.min() < -eps)
+            return rule(point, eps, scaling)
+
+        monkeypatch.setattr(solvers, "_feasible_duals", recording_rule)
+        plain = differentiable_solve(prob, "admm")
+        sol = differentiable_solve(prob, "admm", normalize=True)
+        assert lifted == [True]
+        assert sol.active.indices.size == 300
+        np.testing.assert_array_equal(sol.active.indices, plain.active.indices)
+        assert sol.fact.mode == plain.fact.mode == LEAST_SQUARES
+        scales = normalize_constraints(prob)[1].ineq_scales
+        J = sol.active.indices
+        assert (sol.point.mu * scales)[J].min() >= -eps * (1 + 1e-9)
 
     def test_point_with_no_row_to_exchange_raises(self):
         # z_1 <= -1 and -z_1 <= -1 cannot both hold; z = 0 breaks both, so

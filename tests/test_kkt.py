@@ -128,8 +128,9 @@ class TestFactorize:
         # has a 500-dimensional null space in its dual rows
         rng = np.random.Generator(np.random.PCG64(7))
         n, p = 1100, 500
-        B = sp.random_array((p, n), density=0.01, rng=rng) + sp.eye_array(p, n)
-        P = 2.0 * sp.eye_array(n)
+        B = (sp.csc_array(sp.random(p, n, density=0.01, random_state=rng))
+             + sp.csc_array(sp.eye(p, n)))
+        P = 2.0 * sp.csc_array(sp.eye(n))
         prob = QpProblem(P, np.zeros(n), A=sp.vstack([B, B]), b=np.zeros(2 * p))
         kkt = assemble_reduced_kkt(prob, np.array([], dtype=int))
         fact = factorize(kkt)
@@ -138,7 +139,7 @@ class TestFactorize:
         # oracle: the nonsingular [[P, B'], [B, 0]] solved with the averaged
         # dual right-hand side; minimum norm splits each dual evenly between
         # the two copies of its row
-        reduced = sp.csc_array(sp.block_array([[P, B.T], [B, None]]))
+        reduced = sp.csc_array(sp.bmat([[P, B.T], [B, None]]))
         for _ in range(2):
             rhs = rng.standard_normal(kkt.order)
             top, first, second = rhs[:n], rhs[n : n + p], rhs[n + p :]
@@ -489,10 +490,10 @@ class TestDenseAssembly:
 
 
 def block_array_saddle(prob, rows):
-    """K_J assembled by ``sp.block_array``: the reference for the builder."""
+    """K_J assembled by ``sp.bmat``: the reference for the builder."""
     CJ = sp.csr_array(prob.C)[np.asarray(rows, dtype=int)]
-    mat = sp.block_array([[prob.P, prob.A.T, CJ.T], [prob.A, None, None],
-                          [CJ, None, None]], format="csc")
+    mat = sp.csc_array(sp.bmat([[prob.P, prob.A.T, CJ.T], [prob.A, None, None],
+                                [CJ, None, None]], format="csc"))
     mat.sort_indices()
     return mat
 
@@ -562,8 +563,8 @@ class TestSaddleBuilder:
         kkt = assemble_reduced_kkt(prob, rows)
         Z = _null_basis(kkt)
         assert Z.shape[1] > 0
-        expected = sp.block_array([[block_array_saddle(prob, rows), Z], [Z.T, None]],
-                                  format="csc")
+        expected = sp.csc_array(sp.bmat([[block_array_saddle(prob, rows), Z], [Z.T, None]],
+                                        format="csc"))
         assert_same_csc(_saddle(prob, rows, border=Z), expected)
         fact = factorize(kkt)
         assert fact.mode == LEAST_SQUARES

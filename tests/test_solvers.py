@@ -756,7 +756,7 @@ class TestAdmmSolver:
 
         def rejecting_finish(problem, ops, J, *rest):
             tries.append(len(checks))  # the check it follows, counted from 1
-            return None
+            return solvers._failed(problem)
 
         monkeypatch.setattr(solvers, "_primal_dual", counting_primal_dual)
         monkeypatch.setattr(solvers, "_finish", rejecting_finish)
@@ -793,7 +793,7 @@ class TestAdmmSolver:
 
         n = 200
         P = sp.diags_array(np.r_[np.ones(n - 1), -100.0], format="csc")
-        prob = QpProblem(P, np.ones(n), C=sp.vstack([sp.eye_array(n), -sp.eye_array(n)]),
+        prob = QpProblem(P, np.ones(n), C=sp.vstack([sp.eye(n), -sp.eye(n)], format="csc"),
                          d=np.ones(2 * n))
         monkeypatch.setattr(kkt_module, "_DENSE_FILL", fill)
         point = solve_admm(prob)
@@ -812,7 +812,7 @@ class TestAdmmSolver:
             L = sp.diags_array([np.ones(n // 2), -0.5 * np.ones(n // 2 - 1)], offsets=[0, 1])
             P = sp.block_diag([L.T @ L, sp.csc_array((n - n // 2, n - n // 2))], format="csc")
         prob = QpProblem(P, rng.standard_normal(n),
-                         C=sp.vstack([sp.eye_array(n), -sp.eye_array(n)]), d=np.ones(2 * n))
+                         C=sp.vstack([sp.eye(n), -sp.eye(n)], format="csc"), d=np.ones(2 * n))
         monkeypatch.setattr(kkt_module, "_DENSE_FILL", np.inf)  # every matrix sparse
         point = solve_admm(prob)
         assert point.status == SOLVED
@@ -867,6 +867,21 @@ class TestEqualityBackend:
         assert point.status == SOLVED
         res = residuals(prob, point)
         assert res.r_p <= 2e-6 and res.r_d <= 2e-6
+
+    def test_fails_when_a_residual_exceeds_the_tolerance(self):
+        # q of size 1e10 leaves r_d = 4.1e-5 at working precision, above
+        # eps_abs = 1e-6: both direct backends fail by the one exit rule
+        rng = np.random.Generator(np.random.PCG64(3))
+        W = rng.standard_normal((30, 30))
+        prob = QpProblem(W.T @ W + np.eye(30), 1e10 * rng.standard_normal(30),
+                         A=rng.standard_normal((3, 30)), b=rng.standard_normal(3))
+        for point in (EqualityBackend().solve(prob, SolveSettings()), solve_active_set(prob)):
+            assert point.status == FAILED
+            assert point.fact.mode == DIRECT
+            assert 1e-5 < point.r_d < 1e-4
+        looser = SolveSettings(eps_abs=1e-4)
+        assert EqualityBackend().solve(prob, looser).status == SOLVED
+        assert solve_active_set(prob, looser).status == SOLVED
 
     def test_solves_when_inequalities_slack(self):
         prob = QpProblem(np.eye(2), np.array([1.0, 1.0]), C=[[1.0, 0.0]], d=[5.0])
