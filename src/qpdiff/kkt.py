@@ -12,9 +12,13 @@ own and keeps a QR of its working rows on their null space, and ADMM's
 iteration on dense data, which factors a reduced n x n matrix by Cholesky,
 this module is the only place such systems are built and solved.  Its
 consumers are the ADMM iteration matrix on sparse data (K_J on every row
-plus a diagonal shift, quasi-definite), factored by :func:`_symmetric_lu`,
-which also decides ``validate``'s positive-definiteness check of a sparse
-P, and, through :func:`solve_on`, every solve on a row
+plus a diagonal shift, quasi-definite), factored by :func:`_shifted_lu`,
+which keeps the work that depends only on a sparsity pattern, the
+minimum-degree ordering and the gathers that fill the permuted matrix,
+once per pattern in one bounded, lock-guarded cache that cannot change a
+result; ``validate``'s positive-definiteness check of a sparse P, decided
+by :func:`_symmetric_lu`, the same factorization without the cache; and,
+through :func:`solve_on`, every solve on a row
 set J: the point on J, formed by ``solvers._point_on``, the one caller of
 :func:`factorize`, for ``solvers._finish``, the one exit of the built-in
 backends (J empty for the equality backend), for crossover rounds, and
@@ -37,8 +41,8 @@ layout.  K_J itself is factored when the bound rows fix fewer than a
 tenth of the variables, as on random-sparse, where the substitution would
 remove almost nothing, when two bound rows fix one variable, when they
 fix every variable, or when a null vector of the reduced matrix is not one
-of K_J.  The matrix factored, K_J or the reduced one, is filled dense
-and factored in place by LAPACK LU when at least a quarter of its entries
+of K_J.  The matrix factored, K_J or the reduced one, is filled dense and
+factored in place by LAPACK LU when at least a quarter of its entries
 are nonzero, counted from its blocks, with solves by BLAS triangular
 solves; any other is factored by SuperLU.  Only the LU is kept, and every
 solve is one LU solve.  Every sparse saddle matrix, K_J, the reduced
@@ -46,10 +50,11 @@ matrix, their bordered forms and ADMM's shifted matrix, comes from one
 builder, :func:`_saddle`, which fills the CSC arrays straight from the
 compressed columns of P, A and C by ``indptr`` arithmetic, with no COO
 form, block assembly or sparse sum; only the rows of A and C_J are found
-by a stable sort of their row indices.  The sparse form of a dense K_J is
-built only when something reads it.  A singular matrix is bordered with a
-basis of its null space and factored by the same engine, so its solves
-return the minimum-norm least-squares solution.  On the dense engine the
+by a stable sort of their row indices; the gathers of ADMM's cached
+matrix are found by running the builder once on tags.  The sparse form of
+a dense K_J is built only when something reads it.  A singular matrix is
+bordered with a basis of its null space and factored by the same engine,
+so its solves return the minimum-norm least-squares solution.  On the dense engine the
 basis comes from one pivoted QR of the dense M = [A' C_J'].  On the sparse
 engine M is gathered in sparse form by the same builder: its column
 singletons, such as the columns of bound rows, are eliminated first in
@@ -60,6 +65,7 @@ shared by it, the null basis and the bordered matrix.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -709,28 +715,206 @@ def _lu_or_none(matrix, **options):
         return None
 
 
-def _symmetric_lu(matrix, positive):
+def _symmetric_lu(matrix, positive, ordered=False):
     """SuperLU of the symmetric ``matrix`` as ``L D L'`` permuted
     symmetrically, or None unless it has exactly ``positive`` positive pivots.
 
-    The ordering is minimum degree on the pattern of ``matrix + matrix'``
-    and every pivot is diagonal (``diag_pivot_thresh=0``, ``SymmetricMode``).
-    The factor is refused when SuperLU took an off-diagonal pivot after all
-    (``perm_r != perm_c``), or when the count of positive ``U_ii`` is not
-    ``positive``: by Sylvester's law of inertia that count is the number of
-    positive eigenvalues.  So a matrix of order n passes with ``positive =
-    n`` exactly when it is positive definite, and a quasi-definite
-    ``[[H, G'], [G, -D]]``, H of order n and D positive diagonal, exactly
-    when ``H + G' D^-1 G`` is.  A quasi-definite matrix has such a factor
-    under every symmetric ordering (Vanderbei, SIAM J. Optim. 1995), so no
-    row pivoting is needed; this is the LDL' factor OSQP makes of its ADMM
-    matrix.
+    The ordering is minimum degree on the pattern of ``matrix + matrix'``,
+    or none when ``matrix`` is ``ordered``: already permuted by such an
+    ordering (:func:`_shifted_lu`) and structurally nonsingular, so neither
+    the ordering nor the structural-rank guard of :func:`_lu_or_none` is
+    computed.  Every pivot is diagonal (``diag_pivot_thresh=0``,
+    ``SymmetricMode``).  The factor is refused when SuperLU took an
+    off-diagonal pivot after all (``perm_r != perm_c``), or when the count
+    of positive ``U_ii`` is not ``positive``: by Sylvester's law of inertia
+    that count is the number of positive eigenvalues.  So a matrix of order
+    n passes with ``positive = n`` exactly when it is positive definite, and
+    a quasi-definite ``[[H, G'], [G, -D]]``, H of order n and D positive
+    diagonal, exactly when ``H + G' D^-1 G`` is.  A quasi-definite matrix
+    has such a factor under every symmetric ordering (Vanderbei, SIAM J.
+    Optim. 1995), so no row pivoting is needed; this is the LDL' factor OSQP
+    makes of its ADMM matrix.
     """
-    lu = _lu_or_none(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                     options=dict(SymmetricMode=True))
+    options = dict(diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+    if not ordered:
+        lu = _lu_or_none(matrix, permc_spec="MMD_AT_PLUS_A", **options)
+    else:
+        try:
+            lu = splu(matrix, permc_spec="NATURAL", **options)
+        except RuntimeError:
+            lu = None
     if lu is None or not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu if np.count_nonzero(lu.U.diagonal() > 0) == positive else None
+
+
+# the most sparsity patterns whose ordering _shifted_lu keeps
+_PLAN_CAPACITY = 8
+_plans: dict = {}
+_plans_lock = threading.Lock()
+
+
+def _shifted_lu(problem, shift, positive):
+    """:func:`_symmetric_lu` of ``_saddle(problem, all rows, shift)``, with
+    the work that depends only on the problem's sparsity pattern done once
+    per pattern, as OSQP orders its KKT matrix once at setup (Stellato et
+    al., Math. Prog. Comp. 2020).  The result has ``solve``.
+
+    The first factorization of a pattern, a miss, is made as without a
+    cache: :func:`_saddle`, then the minimum-degree factor behind the
+    structural-rank guard.  When it passes, its ordering is kept, keyed by
+    the shapes, the ``indptr`` and ``indices`` of P, A and C and the places
+    of their stored zeros.  The next factorization of the pattern, the first
+    hit, lays out the :class:`_ShiftedPlan` of the matrix permuted by that
+    ordering and keeps it in the ordering's place.  Each hit fills the
+    permuted matrix by the plan's gathers and factors it with no ordering
+    and no guard: the shifted matrix stores its whole diagonal, so it is
+    structurally nonsingular.  Its solves permute the right-hand side and
+    the solution.  The permuted columns keep their rows in the original
+    order, so SuperLU takes the same steps on them as in the miss's factor,
+    and a hit returns bit for bit the solves of a miss: the cache cannot
+    change a result.  A matrix with a zero on its diagonal, where the
+    pattern would hang on the values, is factored as on a miss, and nothing
+    is kept for it.  At most ``_PLAN_CAPACITY`` patterns are kept, the least
+    recently used dropped first; the dict is guarded by a lock and its
+    arrays are read-only, so threads may share them.
+    """
+    key = _pattern_key(problem)
+    with _plans_lock:
+        plan = _plans.pop(key, None)
+        if plan is not None:
+            _plans[key] = plan  # the most recently used last
+    if isinstance(plan, np.ndarray):  # the ordering alone, kept by a miss
+        plan = _ShiftedPlan.of(problem).permuted(plan)
+        with _plans_lock:
+            if key in _plans:
+                _plans[key] = plan
+    if plan is not None:
+        data = plan.fill(problem, shift)
+        if data.all():
+            order = plan.indptr.size - 1
+            matrix = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(order, order))
+            # the rows of a column are in the original order, which SuperLU
+            # reads as they are; this keeps splu from sorting them
+            matrix.has_canonical_format = True
+            lu = _symmetric_lu(matrix, positive, ordered=True)
+            return None if lu is None else _OrderedLu(lu, plan.perm, plan.inv)
+    matrix = _saddle(problem, np.arange(problem.m), shift)
+    lu = _symmetric_lu(matrix, positive)
+    if lu is not None and matrix.diagonal().all():
+        perm = np.array(lu.perm_c, dtype=np.intp)  # a copy: SuperLU owns its own
+        perm.flags.writeable = False
+        with _plans_lock:
+            _plans[key] = perm
+            while len(_plans) > _PLAN_CAPACITY:
+                del _plans[next(iter(_plans))]
+    return lu
+
+
+def _pattern_key(problem):
+    """The sparsity pattern of ``problem``'s P, A and C: their shapes, index
+    arrays and the places of their stored zeros."""
+    key = [problem.n, problem.p, problem.m]
+    for M in (problem.P, problem.A, problem.C):
+        key += [M.indptr.dtype.str, M.indptr.tobytes(), M.indices.tobytes(),
+                np.flatnonzero(M.data == 0).tobytes()]
+    return tuple(key)
+
+
+class _Pattern(NamedTuple):
+    """The blocks :func:`_saddle` reads of a problem."""
+
+    n: int
+    p: int
+    m: int
+    P: _Csc
+    A: _Csc
+    C: _Csc
+
+
+class _ShiftedPlan(NamedTuple):
+    """The CSC pattern of ``_saddle(problem, all rows, shift)`` for one
+    sparsity pattern, and the gathers that fill it.
+
+    With ``src = (P.data, A.data, C.data, shift)`` concatenated, entry k
+    holds ``src[take[k]]``, plus ``P.data[diag_from]`` at ``diag_at``: the
+    stored diagonal of P merged into the shift.  Stored zeros are not in
+    the pattern.  ``perm`` and ``inv`` are None until the plan is permuted
+    by an ordering (:meth:`permuted`).
+    """
+
+    take: np.ndarray
+    diag_at: np.ndarray
+    diag_from: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    perm: np.ndarray | None = None
+    inv: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, problem):
+        """The plan of ``problem``'s pattern, in :func:`_saddle`'s layout,
+        found by running :func:`_saddle` on tags: each entry of the blocks
+        and of the shift is tagged by 1 + its place in ``src``, and P's
+        diagonal by 0, so the merged diagonal carries the shift's tag."""
+        n, p, m, P, A, C = problem.n, problem.p, problem.m, problem.P, problem.A, problem.C
+        ends = np.cumsum([P.nnz, A.nnz, C.nnz])
+        tags = np.arange(1.0, ends[-1] + n + p + m + 1)  # exact in floats
+        col = np.repeat(np.arange(n), np.diff(P.indptr))
+        tagged = _Pattern(
+            n, p, m,
+            _Csc(np.where(P.indices == col, 0.0, tags[: ends[0]]), P.indices, P.indptr, P.shape),
+            _Csc(tags[ends[0] : ends[1]], A.indices, A.indptr, A.shape),
+            _Csc(tags[ends[1] : ends[2]], C.indices, C.indptr, C.shape))
+        mat = _saddle(tagged, np.arange(m), tags[ends[2] :])
+        take = mat.data.astype(np.intp) - 1
+        zero = np.concatenate([P.data, A.data, C.data, np.ones(n + p + m)]) == 0
+        take, indices, indptr = _kept(take, mat.indices, mat.indptr, ~zero[take])
+        # the shift's entry j < n takes P's diagonal entry j, where P stores it
+        stored = np.full(n, -1)
+        on = np.flatnonzero(P.indices == col)
+        stored[col[on]] = on
+        diag_at = np.flatnonzero((take >= ends[2]) & (take < ends[2] + n))
+        diag_from = stored[take[diag_at] - ends[2]]
+        return cls(take, diag_at[diag_from >= 0], diag_from[diag_from >= 0], indices, indptr)
+
+    def fill(self, problem, shift):
+        """The entries of the pattern for ``problem`` and ``shift``."""
+        P = problem.P
+        data = np.concatenate([P.data, problem.A.data, problem.C.data, shift])[self.take]
+        data[self.diag_at] += P.data[self.diag_from]
+        return data
+
+    def permuted(self, perm):
+        """The plan of the matrix permuted symmetrically by ``perm``, SuperLU's
+        ``perm_c``: row and column i go to ``perm[i]``.  Column k is column
+        ``inv[k]``, its rows relabelled and kept in their order; every array
+        is read-only."""
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size)
+        at, _ = _entries(self.indptr, inv)
+        place = np.empty(self.take.size, dtype=np.intp)
+        place[at] = np.arange(at.size)
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.diff(self.indptr)[inv], out=indptr[1:])
+        plan = _ShiftedPlan(self.take[at], place[self.diag_at], self.diag_from,
+                            perm[self.indices[at]].astype(self.indices.dtype), indptr,
+                            perm, inv)
+        for array in plan:
+            array.flags.writeable = False
+        return plan
+
+
+class _OrderedLu(NamedTuple):
+    """The factor of a symmetrically permuted matrix (:func:`_shifted_lu`),
+    solved in the unpermuted matrix's layout."""
+
+    lu: object
+    perm: np.ndarray
+    inv: np.ndarray
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs[self.inv])[self.perm]
 
 
 def _rank_cut(diag, shape):

@@ -3,8 +3,9 @@
 Three built-in backends cover the spectrum a differentiation layer has to
 tolerate: an exact dense dual active-set method, a first-order sparse
 operator-splitting (ADMM) method, and an equality-only direct solve.  All
-backends are stateless per call; the registry guards concurrent registration
-with a lock.
+backends are stateless per call, but for the orderings of ADMM's sparse
+matrix, cached per sparsity pattern (``kkt._shifted_lu``), which cannot
+change a result; the registry guards concurrent registration with a lock.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .kkt import (
     _dense_enough,
     _pivoted_qr,
     _rank_cut,
-    _saddle,
-    _symmetric_lu,
+    _shifted_lu,
     assemble_reduced_kkt,
     factorize,
     solve_on,
@@ -286,8 +286,7 @@ def _dual_active_set(P, q, A, b, C, d, max_iterations=None, deadline=None):
     Q, R = np.eye(n - rp, order="F"), np.zeros((n - rp, 0))
     row_max = np.abs(B).max(axis=1, initial=0.0)  # |b_j|_inf
 
-    # an infinite bound never binds, so it sets no scale
-    feas_tol = 1e-9 * (1.0 + float(np.abs(d[np.isfinite(d)]).max(initial=0.0)))
+    feas_tol = _feasibility_tol(d)
     work = np.zeros(0, dtype=int)  # working inequality rows, ascending
     y_work = np.zeros(0)  # their multipliers
     j = None  # the violated row being added, with multiplier y_j
@@ -352,6 +351,13 @@ def _dual_active_set(P, q, A, b, C, d, max_iterations=None, deadline=None):
     return dtrsv(L, u, lower=1, trans=1), work, mu, status, it
 
 
+def _feasibility_tol(d):
+    """The excess over its bound at which :func:`_dual_active_set` counts a
+    row of ``C x <= d`` as met: 1e-9 (1 + max|d|) over the finite bounds;
+    an infinite bound never binds, so it sets no scale."""
+    return 1e-9 * (1.0 + float(np.abs(d[np.isfinite(d)]).max(initial=0.0)))
+
+
 # --- sparse operator-splitting method -----------------------------------------
 
 
@@ -374,11 +380,14 @@ class AdmmBackend(SolverBackend):
     eliminated.  On that dense path every residual check and the residuals
     of a finishing point take their products with the dense P and G formed
     for the factorization, not with the sparse blocks.
-    Otherwise the matrix is filled in CSC form straight from the problem
-    blocks by ``kkt._saddle``, with the shift merged into P's diagonal, and
-    factored by ``kkt._symmetric_lu``: SuperLU's LDL' with a symmetric
-    minimum-degree ordering and diagonal pivots, which must show n positive
-    pivots, as OSQP factors and checks the same matrix.  Its residual
+    Otherwise the matrix, K_J on every row with the shift merged into P's
+    diagonal, is factored by ``kkt._shifted_lu``: SuperLU's LDL' with a
+    symmetric minimum-degree ordering and diagonal pivots, which must show
+    n positive pivots, as OSQP factors and checks the same matrix.  As
+    OSQP orders its matrix once at setup, the ordering is computed once per
+    sparsity pattern: a later solve on the same pattern gathers the values
+    into the permuted matrix and factors it with no ordering, bit for bit
+    as the first solve's factor.  Its residual
     checks use the sparse blocks, with A' and C' formed once per solve, and
     its step returns ``z~ = r2 + nu / rho`` (OSQP's form).  The penalty is
     fixed (``ADMM_RHO``, times ``ADMM_RHO_EQ_SCALE`` on equality rows) and
@@ -453,7 +462,7 @@ class AdmmBackend(SolverBackend):
             shift = np.concatenate([np.full(n, ADMM_SIGMA), -rho_inv])
             # quasi-definite: LDL' with diagonal pivots; n positive pivots
             # exactly when P + sigma I + G' diag(rho) G is positive definite
-            lu = _symmetric_lu(_saddle(problem, np.arange(m), shift), n)
+            lu = _shifted_lu(problem, shift, n)
             if lu is None:  # P is not positive semidefinite
                 return _failed(problem)
 
@@ -621,8 +630,12 @@ def _feasible_duals(point, eps, scaling=None):
     null dimension, solved by the loop of :class:`ActiveSetBackend`
     (:func:`_dual_active_set`) on its dense rows; w is the loop's own, so
     no ``QpProblem`` is built and no K_J is factored for it.  Nothing is
-    solved when mu_J is at least ``-eps`` already, or when a row below it
-    is one no null vector moves."""
+    solved when mu_J is at least ``-eps`` already, when a row below it is
+    one no null vector moves, or when every row below it is so by no more
+    than the loop's feasibility tolerance (:func:`_feasibility_tol`): the
+    loop would stop at w = 0 before its first step.  The rows the loop
+    lifts end within rounding of ``-eps``, so its duals, judged again, need
+    no solve."""
     mu = _in_frame(point, scaling).mu
     low = mu < -eps  # mu is zero off J
     if not low.any():
@@ -631,14 +644,18 @@ def _feasible_duals(point, eps, scaling=None):
     moved = Y[p:].any(axis=1)
     if low[J[~moved]].any():
         return None
+    rows = J[moved]
+    bound = mu[rows] + eps
+    if -bound.min() <= _feasibility_tol(bound):
+        return point.lam, point.mu
     # Y R^-1 has orthonormal columns, and the rows of Y that are zero stay so
     Y = solve_triangular(qr(Y, mode="r")[0][: Y.shape[1]], Y.T, trans="T").T
-    rows, Y_J = J[moved], Y[p:][moved]
+    Y_J = Y[p:][moved]
     if scaling is not None:
         Y_J = scaling.ineq_scales[rows, None] * Y_J
     k = Y.shape[1]
     move, _, _, status, _ = _dual_active_set(np.eye(k), np.zeros(k), np.zeros((0, k)),
-                                             np.zeros(0), -Y_J, mu[rows] + eps)
+                                             np.zeros(0), -Y_J, bound)
     if status != SOLVED:
         return None
     shift = Y @ move

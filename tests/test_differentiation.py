@@ -881,9 +881,13 @@ class TestThreadSafety:
         assert errors == []
         assert mismatches == []
 
-    def test_threads_solving_one_shared_sparse_problem(self):
-        # each round's threads start together on a fresh problem, so state
-        # that a solve kept on the problem would be raced on
+    def test_threads_solving_one_shared_sparse_problem(self, monkeypatch):
+        # each round's threads start together on a fresh problem and an
+        # empty cache of ADMM's orderings, so state that a solve kept on the
+        # problem would be raced on, and so would the first plan of its
+        # pattern (kkt._shifted_lu)
+        import qpdiff.kkt as kkt
+
         n_threads, rounds = 8, 10
         g = np.random.Generator(np.random.PCG64(80)).standard_normal(200)
 
@@ -909,6 +913,7 @@ class TestThreadSafety:
         try:
             for _ in range(rounds):
                 shared, barrier = chain_with_duplicated_row(), threading.Barrier(n_threads)
+                monkeypatch.setattr(kkt, "_plans", {})
                 threads = [
                     threading.Thread(target=worker, args=(shared, barrier, k))
                     for k in range(n_threads)
@@ -923,6 +928,7 @@ class TestThreadSafety:
         assert stuck == []
         assert errors == []
         assert mismatches == []
+        assert len(kkt._plans) == 1
 
     def test_threads_running_the_loop_and_the_sign_rule(self):
         # the loop calls LAPACK and the Cython QR updates directly, in place

@@ -12,9 +12,11 @@ from qpdiff import (
     SolveSettings,
     assemble_reduced_kkt,
     condition_estimate,
+    backward,
     differentiable_solve,
     factorize,
     full_implicit_matrix,
+    gen_chain,
     gen_random_dense,
     gen_random_sparse,
     gen_simplex,
@@ -26,9 +28,14 @@ from qpdiff.kkt import (
     DIRECT,
     LEAST_SQUARES,
     SPARSE,
+    _PLAN_CAPACITY,
     _dense_enough,
     _null_basis,
+    _pattern_key,
     _saddle,
+    _shifted_lu,
+    _ShiftedPlan,
+    _symmetric_lu,
     solve_on,
 )
 
@@ -576,14 +583,10 @@ class TestSaddleBuilder:
 
         prob = missing_diagonal_qp()
         assert (prob.P.diagonal() == 0).sum() == 2
-        factored = []
-
-        def recording_splu(matrix, *args, **kwargs):
-            factored.append(matrix)
-            return splu(matrix, *args, **kwargs)
-
-        monkeypatch.setattr("qpdiff.kkt.splu", recording_splu)
-        solve_admm(prob, solvers.SolveSettings(max_iterations=1))
+        factored = record_splu(monkeypatch)
+        cold_plans(monkeypatch)
+        for _ in range(2):  # a miss, then a hit
+            solve_admm(prob, solvers.SolveSettings(max_iterations=1))
         rho = np.full(prob.p + prob.m, solvers.ADMM_RHO)
         rho[: prob.p] *= solvers.ADMM_RHO_EQ_SCALE
         shift = np.concatenate([np.full(prob.n, solvers.ADMM_SIGMA), -1.0 / rho])
@@ -592,30 +595,159 @@ class TestSaddleBuilder:
         # the sum drops the six explicit zeros of K and fills its diagonal
         assert (K.data == 0).sum() == 6 and (K.diagonal() == 0).sum() == 2 + 17
         assert expected.nnz == K.nnz - 6 + 19 and expected.diagonal().all()
-        assert len(factored) == 1
-        assert_same_csc(factored[0], expected)
+        [(miss, miss_lu, miss_spec), (hit, _, hit_spec)] = factored
+        assert (miss_spec, hit_spec) == ("MMD_AT_PLUS_A", "NATURAL")
+        assert_same_csc(sp.csc_array(miss), expected)
+        # the hit factors the same matrix permuted symmetrically by the
+        # miss's ordering, with the same stored entries
+        inv = np.argsort(miss_lu.perm_c)
+        permuted, reference = sp.csc_array(hit, copy=True), sp.csc_array(expected[inv][:, inv])
+        for mat in (permuted, reference):
+            mat.has_sorted_indices = False  # the hit's rows keep the original order
+            mat.sort_indices()
+        assert_same_csc(permuted, reference)
 
     @pytest.mark.parametrize("case", ["sparse-degenerate", "simplex-3000"])
     def test_admm_matrix_factors_with_diagonal_pivots(self, case, monkeypatch):
         # quasi-definite, so its LDL' needs no off-diagonal pivot and shows
-        # the inertia (n, p + m): n positive pivots
+        # the inertia (n, p + m): n positive pivots, on a miss and on a hit
         if case == "sparse-degenerate":
             prob = redundant_simplex(300)[0]
         else:
             prob = gen_simplex(3000, 0)[0]
-        factored = []
+        factored = record_splu(monkeypatch)
+        cold_plans(monkeypatch)
+        for _ in range(2):
+            solve_admm(prob, SolveSettings(max_iterations=1))
+        assert [spec for *_, spec in factored] == ["MMD_AT_PLUS_A", "NATURAL"]
+        for matrix, lu, _ in factored:
+            np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+            assert np.count_nonzero(lu.U.diagonal() > 0) == prob.n
+            default = splu(sp.csc_matrix(matrix.tocoo()))  # sorted indices
+            assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
+        # the hit's factor is the miss's, in the miss's order
+        (_, miss, _), (_, hit, _) = factored
+        np.testing.assert_array_equal(hit.perm_c, np.arange(prob.n + prob.p + prob.m))
+        for name in ("L", "U"):
+            assert_same_csc(sp.csc_array(getattr(hit, name)),
+                            sp.csc_array(getattr(miss, name)))
 
-        def recording_splu(matrix, *args, **kwargs):
-            factored.append((matrix, splu(matrix, *args, **kwargs)))
-            return factored[-1][1]
 
-        monkeypatch.setattr("qpdiff.kkt.splu", recording_splu)
-        solve_admm(prob, SolveSettings(max_iterations=1))
-        [(matrix, lu)] = factored
-        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
-        assert np.count_nonzero(lu.U.diagonal() > 0) == prob.n
-        default = splu(matrix)
-        assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
+def record_splu(monkeypatch):
+    """Patch ``kkt.splu`` to record ``(matrix, factor, permc_spec)`` of each
+    call; returns that list."""
+    factored = []
+
+    def recording_splu(matrix, *args, **kwargs):
+        factored.append((matrix, splu(matrix, *args, **kwargs), kwargs.get("permc_spec")))
+        return factored[-1][1]
+
+    monkeypatch.setattr("qpdiff.kkt.splu", recording_splu)
+    return factored
+
+
+def cold_plans(monkeypatch):
+    """Give ``kkt._shifted_lu`` an empty cache for the test; returns it."""
+    plans = {}
+    monkeypatch.setattr("qpdiff.kkt._plans", plans)
+    return plans
+
+
+def admm_shift(prob):
+    """The diagonal shift of ADMM's sparse matrix."""
+    import qpdiff.solvers as solvers
+
+    rho = np.full(prob.p + prob.m, solvers.ADMM_RHO)
+    rho[: prob.p] *= solvers.ADMM_RHO_EQ_SCALE
+    return np.concatenate([np.full(prob.n, solvers.ADMM_SIGMA), -1.0 / rho])
+
+
+def stored_zero_chain():
+    """``gen_chain(30, 30, 0)`` with a stored zero in P, A and C."""
+    prob = gen_chain(30, 30, 0)[0]
+    P, C = sp.csc_array(prob.P, copy=True), sp.csc_array(prob.C, copy=True)
+    off = np.flatnonzero(P.indices != np.repeat(np.arange(prob.n), np.diff(P.indptr)))
+    P.data[off[:2]] = 0.0  # a symmetric pair, kept by the constructor
+    C.data[5] = 0.0
+    A = sp.csc_array(np.ones((1, prob.n)))
+    A.data[3] = 0.0
+    return QpProblem(P, prob.q, A, [1.0], C, prob.d)
+
+
+SHIFTED_CASES = {
+    "sparse-degenerate": lambda: redundant_simplex(300)[0],
+    "simplex-3000": lambda: gen_simplex(3000, 0)[0],
+    "chain": lambda: gen_chain(30, 30, 0)[0],
+    "stored-zeros": missing_diagonal_qp,
+    "stored-zero-chain": stored_zero_chain,
+}
+
+
+class TestShiftedPlans:
+    @pytest.mark.parametrize("case", sorted(SHIFTED_CASES))
+    def test_plan_fills_the_shifted_saddle(self, case):
+        prob = SHIFTED_CASES[case]()
+        shift = admm_shift(prob)
+        plan = _ShiftedPlan.of(prob)
+        data = plan.fill(prob, shift)
+        assert data.all()  # the stored zeros are not in the plan
+        order = prob.n + prob.p + prob.m
+        built = sp.csc_array((data, plan.indices, plan.indptr), shape=(order, order))
+        assert_same_csc(built, _saddle(prob, np.arange(prob.m), shift))
+        perm = np.random.Generator(np.random.PCG64(3)).permutation(order)
+        permuted = plan.permuted(perm)
+        assert not any(a.flags.writeable for a in permuted)
+        got = sp.csc_array((permuted.fill(prob, shift), permuted.indices, permuted.indptr),
+                           shape=(order, order), copy=True)
+        inv = np.argsort(perm)
+        expected = sp.csc_array(built[inv][:, inv])
+        for mat in (got, expected):
+            mat.has_sorted_indices = False  # the plan keeps the original row order
+            mat.sort_indices()
+        assert_same_csc(got, expected)
+
+    @pytest.mark.parametrize("case", sorted(SHIFTED_CASES))
+    def test_hit_gives_the_miss_bit_for_bit(self, case, monkeypatch):
+        prob = SHIFTED_CASES[case]()
+        factored = record_splu(monkeypatch)
+        cold_plans(monkeypatch)
+        # a miss, the first hit, which lays out the plan, and a later hit
+        if case == "stored-zeros":  # one iteration: ADMM does not solve it
+            outputs = [solve_admm(prob, SolveSettings(max_iterations=1)) for _ in range(3)]
+            fields = [(p.z, p.lam, p.mu, p.iterations, p.r_p, p.r_d) for p in outputs]
+        else:
+            sols = [differentiable_solve(prob, "admm") for _ in range(3)]
+            g = np.random.Generator(np.random.PCG64(5)).standard_normal(prob.n)
+            fields = [(s.point.z, s.point.lam, s.point.mu, s.point.iterations, s.point.r_p,
+                       s.point.r_d, s.active.indices, s.fact.mode, backward(s, g).grad_q)
+                      for s in sols]
+        specs = [spec for *_, spec in factored if spec in ("MMD_AT_PLUS_A", "NATURAL")]
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+        for miss, *hits in zip(*fields):
+            assert all(np.array_equal(miss, hit) for hit in hits)
+
+    def test_zero_on_the_diagonal_is_not_planned(self, monkeypatch):
+        # P_00 = -sigma cancels the shift: the pattern hangs on the values
+        prob = QpProblem(np.diag([-1e-6, 1.0]), np.ones(2), C=np.eye(2), d=np.ones(2))
+        plans = cold_plans(monkeypatch)
+        shift = admm_shift(prob)
+        lu = _shifted_lu(prob, shift, prob.n)
+        assert plans == {}
+        expected = _symmetric_lu(_saddle(prob, np.arange(prob.m), shift), prob.n)
+        assert (lu is None) == (expected is None)
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        plans = cold_plans(monkeypatch)
+        probs = [gen_chain(k, 2, 0)[0] for k in range(2, _PLAN_CAPACITY + 5)]
+        keys = []
+        for prob in probs:
+            assert _shifted_lu(prob, admm_shift(prob), prob.n) is not None
+            keys.append(_pattern_key(prob))
+            assert len(plans) <= _PLAN_CAPACITY
+        assert list(plans) == keys[-_PLAN_CAPACITY:]
+        # a hit makes its pattern the most recently used
+        _shifted_lu(probs[-_PLAN_CAPACITY], admm_shift(probs[-_PLAN_CAPACITY]), probs[0].n)
+        assert list(plans)[-1] == keys[-_PLAN_CAPACITY]
 
 
 class TestEngines:

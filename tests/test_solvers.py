@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qpdiff import (
 )
 from qpdiff.errors import RankDeficiencyError
 from qpdiff.kkt import DIRECT, LEAST_SQUARES
+from qpdiff.metrics import _blocks, _primal_dual
 from qpdiff.solvers import (
     ADMM_CHECK_INTERVAL,
     CROSSOVER_ROUNDS,
@@ -985,6 +987,34 @@ class TestCertify:
             _feasible_duals(point, eps)
             best = min(best, time.perf_counter() - start)
         assert best < 0.6e-3
+
+    @pytest.mark.parametrize("seed", BORDERED_SIMPLEX_SEEDS)
+    def test_rule_duals_pass_their_own_judgement(self, monkeypatch, seed):
+        # the loop lifts a multiplier to -eps only up to rounding, here to
+        # -eps - 1.4e-16; judged again, the rule's duals need no solve
+        import qpdiff.solvers as solvers
+
+        eps = 1e-6
+        prob, point = bordered_simplex_point(seed, eps)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _dual_active_set(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_dual_active_set", counting)
+        lam, mu = _feasible_duals(point, eps)
+        assert len(calls) == 1
+        assert (mu < -eps).any()  # so the second judgement has a row to pass
+        again = replace(point, lam=lam, mu=mu)
+        got = _feasible_duals(again, eps)
+        assert len(calls) == 1
+        assert got[0] is lam and got[1] is mu
+        assert certify(prob, again, eps) == ""
+        assert len(calls) == 1
+        # the duals stay exact: stationarity holds to rounding
+        r_d = _primal_dual(prob, _blocks(prob), point.z, lam, mu)[1]
+        assert r_d <= 1e-14
 
     def test_row_violation_and_non_finite_point_fail(self):
         prob = self.held_row(1)
