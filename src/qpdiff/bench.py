@@ -52,6 +52,7 @@ class BenchRecord:
     active_size: int
     fact_mode: str
     bwd_frac: float
+    iterations: int
 
 
 CSV_HEADER = [f.name for f in fields(BenchRecord)]
@@ -137,19 +138,22 @@ def _bench_one(problem_id, problem, backend, grad_z, settings, eps_active,
             active_size=sol.active.size,
             fact_mode=sol.fact.mode,
             bwd_frac=bwd_ms / total if total > 0 else np.nan,
+            iterations=sol.point.iterations,
             **base,
         )
     except (QpdiffError, np.linalg.LinAlgError) as exc:
-        status = getattr(getattr(exc, "point", None), "status", None) or "failed"
+        point = getattr(exc, "point", None)
         return BenchRecord(
-            status=status, forward_ms=np.nan, backward_ms=np.nan, total_ms=np.nan,
-            r_p=np.nan, r_d=np.nan, r_g=np.nan, active_size=-1, fact_mode="",
-            bwd_frac=np.nan, **base,
+            status=getattr(point, "status", None) or "failed", forward_ms=np.nan,
+            backward_ms=np.nan, total_ms=np.nan, r_p=np.nan, r_d=np.nan, r_g=np.nan,
+            active_size=-1, fact_mode="", bwd_frac=np.nan,
+            iterations=getattr(point, "iterations", -1), **base,
         )
 
 
 def summarize(records) -> list[dict]:
-    """Median and quartile timings per (suite prefix, n, backend) group."""
+    """Median and quartile timings, gap and backend iterations of the
+    solved attempts per (suite prefix, n, backend) group."""
     groups = {}
     for rec in records:
         key = (rec.problem_id.rsplit("-s", 1)[0], rec.backend)
@@ -164,7 +168,7 @@ def summarize(records) -> list[dict]:
             "attempts": len(recs),
             "solved": len(solved),
         }
-        for name in ("forward_ms", "backward_ms", "total_ms", "bwd_frac", "r_g"):
+        for name in ("forward_ms", "backward_ms", "total_ms", "bwd_frac", "r_g", "iterations"):
             vals = np.array([getattr(r, name) for r in solved])
             if vals.size:
                 q1, med, q3 = np.percentile(vals, [25, 50, 75])

@@ -236,7 +236,8 @@ def cmd_bench(args):
                 f"total {row['total_ms_median']:9.2f} ms "
                 f"[{row['total_ms_q1']:.2f}, {row['total_ms_q3']:.2f}]  "
                 f"bwd/total {row['bwd_frac_median']:.2f}  "
-                f"gap {row['r_g_median']:.2e}"
+                f"gap {row['r_g_median']:.2e}  "
+                f"iterations {row['iterations_median']:g}"
             )
     return EXIT_OK
 

@@ -2,10 +2,12 @@
 
 Three built-in backends cover the spectrum a differentiation layer has to
 tolerate: an exact dense dual active-set method, a first-order sparse
-operator-splitting (ADMM) method, and an equality-only direct solve.  All
-backends are stateless per call, but for the orderings of ADMM's sparse
-matrix, cached per sparsity pattern (``kkt._shifted_lu``), which cannot
-change a result; the registry guards concurrent registration with a lock.
+operator-splitting (ADMM) method, and an equality-only direct solve.  ADMM
+takes one penalty per constraint row from the data, so rescaling a row or
+the objective does not change its iteration.  All backends are stateless
+per call, but for the orderings of ADMM's sparse matrix, cached per
+sparsity pattern (``kkt._shifted_lu``), which cannot change a result; the
+registry guards concurrent registration with a lock.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ FAILED = "failed"
 DEFAULT_TIME_LIMIT = 60.0
 
 # AdmmBackend: the proximal shift on z, the over-relaxation factor, the
-# penalty on inequality rows and its multiple on equality rows, and the
-# iterations between residual checks after the first five
+# penalty on inequality rows and its multiple on equality rows, each for a
+# unit row and an objective whose P has unit mean |diagonal|
+# (_admm_penalties), and the iterations between residual checks after the
+# first five
 ADMM_SIGMA = 1e-6
 ADMM_RELAXATION = 1.6
-ADMM_RHO = 10.0
+ADMM_RHO = 3.0
 ADMM_RHO_EQ_SCALE = 1e3
 ADMM_CHECK_INTERVAL = 10
 
@@ -390,17 +394,22 @@ class AdmmBackend(SolverBackend):
     as the first solve's factor.  Its residual
     checks use the sparse blocks, with A' and C' formed once per solve, and
     its step returns ``z~ = r2 + nu / rho`` (OSQP's form).  The penalty is
-    fixed (``ADMM_RHO``, times ``ADMM_RHO_EQ_SCALE`` on equality rows) and
-    diagonal data rescaling is off, so runs are deterministic given the
-    settings.
+    one per row and the shift sigma follows P (:func:`_admm_penalties`):
+    the iteration is ADMM with the one penalty ``ADMM_RHO`` (times
+    ``ADMM_RHO_EQ_SCALE`` on equality rows) on the problem with every row
+    of G scaled to unit norm and the objective divided by the mean
+    |diagonal| of P, a diagonal form of OSQP's equilibration, so it does
+    not change when a row and its bound, or P and q, are rescaled.  Nothing
+    adapts during the solve, so runs are deterministic given the settings.
 
     The solve ends on the active set.  From iteration 10 on, each residual
     check guesses J from the duals, as OSQP's polish does: the inequality
     rows whose slack ``d - zs`` in the split variable is below their
-    multiplier ``y``.  When J is the same as at the previous check, a
-    finishing try (:func:`_finish`) takes the point on J, repaired by at
-    most ``CROSSOVER_ROUNDS`` crossover rounds from the ADMM iterate, and
-    the loop stops when that point is ``solved``.  After a
+    multiplier ``y``, both read on that normalized problem:
+    ``(d_i - zs_i) rho_i < ADMM_RHO y_i``.  When J is the same as at the
+    previous check, a finishing try (:func:`_finish`) takes the point on J,
+    repaired by at most ``CROSSOVER_ROUNDS`` crossover rounds from the ADMM
+    iterate, and the loop stops when that point is ``solved``.  After a
     rejected try at iteration k the next comes no earlier than iteration
     ``int(1.5 k)``, so a set that never finishes costs few tries.  When
     the iteration converges on its own, one try runs on the final guess
@@ -426,8 +435,7 @@ class AdmmBackend(SolverBackend):
         lower = np.concatenate([problem.b, np.full(m, -np.inf)])
         upper = np.concatenate([problem.b, problem.d])
 
-        rho = np.full(p + m, ADMM_RHO)
-        rho[:p] *= ADMM_RHO_EQ_SCALE
+        rho, sigma = _admm_penalties(problem)
         rho_inv = 1.0 / rho
 
         # factored raw, not through factorize: the loop needs no fallback
@@ -437,7 +445,7 @@ class AdmmBackend(SolverBackend):
             Gd = np.vstack([A.toarray(), C.toarray()])
             ops = (problem.P.toarray(), Gd[:p], Gd[p:], Gd[:p].T, Gd[p:].T)
             reduced = np.array(ops[0], order="F")
-            reduced[np.diag_indices(n)] += ADMM_SIGMA
+            reduced[np.diag_indices(n)] += sigma
             # one rank-k update of the upper triangle by (diag(sqrt rho) G)',
             # a Fortran-ordered view: 0.55x the time of the gemm at n = 200
             scaled = (np.sqrt(rho)[:, None] * Gd).T
@@ -459,7 +467,7 @@ class AdmmBackend(SolverBackend):
         else:
             # every residual check goes through the blocks, transposes formed once
             ops = _blocks(problem)
-            shift = np.concatenate([np.full(n, ADMM_SIGMA), -rho_inv])
+            shift = np.concatenate([np.full(n, sigma), -rho_inv])
             # quasi-definite: LDL' with diagonal pivots; n positive pivots
             # exactly when P + sigma I + G' diag(rho) G is positive definite
             lu = _shifted_lu(problem, shift, n)
@@ -492,7 +500,7 @@ class AdmmBackend(SolverBackend):
         while it < settings.max_iterations:
             y_scaled = rho_inv * y
             # z~ = zs + (nu - y) / rho = r2 + nu / rho, OSQP's identity
-            x_t, z_t = step(ADMM_SIGMA * x - problem.q, zs - y_scaled)
+            x_t, z_t = step(sigma * x - problem.q, zs - y_scaled)
             x = ADMM_RELAXATION * x_t + (1.0 - ADMM_RELAXATION) * x
             w = ADMM_RELAXATION * z_t + (1.0 - ADMM_RELAXATION) * zs + y_scaled
             zs = np.clip(w, lower, upper)
@@ -512,7 +520,7 @@ class AdmmBackend(SolverBackend):
                 ):
                     break
                 if self.polish and it > 5:
-                    J = np.flatnonzero(problem.d - zs[p:] < y[p:])
+                    J = np.flatnonzero((problem.d - zs[p:]) * rho[p:] < ADMM_RHO * y[p:])
                     if it >= next_try and np.array_equal(J, prev_J):
                         finished = _finish(problem, ops, J, x, settings.eps_abs)
                         if finished.status == SOLVED:
@@ -523,7 +531,7 @@ class AdmmBackend(SolverBackend):
         if status != SOLVED:
             r_p, r_d = _primal_dual(problem, ops, x, y[:p], y[p:])
         elif self.polish:
-            J = np.flatnonzero(problem.d - zs[p:] < y[p:])
+            J = np.flatnonzero((problem.d - zs[p:]) * rho[p:] < ADMM_RHO * y[p:])
             finished = _finish(problem, ops, J, x, settings.eps_abs)
             if finished.status == SOLVED and _residual(finished) < max(r_p, r_d):
                 finished.iterations = it
@@ -537,6 +545,26 @@ class AdmmBackend(SolverBackend):
             r_d=r_d,
             iterations=it,
         )
+
+
+def _admm_penalties(problem):
+    """ADMM's penalty on each row of G = [A; C] and its proximal shift:
+    ``rho_i = ADMM_RHO s / |g_i|^2``, times ``ADMM_RHO_EQ_SCALE`` on an
+    equality row, and ``sigma = ADMM_SIGMA s``, where s is the mean
+    |diagonal| of P (1 when it has no nonzero entry) and a zero row counts
+    as a unit one.  This is ADMM with one penalty on the problem with every
+    row of G scaled to unit norm and the objective divided by s, so the
+    iteration does not change when a row (with its bound) or the objective
+    is rescaled."""
+    diag = np.abs(problem.P.diagonal())
+    scale = diag.mean() if diag.any() else 1.0
+    A, C = problem.A, problem.C
+    norms = np.concatenate([np.bincount(A.indices, A.data**2, minlength=problem.p),
+                            np.bincount(C.indices, C.data**2, minlength=problem.m)])
+    norms[norms == 0] = 1.0
+    rho = (ADMM_RHO * scale) / norms
+    rho[: problem.p] *= ADMM_RHO_EQ_SCALE
+    return rho, ADMM_SIGMA * scale
 
 
 def _finish(problem, ops, J, x, eps, rounds=None):

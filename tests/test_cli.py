@@ -174,7 +174,7 @@ class TestBenchCommand:
         expected_cols = [
             "problem_id", "n", "p", "m", "backend", "status", "forward_ms",
             "backward_ms", "total_ms", "r_p", "r_d", "r_g", "active_size",
-            "fact_mode", "bwd_frac",
+            "fact_mode", "bwd_frac", "iterations",
         ]
         assert list(rows[0].keys()) == expected_cols
         for row in rows:
@@ -183,6 +183,7 @@ class TestBenchCommand:
             assert 0.0 <= float(row["bwd_frac"]) <= 1.0
             total = float(row["forward_ms"]) + float(row["backward_ms"])
             assert abs(total - float(row["total_ms"])) < 1e-6
+            assert int(row["iterations"]) >= (1 if row["backend"] == "admm" else 0)
 
     def test_twenty_row_bookkeeping(self, tmp_path, capsys):
         out = tmp_path / "bench20.csv"
@@ -258,6 +259,8 @@ class TestBenchCommand:
         summary = json.loads(text)
         assert summary[0]["solved"] == 2
         assert "bwd_frac_median" in summary[0]
+        rows = self.read_rows(out)
+        assert summary[0]["iterations_median"] == np.median([int(r["iterations"]) for r in rows])
 
 
 class TestProfileCommand:

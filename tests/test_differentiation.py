@@ -574,7 +574,7 @@ class TestCertification:
                 np.testing.assert_array_equal(sol.fact.rows, truth)
 
     def test_loose_simplex_repaired_in_few_rounds(self, monkeypatch):
-        # a loose point at a tight threshold: 4 rounds, each one solve on
+        # a loose point at a tight threshold: 3 rounds, each one solve on
         # its J, reach the 3994 bounds of the exact projection
         prob, x = gen_simplex(4000, 0)
         truth = identify(prob, simplex_projection_sort(x), 1e-9).indices
@@ -587,7 +587,7 @@ class TestCertification:
                                    eps_active=1e-9)
         elapsed = time.perf_counter() - start
         np.testing.assert_array_equal(sol.active.indices, truth)
-        assert len(rounds) == 4
+        assert len(rounds) == 3
         assert elapsed < 2.0
 
     def test_builtin_backends_never_repair(self, monkeypatch):
@@ -775,9 +775,9 @@ class TestCertification:
         np.testing.assert_array_equal(excinfo.value.point.z, [0.0, 0.0])
 
     def test_rounds_past_the_cap_raise(self, monkeypatch):
-        # the loose simplex needs 4 rounds; with the cap at 3 the last point
+        # the loose simplex needs 3 rounds; with the cap at 2 the last point
         # still breaks a row
-        monkeypatch.setattr(solvers, "CROSSOVER_ROUNDS", 3)
+        monkeypatch.setattr(solvers, "CROSSOVER_ROUNDS", 2)
         prob = gen_simplex(4000, 0)[0]
         loose = AdmmBackend()
         loose.polish = False
@@ -785,7 +785,7 @@ class TestCertification:
         with pytest.raises(SolveFailedError, match="active set not certified: the point on "
                            r"\d+ rows violates row \d+") as excinfo:
             differentiable_solve(prob, loose, SolveSettings(eps_abs=0.1), eps_active=1e-9)
-        assert len(rounds) == 3
+        assert len(rounds) == 2
         assert excinfo.value.point.status == "solved"
 
 

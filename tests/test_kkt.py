@@ -587,9 +587,7 @@ class TestSaddleBuilder:
         cold_plans(monkeypatch)
         for _ in range(2):  # a miss, then a hit
             solve_admm(prob, solvers.SolveSettings(max_iterations=1))
-        rho = np.full(prob.p + prob.m, solvers.ADMM_RHO)
-        rho[: prob.p] *= solvers.ADMM_RHO_EQ_SCALE
-        shift = np.concatenate([np.full(prob.n, solvers.ADMM_SIGMA), -1.0 / rho])
+        shift = admm_shift(prob)
         K = block_array_saddle(prob, np.arange(prob.m))
         expected = sp.csc_array(K + sp.diags_array(shift))
         # the sum drops the six explicit zeros of K and fills its diagonal
@@ -654,12 +652,12 @@ def cold_plans(monkeypatch):
 
 
 def admm_shift(prob):
-    """The diagonal shift of ADMM's sparse matrix."""
+    """The diagonal shift of ADMM's sparse matrix, from the backend's
+    penalty on each row and its proximal shift."""
     import qpdiff.solvers as solvers
 
-    rho = np.full(prob.p + prob.m, solvers.ADMM_RHO)
-    rho[: prob.p] *= solvers.ADMM_RHO_EQ_SCALE
-    return np.concatenate([np.full(prob.n, solvers.ADMM_SIGMA), -1.0 / rho])
+    rho, sigma = solvers._admm_penalties(prob)
+    return np.concatenate([np.full(prob.n, sigma), -1.0 / rho])
 
 
 def stored_zero_chain():
@@ -726,11 +724,37 @@ class TestShiftedPlans:
         for miss, *hits in zip(*fields):
             assert all(np.array_equal(miss, hit) for hit in hits)
 
+    def test_hit_on_other_values_gives_the_miss(self, monkeypatch):
+        # ADMM's shift follows C's row norms and P's diagonal, so problems
+        # on one pattern factor different shifts through one plan
+        first = gen_chain(30, 30, 0)[0]
+        rng = np.random.Generator(np.random.PCG64(7))
+        C = sp.csc_array(first.C, copy=True)
+        C.data *= rng.uniform(0.5, 2.0, C.nnz)
+        other = QpProblem(3.0 * first.P, first.q, first.A, first.b, C, first.d)
+        assert _pattern_key(other) == _pattern_key(first)
+        assert not np.array_equal(admm_shift(other), admm_shift(first))
+        factored = record_splu(monkeypatch)
+        fields = []
+        for warm in ([], [first, first]):  # a cold miss; a miss, the first hit, then a hit
+            cold_plans(monkeypatch)
+            for prob in warm:
+                differentiable_solve(prob, "admm")
+            del factored[:]
+            sol = differentiable_solve(other, "admm")
+            specs = [spec for *_, spec in factored if spec in ("MMD_AT_PLUS_A", "NATURAL")]
+            assert specs == (["NATURAL"] if warm else ["MMD_AT_PLUS_A"])
+            fields.append((sol.point.z, sol.point.iterations, sol.active.indices))
+        (z_miss, it_miss, J_miss), (z_hit, it_hit, J_hit) = fields
+        np.testing.assert_array_equal(z_hit, z_miss)
+        assert it_hit == it_miss
+        np.testing.assert_array_equal(J_hit, J_miss)
+
     def test_zero_on_the_diagonal_is_not_planned(self, monkeypatch):
-        # P_00 = -sigma cancels the shift: the pattern hangs on the values
+        # P_00 = -1e-6 cancels the shift: the pattern hangs on the values
         prob = QpProblem(np.diag([-1e-6, 1.0]), np.ones(2), C=np.eye(2), d=np.ones(2))
         plans = cold_plans(monkeypatch)
-        shift = admm_shift(prob)
+        shift = np.array([1e-6, 1e-6, -0.1, -0.1])
         lu = _shifted_lu(prob, shift, prob.n)
         assert plans == {}
         expected = _symmetric_lu(_saddle(prob, np.arange(prob.m), shift), prob.n)

@@ -14,6 +14,7 @@ from qpdiff import (
     SolveSettings,
     UnknownBackendError,
     brute_force_solve,
+    differentiable_solve,
     factorize,
     gen_chain,
     gen_random_dense,
@@ -574,10 +575,10 @@ class TestAdmmSolver:
         monkeypatch.setattr(solvers, "_point_on", recording_point_on)
         return checks, tries
 
-    @pytest.mark.parametrize("seed", [5, 1, 2])
+    @pytest.mark.parametrize("seed", [5, 60, 73])
     def test_crossover_repairs_a_rejected_guess(self, monkeypatch, seed):
         # the first try's guess misses a row; without crossover these took
-        # 180, 50 and 60 iterations and 5, 2 and 2 points on J
+        # 60, 40 and 50 iterations and 2 points on J each
         prob = gen_random_dense(60, seed)
         _, tries = self.record_tries(monkeypatch)
         point = solve_admm(prob)
@@ -616,7 +617,7 @@ class TestAdmmSolver:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_inequality_only_family_solves_within_a_thousand_iterations(self, seed):
         # with its equality rows removed the QP is strictly convex and z = 1
-        # is strictly feasible, but the fixed penalty stalls the iteration;
+        # is strictly feasible, but the iteration alone converges slowly;
         # crossover from the first guess of J finishes it at iteration 20
         base = gen_random_dense(50, seed)
         prob = QpProblem(base.P, base.q, C=base.C, d=base.d)
@@ -632,14 +633,17 @@ class TestAdmmSolver:
         # solution, not one 1e-3 off whose minimum-norm duals go unread
         from qpdiff import differentiable_solve
 
-        base = gen_simplex(300, seed=211365990)[0]
+        base = gen_simplex(300, seed=63)[0]
         prob = QpProblem(base.P, base.q, sp.vstack([base.A, base.A]),
                          np.concatenate([base.b, base.b]), base.C, base.d)
         loose = AdmmBackend()
         loose.polish = False
-        sol = differentiable_solve(prob, loose, SolveSettings(eps_abs=1e-3),
-                                   eps_active=1e-3)
+        settings = SolveSettings(eps_abs=1e-3)
+        sol = differentiable_solve(prob, loose, settings, eps_active=1e-3)
         assert sol.fact.mode == LEAST_SQUARES
+        # the loose point's J is not the solution's: the point was repaired
+        loose_J = identify(prob, loose.solve(prob, settings).z, 1e-3).indices
+        assert not np.array_equal(loose_J, sol.fact.rows)
         np.testing.assert_allclose(sol.point.z, solve_active_set(prob).z, rtol=0, atol=1e-6)
 
     def test_deterministic(self):
@@ -820,6 +824,65 @@ class TestAdmmSolver:
         assert point.status == SOLVED
         res = residuals(prob, point)
         assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
+
+
+def rescaled(prob, kind, k):
+    """``prob`` with row 1 of C and its bound (``kind`` "row"), or P and q
+    ("objective"), times 2^k; with the factors that take lam and mu of
+    ``prob`` to the rescaled problem's."""
+    f = 2.0**k
+    if kind == "row":
+        s = np.ones(prob.m)
+        s[1] = f
+        return (QpProblem(prob.P, prob.q, prob.A, prob.b, sp.diags_array(s) @ prob.C, s * prob.d),
+                np.ones(prob.p), 1.0 / s)
+    return (QpProblem(f * prob.P, f * prob.q, prob.A, prob.b, prob.C, prob.d),
+            np.full(prob.p, f), np.full(prob.m, f))
+
+
+class TestAdmmPenalty:
+    # the penalty of each row, rho_i = ADMM_RHO s / |g_i|^2, and sigma follow
+    # the data, so ADMM runs on the row- and objective-normalized problem
+
+    @pytest.mark.parametrize("kind, k", [("row", 3), ("row", -4), ("objective", 3),
+                                         ("objective", -2)])
+    @pytest.mark.parametrize("case", ["random-dense", "random-sparse"])
+    @pytest.mark.parametrize("fill", [0.0, np.inf], ids=["dense", "sparse"])
+    def test_rescaling_leaves_the_iteration_unchanged(self, monkeypatch, fill, case, kind, k):
+        import qpdiff.kkt as kkt_module
+
+        monkeypatch.setattr(kkt_module, "_DENSE_FILL", fill)  # every matrix dense, or sparse
+        prob = gen_random_dense(40, 0) if case == "random-dense" else gen_random_sparse(60, 1)
+        scaled, lam_factor, mu_factor = rescaled(prob, kind, k)
+        base, other = solve_admm(prob), solve_admm(scaled)
+        assert base.status == other.status == SOLVED
+        assert other.iterations == base.iterations
+        np.testing.assert_array_equal(other.fact.rows, base.fact.rows)
+        # the iterate after a fixed number of steps, in the rescaled units;
+        # equal to rounding (the dense Cholesky of 2^k times a matrix is
+        # exact only for even k)
+        loose = AdmmBackend()
+        loose.polish = False
+        few = SolveSettings(max_iterations=15)
+        a, b = loose.solve(prob, few), loose.solve(scaled, few)
+        assert a.iterations == b.iterations == 15
+        for got, want in ((b.z, a.z), (b.lam, lam_factor * a.lam), (b.mu, mu_factor * a.mu)):
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-10 * np.abs(want).max(initial=0))
+
+    @pytest.mark.parametrize("factor", [1e4, 1e-4])
+    @pytest.mark.parametrize("case", ["chain", "random-sparse"])
+    def test_row_scaled_problems_solve_without_normalize(self, case, factor):
+        # every other row of C and its bound scaled: with one fixed penalty
+        # for every row these ended max_iter, at 2000 iterations as at 20 000
+        base = gen_chain(100, 2, 1)[0] if case == "chain" else gen_random_sparse(60, 1)
+        s = np.ones(base.m)
+        s[::2] = factor
+        prob = QpProblem(base.P, base.q, base.A, base.b, sp.diags_array(s) @ base.C, s * base.d)
+        sol = differentiable_solve(prob, "admm", SolveSettings(max_iterations=2000))
+        assert sol.point.status == SOLVED
+        res = residuals(prob, sol.point)
+        assert max(res.r_p, res.r_d) <= SolveSettings().eps_abs
+        np.testing.assert_allclose(sol.point.z, solve_active_set(prob).z, rtol=0, atol=1e-6)
 
 
 class TestBackendAgreement:
